@@ -17,7 +17,7 @@ from .errors import (
     TooLarge,
     UosfitError,
 )
-from .spectral import SVDResult, SymmetricEigen, svd, sym_eigen
+from .spectral import SymmetricEigen, sym_eigen
 from .subspace import (
     DataSet,
     Subspace,
@@ -64,7 +64,7 @@ __all__ = [
     "UosfitError", "NonFinite", "NonSymmetric", "DimensionMismatch",
     "IndexOutOfRange", "EmptyDataSet", "TooLarge", "LengthMismatch",
     "StructureMismatch", "ParseError", "RaggedRows", "InvalidSpec",
-    "SymmetricEigen", "SVDResult", "sym_eigen", "svd",
+    "SymmetricEigen", "sym_eigen",
     "DataSet", "Subspace", "SubspaceFit", "project", "dist_sq",
     "total_error", "best_fit_subspace",
     "Bundle", "Partition", "objective_e", "gamma", "best_partition",

@@ -1,15 +1,13 @@
 """Command-line interface: fit, sweep, generate, score.
 
 Exit codes: 0 on success, 1 on numeric failure, 2 on I/O or configuration
-errors.  Reports are deterministic JSON (see dataio); set UOSFIT_THREADS to
-run solver restarts in parallel.
+errors.  Reports are deterministic JSON (see dataio).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -65,13 +63,6 @@ def _parse_range(text):
         return [int(text)]
     except ValueError:
         raise InvalidSpec(f"cannot parse range {text!r}; use N, A:B or A,B,C") from None
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("UOSFIT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _solve_config(args):
@@ -157,7 +148,6 @@ def cmd_fit(args):
     mode = args.mode
     dataset = _load_dataset(args, mode)
     cfg = _solve_config(args)
-    threads = _threads()
 
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -166,7 +156,7 @@ def cmd_fit(args):
         "config": _config_echo(args, mode, {"l": cfg.l, "n": cfg.n, "dedup_tol": args.dedup_tol}),
     }
     if mode == "euclidean":
-        report = solve(dataset, cfg, threads=threads)
+        report = solve(dataset, cfg)
         dmat = distance_matrix(dataset, report.bundle)
         dictionary = extract_dictionary(report.bundle, args.dedup_tol)
         code = encode(dataset, report.bundle, report.partition, dictionary)
@@ -190,7 +180,7 @@ def cmd_fit(args):
         }
     else:
         structure = _structure(args)
-        report = solve_sis_bundle(dataset, structure, cfg.l, cfg.n, cfg, threads=threads)
+        report = solve_sis_bundle(dataset, structure, cfg.l, cfg.n, cfg)
         dmat = sis_distance_matrix(dataset, report.bundle, structure)
         doc["components"] = _sis_components(report.bundle)
 
@@ -226,7 +216,7 @@ def cmd_sweep(args):
         rel_tol=args.rel_tol,
         max_iters=args.max_iters,
     )
-    rows = sparsity_curve(dataset, l_values, n_values, base, threads=_threads())
+    rows = sparsity_curve(dataset, l_values, n_values, base)
 
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -350,7 +340,6 @@ def build_parser():
     p_fit.add_argument("--report", required=True)
     p_fit.add_argument("--verbose", action="store_true")
     _add_common_solver_flags(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
 
     p_sweep = sub.add_parser("sweep", help="sweep (l, n) and tabulate epsilon")
     p_sweep.add_argument("--input", required=True)
@@ -359,7 +348,6 @@ def build_parser():
     p_sweep.add_argument("--report", required=True)
     p_sweep.add_argument("--csv", default=None, help="plot data: columns l,n,epsilon")
     _add_common_solver_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_gen = sub.add_parser("generate", help="synthesize union-of-subspaces data")
     p_gen.add_argument("--l", type=int, required=True)
@@ -370,21 +358,25 @@ def build_parser():
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--no-labels", action="store_true")
     p_gen.add_argument("--out", required=True)
-    p_gen.set_defaults(func=cmd_generate)
 
     p_score = sub.add_parser("score", help="re-evaluate a stored model on data")
     p_score.add_argument("--input", required=True)
     p_score.add_argument("--report", required=True, help="report JSON holding the model")
     p_score.add_argument("--out", default=None)
-    p_score.set_defaults(func=cmd_score)
     return parser
 
 
+# Built once per process: building the tree takes about 2 ms, a sizeable
+# share of a small job.
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # Resolved per call, so a rebound cmd_* (a tracing wrapper, say) is used.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return handler(args)
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

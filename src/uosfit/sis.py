@@ -9,6 +9,12 @@ eigenproblems on the Gramian G(w)_ij = sum_t fhat_i(w+Kt) conj(fhat_j(w+Kt)):
 the model error is the sum of the trailing eigenvalues over all w, and the
 generators built from the leading eigenpairs form a Parseval frame (their
 own Gramian is a 0/1 orthogonal projection at every w).
+
+The fit solves the dual L x L problem instead: the fiber covariance
+C(w)_ts = sum_i fhat_i(w+Kt) conj(fhat_i(w+Ks)) has the same nonzero
+eigenvalues as G(w), and its orthonormal eigenvectors are the generator
+fibers themselves (Aldroubi, Cabrelli, Hardin, Molter, "Optimal shift
+invariant spaces and their Parseval frame generators", ACHA 2007).
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from .solver import SolveConfig, SolveReport, _build_report, _multistart, _verif
 from .spectral import sym_eigen
 from .subspace import DataSet
 
-# Eigenvalues below ZERO_TOL * (largest over all frequencies) count as zero
-# when inverting for the generator normalisation.
+# Fiber-covariance eigenvalues below ZERO_TOL * (largest over all
+# frequencies) count as zero: their eigenvectors give no generator fiber.
 ZERO_TOL = 1e-12
 
 DEGENERACY_TOL = 1e-10
@@ -91,9 +97,12 @@ class SISModel:
 
 @dataclass(frozen=True)
 class SISFit:
+    """Best-fit result; ``spectrum[w]`` is the m x m Gramian's spectrum at w,
+    sorted descending and clamped at zero."""
+
     model: SISModel
     error: float
-    spectrum: FreqGramian
+    spectrum: np.ndarray
     degenerate: bool
 
 
@@ -123,15 +132,19 @@ def _signal_fibers(dataset, structure):
     return _fibers_from_spectra(_unitary_spectra(dataset.vectors, structure), structure)
 
 
-def _eigendecompose_per_freq(grams):
-    num_freqs, m, _ = grams.shape
-    vals = np.zeros((num_freqs, m))
-    vecs = np.zeros((num_freqs, m, m), dtype=np.complex128)
-    for w in range(num_freqs):
-        eig = sym_eigen(grams[w])
-        vals[w] = eig.eigenvalues
-        vecs[w] = eig.eigenvectors
-    return vals, vecs
+def _fiber_gramian(fib, structure):
+    """FreqGramian of the (count, K, L) fibers: one stacked eigenproblem."""
+    grams = np.einsum("ikt,jkt->kij", fib, fib.conj())
+    grams = (grams + grams.conj().transpose(0, 2, 1)) / 2.0
+    if fib.shape[0]:
+        eig = sym_eigen(grams)
+        vals, vecs = eig.eigenvalues, eig.eigenvectors
+    else:
+        vals = np.zeros((structure.num_freqs, 0))
+        vecs = np.zeros((structure.num_freqs, 0, 0), dtype=np.complex128)
+    for arr in (grams, vals, vecs):
+        arr.flags.writeable = False
+    return FreqGramian(structure, grams, vals, vecs)
 
 
 def gramian(dataset: DataSet, structure: ShiftStructure) -> FreqGramian:
@@ -140,17 +153,7 @@ def gramian(dataset: DataSet, structure: ShiftStructure) -> FreqGramian:
     ``G(w)_ij = sum_t fhat_i(w + K t) conj(fhat_j(w + K t))`` so that the
     traces over all w sum to the total signal energy.
     """
-    fib = _signal_fibers(dataset, structure)
-    grams = np.einsum("ikt,jkt->kij", fib, fib.conj())
-    grams = (grams + grams.conj().transpose(0, 2, 1)) / 2.0
-    if dataset.m:
-        vals, vecs = _eigendecompose_per_freq(grams)
-    else:
-        vals = np.zeros((structure.num_freqs, 0))
-        vecs = np.zeros((structure.num_freqs, 0, 0), dtype=np.complex128)
-    for arr in (grams, vals, vecs):
-        arr.flags.writeable = False
-    return FreqGramian(structure, grams, vals, vecs)
+    return _fiber_gramian(_signal_fibers(dataset, structure), structure)
 
 
 def _model_fibers(model):
@@ -171,51 +174,31 @@ def best_sis(dataset: DataSet, structure: ShiftStructure, n,
              zero_tol=ZERO_TOL) -> SISFit:
     """Optimal shift-invariant model of length <= n with its exact error.
 
-    Per frequency class the Gramian's top-n eigenpairs give the generator
-    fibers ``sigma~_i(w) y_i(w)^H F(w)`` (zero where the eigenvalue vanishes);
-    the error is the sum of the remaining eigenvalues over all frequencies.
-    Active fibers are re-orthonormalised per frequency so the Parseval
-    property holds to machine precision.
+    Per frequency class w the L x L fiber covariance
+    ``C(w)_ts = sum_i fhat_i(w + K t) conj(fhat_i(w + K s))`` is
+    eigendecomposed, all K classes in one stacked call.  Its top
+    ``min(n, m, L)`` eigenvectors with eigenvalue above ``zero_tol`` times
+    the largest are the generator fibers, orthonormal per frequency, so the
+    generators form a Parseval frame.  Its eigenvalues, cut or zero-padded to
+    length m, are the spectrum of the m x m Gramian; the error is the sum of
+    the spectrum beyond the n-th over all frequencies.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    gram = gramian(dataset, structure)
     m = dataset.m
-    num_freqs = structure.num_freqs
-    num_aliases = structure.num_aliases
-    lam = gram.eigenvalues
+    fib = _signal_fibers(dataset, structure)                       # (m, K, L)
+    eig = sym_eigen(np.einsum("ikt,iks->kts", fib, fib.conj()))    # (K, L, L)
+    k = min(m, structure.num_aliases)
+    lam = np.zeros((structure.num_freqs, m))
+    lam[:, :k] = eig.eigenvalues[:, :k]
 
-    s_max = min(n, m)
     lam_max = float(lam[:, 0].max()) if m else 0.0
     thr = zero_tol * lam_max
-
-    gen_fibers = np.zeros((s_max, num_freqs, num_aliases), dtype=np.complex128)
-    rank = np.zeros(num_freqs, dtype=np.intp)
-    if s_max and lam_max > 0.0:
-        fib = _signal_fibers(dataset, structure)          # (m, K, L)
-        fib_km = fib.transpose(1, 0, 2)                   # (K, m, L)
-        for i in range(s_max):
-            active = lam[:, i] > thr
-            if not np.any(active):
-                break
-            sigma = np.zeros(num_freqs)
-            sigma[active] = 1.0 / np.sqrt(lam[active, i])
-            y = gram.eigenvectors[:, :, i]                # (K, m)
-            gen_fibers[i] = sigma[:, None] * np.einsum("km,kmt->kt", y.conj(), fib_km)
-            rank[active] += 1
-        # Per-frequency Gram-Schmidt over the active fibers: exact in theory,
-        # this scrubs the noise amplified by 1/sqrt(lambda) near the cutoff.
-        for w in range(num_freqs):
-            for i in range(int(rank[w])):
-                v = gen_fibers[i, w]
-                for j in range(i):
-                    v = v - np.vdot(gen_fibers[j, w], v) * gen_fibers[j, w]
-                nrm = np.linalg.norm(v)
-                if nrm > 0.0:
-                    gen_fibers[i, w] = v / nrm
-
-    keep = int(rank.max()) if num_freqs else 0
-    spectra = _spectra_from_fibers(gen_fibers[:keep])
+    rank = np.count_nonzero(lam[:, :min(n, k)] > thr, axis=1)
+    keep = int(rank.max())
+    active = np.arange(keep)[:, None] < rank[None, :]              # (keep, K)
+    gen_fibers = eig.eigenvectors[:, :, :keep].transpose(2, 0, 1) * active[:, :, None]
+    spectra = _spectra_from_fibers(gen_fibers)
     error = float(np.sum(lam[:, n:])) if n < m else 0.0
     error = max(error, 0.0)
 
@@ -224,23 +207,15 @@ def best_sis(dataset: DataSet, structure: ShiftStructure, n,
         gaps = np.abs(lam[:, n - 1] - lam[:, n])
         degenerate = bool(np.any((lam[:, n - 1] > thr) & (gaps <= DEGENERACY_TOL * lam_max)))
 
-    spectra.flags.writeable = False
-    rank.flags.writeable = False
+    for arr in (spectra, rank, lam):
+        arr.flags.writeable = False
     model = SISModel(structure=structure, generators=spectra, per_freq_rank=rank)
-    return SISFit(model=model, error=error, spectrum=gram, degenerate=degenerate)
+    return SISFit(model=model, error=error, spectrum=lam, degenerate=degenerate)
 
 
 def generator_gramian(model: SISModel) -> FreqGramian:
     """Gramian of the model's own generators (0/1 spectrum when Parseval)."""
-    fib = _model_fibers(model)
-    grams = np.einsum("ikt,jkt->kij", fib, fib.conj())
-    grams = (grams + grams.conj().transpose(0, 2, 1)) / 2.0
-    if model.length:
-        vals, vecs = _eigendecompose_per_freq(grams)
-    else:
-        vals = np.zeros((model.structure.num_freqs, 0))
-        vecs = np.zeros((model.structure.num_freqs, 0, 0), dtype=np.complex128)
-    return FreqGramian(model.structure, grams, vals, vecs)
+    return _fiber_gramian(_model_fibers(model), model.structure)
 
 
 def project_sis(model: SISModel, f) -> np.ndarray:
@@ -271,7 +246,7 @@ def sis_distance_matrix(dataset: DataSet, models, structure: ShiftStructure) -> 
 
 
 def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure, l, n,
-                     cfg: SolveConfig, threads=1) -> SolveReport:
+                     cfg: SolveConfig) -> SolveReport:
     """Alternating search over bundles of shift-invariant models.
 
     Identical to the Euclidean solver but with per-frequency eigenproblems as
@@ -301,7 +276,6 @@ def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure, l, n,
         fit = best_sis(dataset.subset([j]), structure, 1)
         return _residuals_to_fibers(fib_all, _model_fibers(fit.model))
 
-    best, results = _multistart(dataset.m, cfg_eff, fit_cells, distances,
-                                singleton_dists, threads)
+    best, results = _multistart(dataset.m, cfg_eff, fit_cells, distances, singleton_dists)
     certificate_ok = _verify_certificate(best, fit_cells, distances, cfg_eff.rel_tol)
     return _build_report(best, results, cfg_eff, certificate_ok)

@@ -17,7 +17,6 @@ along l so the reported error can never increase with l.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -131,7 +130,8 @@ def _descend(assignment, fit_cells, distances, rel_tol, max_iters):
         key = assignment.tobytes()
         # A revisited partition would contradict strict descent (finite
         # termination proof); only numerical breakage could trigger this.
-        assert key not in seen, "partition revisited during descent"
+        if key in seen:
+            raise ArithmeticError("partition revisited during descent")
         seen.add(key)
     return _Descent(fitted, models, tuple(flags), float(gam), err, tuple(trace), converged)
 
@@ -183,7 +183,7 @@ def _initial_assignment(m, cfg, rng, singleton_dists):
     return _farthest_point_assignment(m, cfg.l, rng, singleton_dists)
 
 
-def _multistart(m, cfg, fit_cells, distances, singleton_dists, threads=1):
+def _multistart(m, cfg, fit_cells, distances, singleton_dists):
     """Run all restarts, pick the best final objective (lowest index on ties)."""
 
     def run(ridx):
@@ -191,11 +191,7 @@ def _multistart(m, cfg, fit_cells, distances, singleton_dists, threads=1):
         p0 = _initial_assignment(m, cfg, rng, singleton_dists)
         return _descend(p0, fit_cells, distances, cfg.rel_tol, cfg.max_iters)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, range(cfg.restarts)))
-    else:
-        results = [run(r) for r in range(cfg.restarts)]
+    results = [run(r) for r in range(cfg.restarts)]
 
     best = results[0]
     for res in results[1:]:
@@ -217,7 +213,7 @@ def _build_report(best, results, cfg, certificate_ok):
     )
 
 
-def solve(dataset: DataSet, cfg: SolveConfig, threads=1) -> SolveReport:
+def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
     """Multi-start alternating search for an optimal bundle of subspaces.
 
     Each restart draws an initial partition per ``cfg.init_strategy``, then
@@ -237,7 +233,7 @@ def solve(dataset: DataSet, cfg: SolveConfig, threads=1) -> SolveReport:
         return distance_matrix(dataset, bundle)
 
     best, results = _multistart(
-        dataset.m, cfg, fit_cells, distances, _euclidean_singleton_dists(dataset), threads
+        dataset.m, cfg, fit_cells, distances, _euclidean_singleton_dists(dataset)
     )
     certificate_ok = _verify_certificate(best, fit_cells, distances, cfg.rel_tol)
     return _build_report(best, results, cfg, certificate_ok)
@@ -299,7 +295,7 @@ def _padded_candidate(prev, l, m):
     )
 
 
-def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig, threads=1):
+def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     """Sweep (l, n) pairs; each row reports the achieved error epsilon.
 
     For each n, l is visited in increasing order and the search is
@@ -331,7 +327,7 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig, threa
 
             best, _ = _multistart(
                 dataset.m, cfg_ln, fit_cells, distances,
-                _euclidean_singleton_dists(dataset), threads,
+                _euclidean_singleton_dists(dataset),
             )
             # Deterministic warm seeds on top of the cold restarts.  Plain
             # alternation never repopulates an empty cell, so growing l needs

@@ -123,14 +123,14 @@ def reconstruction_error(dataset: DataSet, dictionary: Dictionary,
 
 
 def sparsity_certificate(dataset: DataSet, cfg: SolveConfig, dedup_tol=0.0,
-                         exact_tol=None, threads=1) -> SparsityCertificate:
+                         exact_tol=None) -> SparsityCertificate:
     """Solve for an optimal bundle and package the sparsity certificate.
 
     ``epsilon`` is the achieved objective; ``is_exact`` holds when epsilon
     falls below ``exact_tol`` (default: 1e-10 times the total data energy,
     or 1e-12 absolute for all-zero data).
     """
-    report = solve(dataset, cfg, threads=threads)
+    report = solve(dataset, cfg)
     dictionary = extract_dictionary(report.bundle, dedup_tol)
     code = encode(dataset, report.bundle, report.partition, dictionary)
     if exact_tol is None:

@@ -185,27 +185,16 @@ def best_fit_subspace(dataset: DataSet, n, rank_tol=RANK_TOL) -> SubspaceFit:
         return SubspaceFit(Subspace.zero(dim), 0.0, np.zeros(0), False)
 
     x = dataset.vectors  # rows are data points; the data matrix A is x.T
-    if m <= dim:
-        # Gram route: eigenvectors y of A^T A, then u_i = A y_i / sqrt(lambda_i).
-        eig = sym_eigen(x @ x.T)
-        spectrum = eig.eigenvalues
-        svals = np.sqrt(np.maximum(spectrum, 0.0))
-        rank = int(np.sum(svals > rank_tol * svals[0])) if svals[0] > 0.0 else 0
-        keep = min(n, rank)
-        if keep:
-            u = (x.T @ eig.eigenvectors[:, :keep]) / svals[:keep]
-            basis = orthonormalize(u.T)
-        else:
-            basis = np.zeros((0, dim))
-    else:
-        # Covariance route: eigenvectors of A A^T are left singular vectors.
-        eig = sym_eigen(x.T @ x)
-        vals = eig.eigenvalues
-        svals = np.sqrt(np.maximum(vals, 0.0))
-        rank = int(np.sum(svals > rank_tol * svals[0])) if svals[0] > 0.0 else 0
-        keep = min(n, rank)
-        basis = eig.eigenvectors[:, :keep].T.copy() if keep else np.zeros((0, dim))
-        spectrum = np.concatenate([vals, np.zeros(m - dim)])
+    # Eigenvectors of the N x N covariance A A^T are the left singular
+    # vectors of A; its nonzero eigenvalues are those of the m x m Gram A^T A.
+    # The rank is read off the Gram spectrum, so it never exceeds m.
+    eig = sym_eigen(x.T @ x)
+    vals = eig.eigenvalues
+    spectrum = vals[:m] if m <= dim else np.concatenate([vals, np.zeros(m - dim)])
+    svals = np.sqrt(np.maximum(spectrum, 0.0))
+    rank = int(np.sum(svals > rank_tol * svals[0])) if svals[0] > 0.0 else 0
+    keep = min(n, rank)
+    basis = eig.eigenvectors[:, :keep].T.copy() if keep else np.zeros((0, dim))
 
     error = float(np.sum(spectrum[n:])) if n < spectrum.size else 0.0
     error = max(error, 0.0)

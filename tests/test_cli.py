@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uosfit import RaggedRows, generate, ingest
+from uosfit import cli
 from uosfit.cli import main
 from uosfit.dataio import write_dataset_csv
 
@@ -172,6 +173,11 @@ class TestCliCommands:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_dispatch_uses_current_command_binding(self, monkeypatch):
+        # the parser is built once, so handlers must be looked up per call
+        monkeypatch.setattr(cli, "cmd_score", lambda args: 7)
+        assert main(["score", "--input", "x.csv", "--report", "r.json"]) == 7
+
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code = main(["fit", "--input", str(tmp_path / "gone.csv"), "--l", "1",
                      "--n", "1", "--report", str(tmp_path / "r.json")])
@@ -201,12 +207,3 @@ class TestCliCommands:
         code = main(["fit", "--input", str(p), "--l", "1", "--n", "1",
                      "--report", str(tmp_path / "r.json")])
         assert code == 1
-
-    def test_thread_env_var_matches_sequential(self, tmp_path, monkeypatch):
-        r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["fit", "--input", str(FIXTURE), "--l", "2", "--n", "1",
-                "--seed", "0", "--no-timings"]
-        assert main(argv + ["--report", str(r1)]) == 0
-        monkeypatch.setenv("UOSFIT_THREADS", "3")
-        assert main(argv + ["--report", str(r2)]) == 0
-        assert r1.read_bytes() == r2.read_bytes()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from uosfit import (
     DataSet,
@@ -130,6 +131,32 @@ class TestBestSis:
         assert fit.model.per_freq_rank.shape == (s.num_freqs,)
         assert np.all(fit.model.per_freq_rank <= 2)
         assert fit.model.length <= 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    step=st.integers(1, 4),
+    num_freqs=st.integers(1, 4),
+    count=st.integers(1, 6),
+    n=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(step=4, num_freqs=3, count=2, n=1, seed=0)   # m < L
+@example(step=3, num_freqs=2, count=3, n=2, seed=1)   # m = L
+@example(step=2, num_freqs=4, count=5, n=1, seed=2)   # m > L
+@example(step=2, num_freqs=3, count=5, n=2, seed=3)   # n >= min(m, L)
+@example(step=4, num_freqs=2, count=3, n=5, seed=4)   # n >= min(m, L)
+def test_best_sis_error_is_trailing_gramian_spectrum(step, num_freqs, count, n, seed):
+    s = ShiftStructure(step * num_freqs, step)
+    data = DataSet(np.random.default_rng(seed).standard_normal((count, s.signal_len)))
+    fit = best_sis(data, s, n)
+    lam = gramian(data, s).eigenvalues
+    assert fit.spectrum.shape == lam.shape
+    energy = float(np.sum(data.vectors**2))
+    assert close_rel(fit.error, float(lam[:, n:].sum()), 1e-9, floor=1e-12 * energy)
+    assert np.all(fit.model.per_freq_rank <= min(n, count, step))
+    vals = generator_gramian(fit.model).eigenvalues.ravel()
+    assert np.all(np.minimum(np.abs(vals), np.abs(vals - 1.0)) <= 1e-9)
 
 
 class TestProjectSis:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uosfit import DimensionMismatch, NonFinite, NonSymmetric, svd, sym_eigen
+from uosfit import DimensionMismatch, NonFinite, NonSymmetric, sym_eigen
 
 
 class TestSymEigen:
@@ -88,47 +88,26 @@ class TestSymEigen:
         assert e1.eigenvalues.tobytes() == e2.eigenvalues.tobytes()
         assert e1.eigenvectors.tobytes() == e2.eigenvectors.tobytes()
 
+    @pytest.mark.parametrize("complex_stack", [False, True])
+    def test_stack_matches_per_matrix_calls(self, complex_stack):
+        rng = np.random.default_rng(17)
+        b = rng.standard_normal((6, 5, 5))
+        if complex_stack:
+            b = b + 1j * rng.standard_normal((6, 5, 5))
+        stack = b @ b.conj().transpose(0, 2, 1)
+        e = sym_eigen(stack)
+        assert e.eigenvalues.shape == (6, 5) and e.eigenvectors.shape == (6, 5, 5)
+        for k in range(stack.shape[0]):
+            one = sym_eigen(stack[k])
+            assert np.max(np.abs(e.eigenvalues[k] - one.eigenvalues)) <= 1e-12
+            assert np.max(np.abs(e.eigenvectors[k] - one.eigenvectors)) <= 1e-12
+        # phase convention: each column's largest-magnitude entry is real-positive
+        j = np.argmax(np.abs(e.eigenvectors), axis=-2)[..., None, :]
+        pivot = np.take_along_axis(e.eigenvectors, j, axis=-2)
+        assert np.all(pivot.real > 0.0)
+        assert np.max(np.abs(pivot.imag)) <= 1e-15
 
-class TestSvd:
-    def test_single_column_unit_vector(self):
-        r = svd(np.array([[1.0], [0.0]]))
-        assert r.rank == 1
-        assert np.allclose(r.singular_values, [1.0])
-        assert np.allclose(r.left_vectors[:, 0], [1.0, 0.0])
-        assert np.allclose(r.right_vectors, [[1.0]])
-
-    def test_two_columns_by_hand(self):
-        # A^T A = diag(9, 1) so the singular values are 3 and 1
-        r = svd(np.array([[3.0, 0.0], [0.0, 1.0]]))
-        assert np.allclose(r.singular_values, [3.0, 1.0])
-
-    def test_zero_matrix(self):
-        r = svd(np.zeros((4, 3)))
-        assert r.rank == 0
-        assert r.singular_values.size == 0
-
-    def test_orthonormal_factors(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((8, 5))
-        r = svd(a)
-        assert np.max(np.abs(r.left_vectors.T @ r.left_vectors - np.eye(r.rank))) <= 1e-10
-        assert np.max(np.abs(r.right_vectors.T @ r.right_vectors - np.eye(r.rank))) <= 1e-10
-
-    def test_multiply_back_500_random(self):
-        rng = np.random.default_rng(42)
-        for _ in range(500):
-            rows = int(rng.integers(1, 31))
-            cols = int(rng.integers(1, 31))
-            a = rng.standard_normal((rows, cols))
-            r = svd(a)
-            rec = (r.left_vectors * r.singular_values) @ r.right_vectors.T
-            assert np.linalg.norm(rec - a) <= 1e-9 * np.linalg.norm(a)
-
-    def test_rank_deficient(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # rank one
-        r = svd(a)
-        assert r.rank == 1
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(NonFinite):
-            svd(np.array([[np.inf, 0.0]]))
+    def test_stack_rejects_one_nonsymmetric_member(self):
+        stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])])
+        with pytest.raises(NonSymmetric):
+            sym_eigen(stack)

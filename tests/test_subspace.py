@@ -117,6 +117,13 @@ class TestBestFit:
         fit = best_fit_subspace(f, 2)
         assert fit.subspace.dim == 1
 
+    def test_dim_never_exceeds_point_count(self):
+        # the covariance's N - m null eigenvalues are round-off, not rank
+        rng = np.random.default_rng(15)
+        for m in range(1, 5):
+            fit = best_fit_subspace(random_dataset(rng, m, 9), 6)
+            assert fit.subspace.dim == m
+
     def test_n_zero(self):
         f = DataSet([[1.0, 2.0], [3.0, 4.0]])
         fit = best_fit_subspace(f, 0)
@@ -150,8 +157,8 @@ class TestBestFit:
 
     def test_gram_vs_covariance_routes_agree(self):
         rng = np.random.default_rng(13)
-        wide = random_dataset(rng, 12, 4)   # m > N: covariance route
-        tall = DataSet(wide.vectors[:4])    # m <= N: Gram route
+        wide = random_dataset(rng, 12, 4)   # m > N: spectrum zero-padded to m
+        tall = DataSet(wide.vectors[:4])    # m <= N: spectrum cut to m
         for data in (wide, tall):
             fit = best_fit_subspace(data, 2)
             assert close_rel(total_error(data, fit.subspace), fit.error, 1e-9, floor=1e-12)
@@ -159,7 +166,9 @@ class TestBestFit:
 
     def test_spectrum_matches_lapack(self):
         rng = np.random.default_rng(14)
-        f = random_dataset(rng, 6, 9)
-        fit = best_fit_subspace(f, 2)
-        ref = np.sort(np.linalg.eigvalsh(f.vectors @ f.vectors.T))[::-1]
-        assert np.max(np.abs(fit.spectrum - ref)) <= 1e-9 * max(1.0, ref[0])
+        for m in (6, 9, 14):  # m < N, m = N, m > N
+            f = random_dataset(rng, m, 9)
+            fit = best_fit_subspace(f, 2)
+            assert fit.spectrum.size == m
+            ref = np.sort(np.linalg.eigvalsh(f.vectors @ f.vectors.T))[::-1]
+            assert np.max(np.abs(fit.spectrum - ref)) <= 1e-9 * max(1.0, ref[0])
