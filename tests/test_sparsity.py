@@ -19,6 +19,19 @@ from helpers import close_rel, lines_dataset
 SQ2 = np.sqrt(2.0)
 
 
+def per_point_encode(dataset, partition, dictionary):
+    """Reference: one matrix-vector product per point."""
+    x = dataset.vectors
+    cols = np.zeros((len(dictionary), dataset.m))
+    for i in range(dataset.m):
+        idxs = dictionary.atom_to_subspace[partition.assignment[i]]
+        if idxs:
+            sel = np.array(idxs, dtype=np.intp)
+            cols[sel, i] = dictionary.atoms[sel] @ x[i]
+    sizes = tuple(int(np.count_nonzero(cols[:, i])) for i in range(dataset.m))
+    return cols, sizes
+
+
 def axes_bundle():
     return Bundle((Subspace(2, [[1.0, 0.0]]), Subspace(2, [[0.0, 1.0]])))
 
@@ -114,6 +127,32 @@ class TestEncode:
         code = encode(f, bundle, p, d)
         assert close_rel(reconstruction_error(f, d, code), gamma(f, p, bundle), 1e-9)
 
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_point_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        f = DataSet(rng.standard_normal((40, 5)))
+        # an empty cell (no point assigned to 2) and a zero component (3)
+        subs = (Subspace.span(rng.standard_normal((2, 5))),
+                Subspace.span(rng.standard_normal((3, 5))),
+                Subspace.span(rng.standard_normal((1, 5))),
+                Subspace.zero(5))
+        bundle = Bundle(subs)
+        p = Partition(rng.choice([0, 1, 3], 40), 4)
+        d = extract_dictionary(bundle)
+        code = encode(f, bundle, p, d)
+        want, want_sizes = per_point_encode(f, p, d)
+        assert code.columns.tobytes() == want.tobytes()
+        assert code.support_sizes == want_sizes
+        assert all(code.support_sizes[i] == 0 for i in np.flatnonzero(p.assignment == 3))
+
+    def test_no_atoms(self):
+        f = DataSet([[1.0, 2.0], [3.0, 4.0]])
+        bundle = Bundle((Subspace.zero(2),))
+        d = extract_dictionary(bundle)
+        code = encode(f, bundle, Partition([0, 0], 1), d)
+        assert code.columns.shape == (0, 2)
+        assert code.support_sizes == (0, 0)
 
 class TestCertificate:
     def test_noiseless_is_exact(self):
