@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .spectral import RANK_TOL
 from .subspace import DataSet, best_fit_subspace, residuals_sq, total_error
 
 
@@ -126,7 +125,7 @@ def best_partition(dataset: DataSet, bundle: Bundle) -> Partition:
     return Partition(assignment, len(bundle))
 
 
-def fit_partition(dataset: DataSet, partition: Partition, n, rank_tol=RANK_TOL):
+def fit_partition(dataset: DataSet, partition: Partition, n):
     """Best-fit each cell; returns (Bundle, per-cell errors, degeneracy flags).
 
     Empty cells map to the zero subspace with error 0.
@@ -137,7 +136,7 @@ def fit_partition(dataset: DataSet, partition: Partition, n, rank_tol=RANK_TOL):
         )
     subs, errors, flags = [], [], []
     for idx in partition.cells():
-        fit = best_fit_subspace(dataset.subset(idx), n, rank_tol)
+        fit = best_fit_subspace(dataset.subset(idx), n)
         subs.append(fit.subspace)
         errors.append(fit.error)
         flags.append(fit.degenerate)

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import compress
 
 import numpy as np
 
@@ -34,8 +35,7 @@ from .subspace import Subspace
 SCHEMA_VERSION = 1
 
 _CONFIG_ERRORS = (
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
     ParseError,
     InvalidSpec,
     StructureMismatch,
@@ -112,7 +112,7 @@ def _structure(args):
 
 def _euclidean_components(bundle):
     return [
-        {"dim": sub.dim, "basis": [[float(v) for v in row] for row in sub.basis]}
+        {"dim": sub.dim, "basis": sub.basis.tolist()}
         for sub in bundle
     ]
 
@@ -121,13 +121,13 @@ def _sis_components(models):
     out = []
     for mo in models:
         gens = [
-            {"re": [float(v) for v in g.real], "im": [float(v) for v in g.imag]}
+            {"re": g.real.tolist(), "im": g.imag.tolist()}
             for g in mo.generators
         ]
         out.append(
             {
                 "length": mo.length,
-                "per_freq_rank": [int(r) for r in mo.per_freq_rank],
+                "per_freq_rank": mo.per_freq_rank.tolist(),
                 "generators": gens,
             }
         )
@@ -163,19 +163,17 @@ def cmd_fit(args):
         doc["ambient_dim"] = dataset.ambient_dim
         doc["components"] = _euclidean_components(report.bundle)
         doc["dictionary"] = {
-            "atoms": [[float(v) for v in a] for a in dictionary.atoms],
+            "atoms": dictionary.atoms.tolist(),
             "atom_to_subspace": [list(g) for g in dictionary.atom_to_subspace],
             "raw_atom_count": dictionary.raw_atom_count,
         }
-        supports = []
-        coefficients = []
-        for i in range(dataset.m):
-            nz = np.nonzero(code.columns[:, i])[0]
-            supports.append([int(k) for k in nz])
-            coefficients.append([float(code.columns[k, i]) for k in nz])
+        # Per point: the atoms with a nonzero weight, and those weights.
+        weights = code.columns.T
+        nonzero = (weights != 0).tolist()
+        atom_ids = range(len(dictionary))
         doc["codes"] = {
-            "support": supports,
-            "coefficients": coefficients,
+            "support": [list(compress(atom_ids, nz)) for nz in nonzero],
+            "coefficients": [list(compress(w, nz)) for w, nz in zip(weights.tolist(), nonzero)],
             "support_sizes": list(code.support_sizes),
         }
     else:
@@ -187,8 +185,8 @@ def cmd_fit(args):
     assign = report.partition.assignment
     doc["objective"] = report.objective
     doc["converged"] = report.converged
-    doc["assignment"] = [int(a) for a in assign]
-    doc["residuals_sq"] = [float(dmat[i, assign[i]]) for i in range(dataset.m)]
+    doc["assignment"] = assign.tolist()
+    doc["residuals_sq"] = dmat[np.arange(dataset.m), assign].tolist()
     doc["labels"] = list(dataset.labels) if dataset.labels is not None else None
     doc["restarts"] = _restart_stats(report)
     if not args.no_timings:
@@ -282,24 +280,33 @@ def _rebuild_sis(doc):
 
 
 def cmd_score(args):
-    with open(args.report, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    mode = doc["mode"]
+    # Everything read from the report is checked here: a document that is
+    # not UTF-8 JSON of the fit schema is a ParseError, never a traceback.
+    try:
+        with open(args.report, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        mode = doc["mode"]
+        if mode == "euclidean":
+            bundle = _rebuild_euclidean(doc)
+        elif mode == "sis":
+            structure, models = _rebuild_sis(doc)
+            complex_pairs = doc["config"].get("input_format") == "spectra"
+        else:
+            raise InvalidSpec(f"cannot score a report of mode {mode!r}")
+        stored = float(doc["objective"])
+    except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
+        raise ParseError(f"malformed report {args.report}: {type(exc).__name__}: {exc}") from None
+
     if mode == "euclidean":
         dataset = ingest(args.input)
-        bundle = _rebuild_euclidean(doc)
         objective = objective_e(dataset, bundle)
-    elif mode == "sis":
-        structure, models = _rebuild_sis(doc)
-        complex_pairs = doc["config"].get("input_format") == "spectra"
+    else:
         dataset = ingest(args.input, complex_pairs=complex_pairs)
         objective = float(sis_distance_matrix(dataset, models, structure).min(axis=1).sum())
-    else:
-        raise InvalidSpec(f"cannot score a report of mode {mode!r}")
 
     out = {
         "objective": objective,
-        "stored_objective": float(doc["objective"]),
+        "stored_objective": stored,
     }
     text = to_json(out)
     if args.out:

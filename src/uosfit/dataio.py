@@ -9,7 +9,9 @@ guarantee).
 from __future__ import annotations
 
 import csv
+import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ def _is_number(cell):
         float(cell)
     except ValueError:
         return False
-    return cell.strip() != ""
+    return True
 
 
 def ingest(path, complex_pairs=False) -> DataSet:
@@ -39,51 +41,54 @@ def ingest(path, complex_pairs=False) -> DataSet:
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such input file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [(lineno, row) for lineno, row in enumerate(csv.reader(fh), start=1)
-                if any(cell.strip() for cell in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    # 1-based numbers of the rows holding a non-blank cell; the rest are dropped.
+    lines = [i for i, row in enumerate(rows, start=1) if any(map(str.strip, row))]
+    if len(lines) < len(rows):
+        rows = [rows[i - 1] for i in lines]
     if not rows:
         return DataSet(np.zeros((0, 0)))
 
-    first = rows[0][1]
+    first = rows[0]
     has_header = (len(first) > 1 and any(not _is_number(c) for c in first[1:])) or (
         len(first) == 1 and not _is_number(first[0])
     )
     if has_header:
-        rows = rows[1:]
+        rows, lines = rows[1:], lines[1:]
     if not rows:
         return DataSet(np.zeros((0, 0)))
 
-    has_labels = all(not _is_number(row[0]) for _, row in rows)
-    width = len(rows[0][1])
-    labels = [] if has_labels else None
-    data = []
-    for lineno, row in rows:
-        if len(row) != width:
-            raise RaggedRows(
-                f"row {lineno} has {len(row)} columns, expected {width}"
-            )
-        cells = row
-        if has_labels:
-            labels.append(cells[0].strip())
-            cells = cells[1:]
-        vals = []
-        for col, cell in enumerate(cells, start=2 if has_labels else 1):
-            if not _is_number(cell):
-                raise ParseError(f"row {lineno}, column {col}: not a number: {cell!r}")
-            vals.append(float(cell))
-        data.append(vals)
-
-    arr = np.array(data, dtype=np.float64)
-    if arr.size == 0:
-        arr = arr.reshape(len(data), 0)
+    has_labels = all(not _is_number(row[0]) for row in rows)
+    skip = 1 if has_labels else 0
+    # numpy converts each string cell with Python's float(), as _is_number does.
+    try:
+        arr = np.array([row[skip:] for row in rows] if skip else rows, dtype=np.float64)
+    except ValueError:
+        _raise_first_fault(rows, lines, skip)
+        raise
+    labels = tuple(row[0].strip() for row in rows) if has_labels else None
     if complex_pairs:
         if arr.shape[1] % 2 != 0:
             raise ParseError("complex spectra need an even number of columns (re, im pairs)")
         spectra = arr[:, 0::2] + 1j * arr[:, 1::2]
         length = spectra.shape[1]
         arr = np.fft.ifft(spectra, axis=1) * math.sqrt(length)
-    return DataSet(arr, tuple(labels) if labels else None)
+    return DataSet(arr, labels)
+
+
+def _raise_first_fault(rows, lines, skip):
+    """Raise the error of the first ragged row or non-numeric cell, in file order."""
+    width = len(rows[0])
+    for lineno, row in zip(lines, rows):
+        if len(row) != width:
+            raise RaggedRows(f"row {lineno} has {len(row)} columns, expected {width}")
+        for col, cell in enumerate(row[skip:], start=skip + 1):
+            if not _is_number(cell):
+                raise ParseError(f"row {lineno}, column {col}: not a number: {cell!r}")
 
 
 def generate(l, n, ambient_dim, points_per_subspace, noise_sigma=0.0, seed=0):
@@ -138,6 +143,14 @@ def write_dataset_csv(path, dataset: DataSet, with_labels=True):
             writer.writerow(row)
 
 
+_NUMBER_TYPES = {int, float}
+
+
+def _join_numbers(seq):
+    """``[a, b, ...]`` for a list of Python ints and floats."""
+    return "[" + ", ".join([format_float(v) if type(v) is float else str(v) for v in seq]) + "]"
+
+
 def _serialize(obj, indent, out):
     pad = " " * indent
     if obj is None:
@@ -151,9 +164,7 @@ def _serialize(obj, indent, out):
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        import json as _json
-
-        out.append(_json.dumps(obj))
+        out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
@@ -168,6 +179,16 @@ def _serialize(obj, indent, out):
         seq = list(obj)
         if not seq:
             out.append("[]")
+            return
+        # Lists of Python numbers, flat or one level deep, are joined in one
+        # go.  Exact types: bool and numpy scalars take the general path.
+        types = set(map(type, seq))
+        if types <= _NUMBER_TYPES:
+            out.append(_join_numbers(seq))
+            return
+        if types == {list} and set(map(type, chain.from_iterable(seq))) <= _NUMBER_TYPES:
+            sep = ",\n" + pad + "  "
+            out.append("[\n" + pad + "  " + sep.join(map(_join_numbers, seq)) + "\n" + pad + "]")
             return
         scalar = all(isinstance(v, (int, float, str, bool, np.integer, np.floating)) for v in seq)
         if scalar:

@@ -104,12 +104,14 @@ def encode(dataset: DataSet, bundle: Bundle, partition: Partition,
 
     x = dataset.vectors
     cols = np.zeros((len(dictionary), dataset.m))
-    for i in range(dataset.m):
-        idxs = dictionary.atom_to_subspace[partition.assignment[i]]
-        if idxs:
-            sel = np.array(idxs, dtype=np.intp)
-            cols[sel, i] = dictionary.atoms[sel] @ x[i]
-    support = tuple(int(np.count_nonzero(cols[:, i])) for i in range(dataset.m))
+    for cell, idxs in zip(partition.cells(), dictionary.atom_to_subspace):
+        if idxs and cell.size:
+            pts = x[cell]
+            # One matrix-vector product per atom: a single GEMM over the
+            # cell's atoms would round some coefficients differently.
+            for k in idxs:
+                cols[k, cell] = pts @ dictionary.atoms[k]
+    support = tuple(np.count_nonzero(cols, axis=0).tolist())
     cols.flags.writeable = False
     return SparseCode(columns=cols, support_sizes=support)
 

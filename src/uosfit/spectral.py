@@ -18,8 +18,6 @@ from .errors import DimensionMismatch, NonFinite, NonSymmetric
 
 # Eigenvalues in [-PSD_CLAMP, 0) are treated as exact zeros.
 PSD_CLAMP = 1e-12
-# Singular values below RANK_TOL * largest do not count towards the rank.
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .spectral import RANK_TOL, orthonormalize, sym_eigen
+from .spectral import orthonormalize, sym_eigen
 
 # Relative gap below which the optimal subspace is not unique.
 DEGENERACY_TOL = 1e-10
@@ -164,7 +164,7 @@ def total_error(dataset: DataSet, sub: Subspace) -> float:
     return float(residuals_sq(dataset, sub).sum())
 
 
-def best_fit_subspace(dataset: DataSet, n, rank_tol=RANK_TOL) -> SubspaceFit:
+def best_fit_subspace(dataset: DataSet, n) -> SubspaceFit:
     """Optimal subspace of dimension <= n for the data, with exact error.
 
     The span of the top ``min(n, rank)`` left singular vectors of the matrix
@@ -191,8 +191,10 @@ def best_fit_subspace(dataset: DataSet, n, rank_tol=RANK_TOL) -> SubspaceFit:
     eig = sym_eigen(x.T @ x)
     vals = eig.eigenvalues
     spectrum = vals[:m] if m <= dim else np.concatenate([vals, np.zeros(m - dim)])
-    svals = np.sqrt(np.maximum(spectrum, 0.0))
-    rank = int(np.sum(svals > rank_tol * svals[0])) if svals[0] > 0.0 else 0
+    # Eigenvalues within LAPACK's round-off of zero (about eps times the
+    # largest, per unit of problem size) do not count towards the rank.
+    floor = max(m, dim) * np.finfo(np.float64).eps * spectrum[0]
+    rank = int(np.count_nonzero(spectrum > floor))
     keep = min(n, rank)
     basis = eig.eigenvectors[:, :keep].T.copy() if keep else np.zeros((0, dim))
 

@@ -184,6 +184,12 @@ class TestCliCommands:
         assert code == 2
         assert "gone.csv" in capsys.readouterr().err
 
+    def test_unwritable_report_exit_2(self, tmp_path, capsys):
+        code = main(["fit", "--input", str(FIXTURE), "--l", "1", "--n", "1",
+                     "--report", str(FIXTURE / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_range_exit_2(self, tmp_path):
         code = main(["sweep", "--input", str(FIXTURE), "--l", "junk", "--n", "1",
                      "--report", str(tmp_path / "r.json")])
@@ -207,3 +213,58 @@ class TestCliCommands:
         code = main(["fit", "--input", str(p), "--l", "1", "--n", "1",
                      "--report", str(tmp_path / "r.json")])
         assert code == 1
+
+
+def _fitted_report(tmp_path):
+    report = tmp_path / "rep.json"
+    assert main(["fit", "--input", str(FIXTURE), "--l", "2", "--n", "1", "--seed", "0",
+                 "--report", str(report), "--no-timings"]) == 0
+    return json.loads(report.read_text())
+
+
+def _edit(change):
+    def write(tmp_path):
+        doc = _fitted_report(tmp_path)
+        change(doc)
+        return json.dumps(doc).encode()
+    return write
+
+
+def _basis_row_too_long(doc):
+    doc["components"][0]["basis"][0].append(0.0)
+
+
+def _basis_entry_text(doc):
+    doc["components"][0]["basis"][0][0] = "a"
+
+
+MALFORMED = {
+    "fit-input-not-utf8": ("fit", b"\xff1,2\n3,4\n"),
+    "report-is-a-list": ("score", lambda tmp_path: b"[]"),
+    "report-basis-row-length": ("score", _edit(_basis_row_too_long)),
+    "report-ambient-dim-text": ("score", _edit(lambda d: d.update(ambient_dim="x"))),
+    "report-basis-entry-text": ("score", _edit(_basis_entry_text)),
+    "report-objective-null": ("score", _edit(lambda d: d.update(objective=None))),
+    "report-not-utf8": ("score", lambda tmp_path: b'{"mode": "\xff"}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
+    command, content = MALFORMED[case]
+    bad = tmp_path / "bad"
+    bad.write_bytes(content if isinstance(content, bytes) else content(tmp_path))
+    capsys.readouterr()
+    if command == "fit":
+        argv = ["fit", "--input", str(bad), "--l", "1", "--n", "1",
+                "--report", str(tmp_path / "r.json")]
+    else:
+        argv = ["score", "--input", str(FIXTURE), "--report", str(bad)]
+    try:
+        code = main(argv)
+    except Exception as exc:  # an escaped exception is a traceback at the shell
+        pytest.fail(f"{case}: {type(exc).__name__}: {exc}")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -117,6 +117,17 @@ class TestBestFit:
         fit = best_fit_subspace(f, 2)
         assert fit.subspace.dim == 1
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_round_off_directions_are_not_rank(self, scale):
+        # collinear and coplanar cells: LAPACK's null eigenvalues sit near
+        # 1e-16 of the top one and must not add basis directions
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            line = np.outer(rng.standard_normal(3), rng.standard_normal(5))
+            assert best_fit_subspace(DataSet(scale * line), 2).subspace.dim == 1
+            plane = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 6))
+            assert best_fit_subspace(DataSet(scale * plane), 4).subspace.dim == 2
+
     def test_dim_never_exceeds_point_count(self):
         # the covariance's N - m null eigenvalues are round-off, not rank
         rng = np.random.default_rng(15)
