@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .subspace import DataSet, best_fit_subspace, residuals_sq, total_error
+from .subspace import DataSet, best_fit_subspace, residual_rows, total_error
 
 
 @dataclass(frozen=True)
@@ -83,11 +83,33 @@ class Partition:
 
 
 def distance_matrix(dataset: DataSet, bundle: Bundle) -> np.ndarray:
-    """(m, l) matrix of squared distances from each point to each subspace."""
-    if dataset.m == 0:
-        return np.zeros((0, len(bundle)))
-    cols = [residuals_sq(dataset, sub) for sub in bundle]
-    return np.stack(cols, axis=1)
+    """(m, l) matrix of squared distances from each point to each subspace.
+
+    The result is the transposed view of a C-ordered (l, m) array, so each
+    subspace's column is contiguous (see ``nearest``).
+    """
+    if dataset.ambient_dim != bundle.ambient_dim:
+        raise DimensionMismatch(
+            f"data dim {dataset.ambient_dim} vs bundle dim {bundle.ambient_dim}"
+        )
+    return residual_rows(dataset.vectors, [sub.basis for sub in bundle]).T
+
+
+def nearest(dmat) -> np.ndarray:
+    """Row-wise argmin of an (m, l) distance matrix, one column at a time.
+
+    Equals ``dmat.argmin(axis=1)``: the strict ``<`` sends ties to the lowest
+    index.  Columns of ``distance_matrix`` are contiguous, so each pass reads
+    memory in order.
+    """
+    best = dmat[:, 0].copy()
+    out = np.zeros(dmat.shape[0], dtype=np.intp)
+    for j in range(1, dmat.shape[1]):
+        col = dmat[:, j]
+        closer = col < best
+        out[closer] = j
+        np.minimum(best, col, out=best)
+    return out
 
 
 def objective_e(dataset: DataSet, bundle: Bundle) -> float:
@@ -120,9 +142,7 @@ def best_partition(dataset: DataSet, bundle: Bundle) -> Partition:
     Distances are compared as exact floating squared values (no tolerance
     band), so the tie rule fires only on exact equality.
     """
-    dmat = distance_matrix(dataset, bundle)
-    assignment = dmat.argmin(axis=1) if dataset.m else np.zeros(0, dtype=np.intp)
-    return Partition(assignment, len(bundle))
+    return Partition(nearest(distance_matrix(dataset, bundle)), len(bundle))
 
 
 def fit_partition(dataset: DataSet, partition: Partition, n):

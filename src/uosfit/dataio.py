@@ -105,8 +105,8 @@ def generate(l, n, ambient_dim, points_per_subspace, noise_sigma=0.0, seed=0):
         raise InvalidSpec("l and points_per_subspace must be >= 1")
     if n < 0 or n > ambient_dim:
         raise InvalidSpec("need 0 <= n <= ambient_dim")
-    if noise_sigma < 0:
-        raise InvalidSpec("noise_sigma must be >= 0")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
+        raise InvalidSpec("noise_sigma must be finite and >= 0")
 
     rng = np.random.default_rng(seed)
     blocks, labels = [], []

@@ -17,11 +17,12 @@ along l so the reported error can never increase with l.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bundles import Bundle, Partition, distance_matrix, fit_partition
+from .bundles import Bundle, Partition, distance_matrix, fit_partition, nearest
 from .errors import EmptyDataSet, InvalidSpec, TooLarge
 from .subspace import DataSet, Subspace
 
@@ -61,8 +62,8 @@ class SolveConfig:
             raise InvalidSpec("restarts must be >= 1")
         if self.init_strategy not in INIT_STRATEGIES:
             raise InvalidSpec(f"init_strategy must be one of {INIT_STRATEGIES}")
-        if self.rel_tol < 0 or self.max_iters < 1:
-            raise InvalidSpec("rel_tol must be >= 0 and max_iters >= 1")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0) or self.max_iters < 1:
+            raise InvalidSpec("rel_tol must be finite and >= 0, and max_iters >= 1")
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ def _descend(assignment, fit_cells, distances, rel_tol, max_iters):
         if gam <= err * (1.0 + rel_tol) + rel_tol:
             converged = True
             break
-        assignment = dmat.argmin(axis=1).astype(np.intp)
+        assignment = nearest(dmat)
         key = assignment.tobytes()
         # A revisited partition would contradict strict descent (finite
         # termination proof); only numerical breakage could trigger this.
@@ -159,8 +160,7 @@ def _farthest_point_assignment(m, l, rng, singleton_dists):
         d = singleton_dists(nxt)
         seed_dists.append(d)
         np.minimum(mins, d, out=mins)
-    dmat = np.stack(seed_dists, axis=1)
-    return dmat.argmin(axis=1).astype(np.intp)
+    return nearest(np.stack(seed_dists).T)
 
 
 def _euclidean_singleton_dists(dataset):
@@ -213,6 +213,23 @@ def _build_report(best, results, cfg, certificate_ok):
     )
 
 
+def _euclidean_step(dataset, cfg):
+    """The two alternation maps for subspaces of dimension <= cfg.n in l cells.
+
+    ``fit_partition`` and ``distance_matrix`` are looked up by their module
+    names at each call, so wrappers installed on them see every step.
+    """
+
+    def fit_cells(assignment):
+        bundle, errors, flags = fit_partition(dataset, Partition(assignment, cfg.l), cfg.n)
+        return bundle, float(errors.sum()), flags
+
+    def distances(bundle):
+        return distance_matrix(dataset, bundle)
+
+    return fit_cells, distances
+
+
 def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
     """Multi-start alternating search for an optimal bundle of subspaces.
 
@@ -224,14 +241,7 @@ def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
     """
     if dataset.m == 0:
         raise EmptyDataSet("solve requires at least one data vector")
-
-    def fit_cells(assignment):
-        bundle, errors, flags = fit_partition(dataset, Partition(assignment, cfg.l), cfg.n)
-        return bundle, float(errors.sum()), flags
-
-    def distances(bundle):
-        return distance_matrix(dataset, bundle)
-
+    fit_cells, distances = _euclidean_step(dataset, cfg)
     best, results = _multistart(
         dataset.m, cfg, fit_cells, distances, _euclidean_singleton_dists(dataset)
     )
@@ -315,16 +325,7 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
         prev = None
         for l in l_values:
             cfg_ln = replace(cfg, l=l, n=n)
-
-            def fit_cells(assignment, _cfg=cfg_ln):
-                bundle, errors, flags = fit_partition(
-                    dataset, Partition(assignment, _cfg.l), _cfg.n
-                )
-                return bundle, float(errors.sum()), flags
-
-            def distances(bundle):
-                return distance_matrix(dataset, bundle)
-
+            fit_cells, distances = _euclidean_step(dataset, cfg_ln)
             best, _ = _multistart(
                 dataset.m, cfg_ln, fit_cells, distances,
                 _euclidean_singleton_dists(dataset),
@@ -341,7 +342,7 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
             if prev is not None:
                 padded = _padded_candidate(prev, l, dataset.m)
                 dmat = distances(padded.models)
-                seeds.append(dmat.argmin(axis=1).astype(np.intp))
+                seeds.append(nearest(dmat))
                 assigned = dmat[np.arange(dataset.m), prev.assignment]
                 split = prev.assignment.copy()
                 split[int(np.argmax(assigned))] = l - 1

@@ -60,11 +60,22 @@ class DataSet:
         return self.vectors.shape[1]
 
     def subset(self, indices) -> "DataSet":
+        """The rows at a flat index array, as a read-only data set.
+
+        The rows come from already-checked data, so the new set skips the
+        finiteness scan, cast and copy of ``__post_init__``.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        labels = None
-        if self.labels is not None:
-            labels = tuple(self.labels[i] for i in idx)
-        return DataSet(self.vectors[idx], labels)
+        if idx.ndim != 1:
+            raise DimensionMismatch(f"subset indices must be 1-d, got shape {idx.shape}")
+        rows = self.vectors[idx]
+        rows.flags.writeable = False
+        out = object.__new__(DataSet)
+        object.__setattr__(out, "vectors", rows)
+        object.__setattr__(
+            out, "labels", None if self.labels is None else tuple(self.labels[i] for i in idx)
+        )
+        return out
 
     def norms_sq(self) -> np.ndarray:
         v = self.vectors
@@ -146,15 +157,30 @@ def dist_sq(sub: Subspace, f) -> float:
     return float(res @ res)
 
 
+def residual_rows(x, bases) -> np.ndarray:
+    """(l, m) squared distances of the m rows of ``x`` to l subspaces.
+
+    ``bases`` holds one (dim, N) orthonormal basis per subspace.  The points
+    are copied once as contiguous columns, and each subspace writes one
+    contiguous row of the result from the explicit residual ``x - P x``
+    (exact zeros for points in the subspace, unlike ``|x|^2 - |Bx|^2``).
+    """
+    xt = np.ascontiguousarray(x.T)
+    out = np.empty((len(bases), x.shape[0]), dtype=x.dtype)
+    for row, basis in zip(out, bases):
+        r = basis.T @ (basis @ xt)
+        np.subtract(xt, r, out=r)
+        np.einsum("km,km->m", r, r, out=row)
+    return out
+
+
 def residuals_sq(dataset: DataSet, sub: Subspace) -> np.ndarray:
     """Per-point squared distances of a data set to one subspace."""
     if dataset.ambient_dim != sub.ambient_dim:
         raise DimensionMismatch(
             f"data dim {dataset.ambient_dim} vs subspace dim {sub.ambient_dim}"
         )
-    x = dataset.vectors
-    res = x - (x @ sub.basis.T) @ sub.basis
-    return np.einsum("ij,ij->i", res, res)
+    return residual_rows(dataset.vectors, [sub.basis])[0]
 
 
 def total_error(dataset: DataSet, sub: Subspace) -> float:

@@ -268,3 +268,32 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+NONFINITE_SETTINGS = {
+    "fit-rel-tol-nan": ["fit", "--rel-tol", "nan"],
+    "fit-rel-tol-inf": ["fit", "--rel-tol", "inf"],
+    "sweep-rel-tol-nan": ["sweep", "--rel-tol", "nan"],
+    "fit-dedup-tol-nan": ["fit", "--dedup-tol", "nan"],
+    "generate-noise-sigma-nan": ["generate", "--noise-sigma", "nan"],
+    "generate-noise-sigma-inf": ["generate", "--noise-sigma", "inf"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_SETTINGS))
+def test_nonfinite_setting_exits_2_without_traceback(tmp_path, capsys, case):
+    command, *setting = NONFINITE_SETTINGS[case]
+    if command == "generate":
+        argv = ["generate", "--l", "2", "--n", "1", "--ambient-dim", "3",
+                "--points-per-subspace", "4", "--out", str(tmp_path / "g.csv"), *setting]
+    else:
+        argv = [command, "--input", str(FIXTURE), "--l", "1", "--n", "1",
+                "--report", str(tmp_path / "r.json"), *setting]
+    try:
+        code = main(argv)
+    except Exception as exc:  # an escaped exception is a traceback at the shell
+        pytest.fail(f"{case}: {type(exc).__name__}: {exc}")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
