@@ -65,16 +65,9 @@ def _parse_range(text):
         raise InvalidSpec(f"cannot parse range {text!r}; use N, A:B or A,B,C") from None
 
 
-def _solve_config(args):
-    return SolveConfig(
-        l=args.l if isinstance(args.l, int) else args.l[0],
-        n=args.n if isinstance(args.n, int) else args.n[0],
-        restarts=args.restarts,
-        seed=args.seed,
-        init_strategy=args.init,
-        rel_tol=args.rel_tol,
-        max_iters=args.max_iters,
-    )
+def _solve_config(args, l, n):
+    return SolveConfig(l=l, n=n, restarts=args.restarts, seed=args.seed,
+                       init_strategy=args.init, rel_tol=args.rel_tol, max_iters=args.max_iters)
 
 
 def _config_echo(args, mode, extra=None):
@@ -147,7 +140,7 @@ def cmd_fit(args):
     t0 = time.perf_counter()
     mode = args.mode
     dataset = _load_dataset(args, mode)
-    cfg = _solve_config(args)
+    cfg = _solve_config(args, args.l, args.n)
 
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -205,15 +198,7 @@ def cmd_sweep(args):
     dataset = _load_dataset(args, "euclidean")
     l_values = _parse_range(args.l)
     n_values = _parse_range(args.n)
-    base = SolveConfig(
-        l=l_values[0],
-        n=n_values[0],
-        restarts=args.restarts,
-        seed=args.seed,
-        init_strategy=args.init,
-        rel_tol=args.rel_tol,
-        max_iters=args.max_iters,
-    )
+    base = _solve_config(args, l_values[0], n_values[0])
     rows = sparsity_curve(dataset, l_values, n_values, base)
 
     doc = {
@@ -263,12 +248,19 @@ def _rebuild_euclidean(doc):
 def _rebuild_sis(doc):
     cfgd = doc["config"]
     structure = ShiftStructure(int(cfgd["signal_len"]), int(cfgd["shift_step"]))
+    if not doc["components"]:
+        raise ValueError("the report has no components")
+    shape = (structure.signal_len,)
     models = []
     for comp in doc["components"]:
         length = int(comp["length"])
+        if len(comp["generators"]) != length:
+            raise ValueError(f"{len(comp['generators'])} generators for length {length}")
         gens = np.zeros((length, structure.signal_len), dtype=np.complex128)
         for i, g in enumerate(comp["generators"]):
-            gens[i] = np.array(g["re"], dtype=np.float64) + 1j * np.array(g["im"], dtype=np.float64)
+            # reshape, not broadcast: a generator of the wrong length is an error
+            gens[i] = (np.array(g["re"], dtype=np.float64).reshape(shape)
+                       + 1j * np.array(g["im"], dtype=np.float64).reshape(shape))
         models.append(
             SISModel(
                 structure=structure,

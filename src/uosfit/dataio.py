@@ -99,7 +99,7 @@ def generate(l, n, ambient_dim, points_per_subspace, noise_sigma=0.0, seed=0):
     Gaussian coefficients, and adds isotropic Gaussian noise of deviation
     ``noise_sigma``.  Returns ``(DataSet, truth)`` where ``truth[i]`` is the
     generating subspace index; the data set labels are "s<k>" strings.
-    Deterministic per seed.
+    Deterministic per seed: an int >= 0, or a sequence of them.
     """
     if l < 1 or points_per_subspace < 1:
         raise InvalidSpec("l and points_per_subspace must be >= 1")
@@ -108,7 +108,10 @@ def generate(l, n, ambient_dim, points_per_subspace, noise_sigma=0.0, seed=0):
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
         raise InvalidSpec("noise_sigma must be finite and >= 0")
 
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError:
+        raise InvalidSpec(f"seed must be >= 0, got {seed!r}") from None
     blocks, labels = [], []
     for k in range(l):
         basis = orthonormalize(rng.standard_normal((n, ambient_dim)))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bundles import Partition
 from .errors import EmptyDataSet, LengthMismatch, StructureMismatch
-from .solver import SolveConfig, SolveReport, _build_report, _multistart, _verify_certificate
+from .solver import SolveConfig, SolveReport, search
 from .spectral import sym_eigen
 from .subspace import DataSet
 
@@ -161,27 +161,31 @@ def _model_fibers(model):
 
 
 def _residuals_to_fibers(fib_all, gen_fibers):
-    """Squared distance of every signal (rows of fib_all) to the fiber span."""
-    if gen_fibers.shape[0] == 0:
-        return np.real(np.einsum("mkt,mkt->m", fib_all, fib_all.conj()))
+    """Squared distance of every signal (rows of fib_all) to the fiber span;
+    with no generators ``rec`` is all zeros and ``res`` is ``fib_all`` exactly."""
     coeff = np.einsum("mkt,skt->msk", fib_all, gen_fibers.conj())
     rec = np.einsum("msk,skt->mkt", coeff, gen_fibers)
     res = fib_all - rec
     return np.real(np.einsum("mkt,mkt->m", res, res.conj()))
 
 
-def best_sis(dataset: DataSet, structure: ShiftStructure, n,
-             zero_tol=ZERO_TOL) -> SISFit:
+def _fiber_distances(fib_all, models):
+    """(count, l) squared distances of the fibers to each model."""
+    return np.stack([_residuals_to_fibers(fib_all, _model_fibers(mo)) for mo in models], axis=1)
+
+
+def best_sis(dataset: DataSet, structure: ShiftStructure, n) -> SISFit:
     """Optimal shift-invariant model of length <= n with its exact error.
 
     Per frequency class w the L x L fiber covariance
     ``C(w)_ts = sum_i fhat_i(w + K t) conj(fhat_i(w + K s))`` is
     eigendecomposed, all K classes in one stacked call.  Its top
-    ``min(n, m, L)`` eigenvectors with eigenvalue above ``zero_tol`` times
-    the largest are the generator fibers, orthonormal per frequency, so the
-    generators form a Parseval frame.  Its eigenvalues, cut or zero-padded to
-    length m, are the spectrum of the m x m Gramian; the error is the sum of
-    the spectrum beyond the n-th over all frequencies.
+    ``min(n, m, L)`` eigenvectors with eigenvalue above ``ZERO_TOL`` times
+    the largest over all frequencies are the generator fibers, orthonormal
+    per frequency, so the generators form a Parseval frame.  Its eigenvalues,
+    cut or zero-padded to length m, are the spectrum of the m x m Gramian;
+    the error is the sum of the spectrum beyond the n-th over all
+    frequencies.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -193,7 +197,7 @@ def best_sis(dataset: DataSet, structure: ShiftStructure, n,
     lam[:, :k] = eig.eigenvalues[:, :k]
 
     lam_max = float(lam[:, 0].max()) if m else 0.0
-    thr = zero_tol * lam_max
+    thr = ZERO_TOL * lam_max
     rank = np.count_nonzero(lam[:, :min(n, k)] > thr, axis=1)
     keep = int(rank.max())
     active = np.arange(keep)[:, None] < rank[None, :]              # (keep, K)
@@ -240,17 +244,16 @@ def project_sis(model: SISModel, f) -> np.ndarray:
 
 def sis_distance_matrix(dataset: DataSet, models, structure: ShiftStructure) -> np.ndarray:
     """(m, l) squared distances of the signals to each shift-invariant model."""
-    fib_all = _signal_fibers(dataset, structure)
-    cols = [_residuals_to_fibers(fib_all, _model_fibers(mo)) for mo in models]
-    return np.stack(cols, axis=1)
+    return _fiber_distances(_signal_fibers(dataset, structure), models)
 
 
 def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure, l, n,
                      cfg: SolveConfig) -> SolveReport:
     """Alternating search over bundles of shift-invariant models.
 
-    Identical to the Euclidean solver but with per-frequency eigenproblems as
-    the cellwise fitting step and fiber-space projections as the distance.
+    The Euclidean solver's search (``solver.search``) with per-frequency
+    eigenproblems as the cellwise fitting step and fiber-space projections
+    as the distance.
     ``l`` and ``n`` override the corresponding config fields.  The report's
     ``bundle`` holds a tuple of SISModel components.
     """
@@ -260,22 +263,16 @@ def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure, l, n,
     fib_all = _signal_fibers(dataset, structure)
 
     def fit_cells(assignment):
-        models, errors, flags = [], [], []
-        for idx in Partition(assignment, cfg_eff.l).cells():
-            fit = best_sis(dataset.subset(idx), structure, cfg_eff.n)
-            models.append(fit.model)
-            errors.append(fit.error)
-            flags.append(fit.degenerate)
-        return tuple(models), float(np.sum(errors)), flags
+        fits = [best_sis(dataset.subset(idx), structure, cfg_eff.n)
+                for idx in Partition(assignment, cfg_eff.l).cells()]
+        return (tuple(f.model for f in fits), float(np.sum([f.error for f in fits])),
+                [f.degenerate for f in fits])
 
     def distances(models):
-        cols = [_residuals_to_fibers(fib_all, _model_fibers(mo)) for mo in models]
-        return np.stack(cols, axis=1)
+        return _fiber_distances(fib_all, models)
 
     def singleton_dists(j):
         fit = best_sis(dataset.subset([j]), structure, 1)
         return _residuals_to_fibers(fib_all, _model_fibers(fit.model))
 
-    best, results = _multistart(dataset.m, cfg_eff, fit_cells, distances, singleton_dists)
-    certificate_ok = _verify_certificate(best, fit_cells, distances, cfg_eff.rel_tol)
-    return _build_report(best, results, cfg_eff, certificate_ok)
+    return search(dataset.m, cfg_eff, fit_cells, distances, singleton_dists)

@@ -9,6 +9,9 @@ partitions and returns a certificate pair (partition, bundle) that is
 simultaneously a best partition for its bundle and a best bundle for its
 partition.
 
+``search`` runs the restarts and the post-hoc certificate check for any
+model family given its fit and distance maps; the Euclidean solver, the
+shift-invariant solver (``sis.solve_sis_bundle``) and the sweep share it.
 ``brute_force`` enumerates all assignments and is the ground-truth oracle
 for small instances.  ``sparsity_curve`` sweeps (l, n) grids, warm-starting
 along l so the reported error can never increase with l.
@@ -38,7 +41,7 @@ class SolveConfig:
     l : number of subspaces in the bundle (>= 1)
     n : maximum subspace dimension (>= 0)
     restarts : independent seeded starts; the best final objective wins
-    seed : base seed; restart r uses the stream seeded by (seed, r)
+    seed : base seed (>= 0); restart r uses the stream seeded by (seed, r)
     init_strategy : 'random_partition' (uniform iid cell labels) or
         'farthest_point' (greedy residual-based seeding)
     rel_tol : relative fixed-point tolerance for the stopping test
@@ -60,6 +63,8 @@ class SolveConfig:
             raise InvalidSpec("n must be >= 0")
         if self.restarts < 1:
             raise InvalidSpec("restarts must be >= 1")
+        if self.seed < 0:
+            raise InvalidSpec("seed must be >= 0")
         if self.init_strategy not in INIT_STRATEGIES:
             raise InvalidSpec(f"init_strategy must be one of {INIT_STRATEGIES}")
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0) or self.max_iters < 1:
@@ -100,7 +105,6 @@ class _Descent:
     models: object
     flags: tuple
     objective: float
-    nearest_error: float
     trace: tuple
     converged: bool
 
@@ -134,7 +138,7 @@ def _descend(assignment, fit_cells, distances, rel_tol, max_iters):
         if key in seen:
             raise ArithmeticError("partition revisited during descent")
         seen.add(key)
-    return _Descent(fitted, models, tuple(flags), float(gam), err, tuple(trace), converged)
+    return _Descent(fitted, models, tuple(flags), float(gam), tuple(trace), converged)
 
 
 def _farthest_point_assignment(m, l, rng, singleton_dists):
@@ -143,82 +147,83 @@ def _farthest_point_assignment(m, l, rng, singleton_dists):
 
     Seeds are distinct points while any remain (so l >= m yields one cell
     per point); once the residuals all vanish the tie goes to the lowest
-    unchosen index.
+    unchosen index.  Past m seeds a repeated point adds a duplicate column,
+    which never wins the nearest-seed tie.
     """
     first = int(rng.integers(m))
-    chosen = {first}
+    chosen = np.zeros(m, dtype=bool)
+    chosen[first] = True
     d = singleton_dists(first)
     mins = d.copy()
     seed_dists = [d]
     for _ in range(1, l):
-        if len(chosen) < m:
-            cand = np.array([i for i in range(m) if i not in chosen], dtype=np.intp)
-            nxt = int(cand[np.argmax(mins[cand])])
-        else:
-            nxt = int(np.argmax(mins))
-        chosen.add(nxt)
+        # Residuals are >= 0, so -1 rules out the chosen points.
+        nxt = int(np.argmax(np.where(chosen, -1.0, mins)))
+        chosen[nxt] = True
         d = singleton_dists(nxt)
         seed_dists.append(d)
         np.minimum(mins, d, out=mins)
     return nearest(np.stack(seed_dists).T)
 
 
-def _euclidean_singleton_dists(dataset):
-    x = dataset.vectors
-    norms = np.einsum("ij,ij->i", x, x)
+def _best_descent(m, cfg, fit_cells, distances, singleton_dists, seeds=()):
+    """Descend from every seeded restart, then from each warm seed.
 
-    def dists(j):
-        nj = norms[j]
-        if nj <= 0.0:
-            return norms.copy()
-        inner = x @ x[j]
-        return np.maximum(norms - inner * inner / nj, 0.0)
+    Returns the descent with the lowest objective (the earliest on ties, so a
+    cold restart beats a warm seed) and the list of cold restarts.
+    """
 
-    return dists
-
-
-def _initial_assignment(m, cfg, rng, singleton_dists):
-    if cfg.init_strategy == "random_partition":
-        return rng.integers(0, cfg.l, size=m).astype(np.intp)
-    return _farthest_point_assignment(m, cfg.l, rng, singleton_dists)
-
-
-def _multistart(m, cfg, fit_cells, distances, singleton_dists):
-    """Run all restarts, pick the best final objective (lowest index on ties)."""
-
-    def run(ridx):
+    def cold(ridx):
         rng = np.random.default_rng((cfg.seed, ridx))
-        p0 = _initial_assignment(m, cfg, rng, singleton_dists)
+        if cfg.init_strategy == "random_partition":
+            return rng.integers(0, cfg.l, size=m).astype(np.intp)
+        return _farthest_point_assignment(m, cfg.l, rng, singleton_dists)
+
+    def descend(p0):
         return _descend(p0, fit_cells, distances, cfg.rel_tol, cfg.max_iters)
 
-    results = [run(r) for r in range(cfg.restarts)]
-
-    best = results[0]
-    for res in results[1:]:
-        if res.objective < best.objective:
-            best = res
-    return best, results
+    restarts = [descend(cold(r)) for r in range(cfg.restarts)]
+    warm = [descend(p0) for p0 in seeds]
+    return min(restarts + warm, key=lambda d: d.objective), restarts
 
 
-def _build_report(best, results, cfg, certificate_ok):
+def search(m, cfg: SolveConfig, fit_cells, distances, singleton_dists) -> SolveReport:
+    """Multi-start alternating search over any model family.
+
+    ``fit_cells(assignment) -> (models, gamma, flags)`` fits every cell,
+    ``distances(models) -> (m, l)`` gives squared point-model distances and
+    ``singleton_dists(j) -> (m,)`` the distances to the span of point j
+    (used by farthest-point seeding).  The winning pair is re-verified post
+    hoc with one extra evaluation of each map: its gamma must match the
+    nearest-model error, and re-fitting its cells must not go below it.
+    """
+    best, restarts = _best_descent(m, cfg, fit_cells, distances, singleton_dists)
+    converged = best.converged
+    if converged:
+        _, refit_gamma, _ = fit_cells(best.assignment)
+        err = float(distances(best.models).min(axis=1).sum())
+        tol = cfg.rel_tol * (1.0 + abs(best.objective)) + cfg.rel_tol
+        converged = abs(best.objective - err) <= tol and refit_gamma >= best.objective - tol
     return SolveReport(
         bundle=best.models,
         partition=Partition(best.assignment, cfg.l),
         objective=best.objective,
-        per_restart_objectives=tuple(r.objective for r in results),
-        iterations_per_restart=tuple(len(r.trace) for r in results),
+        per_restart_objectives=tuple(r.objective for r in restarts),
+        iterations_per_restart=tuple(len(r.trace) for r in restarts),
         objective_trace=best.trace,
         degenerate_flags=best.flags,
-        converged=bool(best.converged and certificate_ok),
+        converged=bool(converged),
     )
 
 
 def _euclidean_step(dataset, cfg):
-    """The two alternation maps for subspaces of dimension <= cfg.n in l cells.
+    """The alternation maps for subspaces of dimension <= cfg.n in l cells.
 
     ``fit_partition`` and ``distance_matrix`` are looked up by their module
     names at each call, so wrappers installed on them see every step.
     """
+    x = dataset.vectors
+    norms = np.einsum("ij,ij->i", x, x)
 
     def fit_cells(assignment):
         bundle, errors, flags = fit_partition(dataset, Partition(assignment, cfg.l), cfg.n)
@@ -227,7 +232,14 @@ def _euclidean_step(dataset, cfg):
     def distances(bundle):
         return distance_matrix(dataset, bundle)
 
-    return fit_cells, distances
+    def singleton_dists(j):
+        nj = norms[j]
+        if nj <= 0.0:
+            return norms.copy()
+        inner = x @ x[j]
+        return np.maximum(norms - inner * inner / nj, 0.0)
+
+    return fit_cells, distances, singleton_dists
 
 
 def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
@@ -241,25 +253,7 @@ def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
     """
     if dataset.m == 0:
         raise EmptyDataSet("solve requires at least one data vector")
-    fit_cells, distances = _euclidean_step(dataset, cfg)
-    best, results = _multistart(
-        dataset.m, cfg, fit_cells, distances, _euclidean_singleton_dists(dataset)
-    )
-    certificate_ok = _verify_certificate(best, fit_cells, distances, cfg.rel_tol)
-    return _build_report(best, results, cfg, certificate_ok)
-
-
-def _verify_certificate(best, fit_cells, distances, rel_tol):
-    """One extra evaluation of each alternation map at the returned pair."""
-    if not best.converged:
-        return False
-    _, refit_gamma, _ = fit_cells(best.assignment)
-    dmat = distances(best.models)
-    err = float(dmat.min(axis=1).sum())
-    tol = rel_tol * (1.0 + abs(best.objective)) + rel_tol
-    in_best_partitions = abs(best.objective - err) <= tol
-    is_best_bundle = refit_gamma >= best.objective - tol
-    return bool(in_best_partitions and is_best_bundle)
+    return search(dataset.m, cfg, *_euclidean_step(dataset, cfg))
 
 
 def brute_force(dataset: DataSet, l, n):
@@ -285,26 +279,6 @@ def brute_force(dataset: DataSet, l, n):
     return best
 
 
-def _padded_candidate(prev, l, m):
-    """Previous level's certificate with zero subspaces appended.
-
-    The extra empty cells contribute exactly 0.0 to gamma, so the candidate's
-    objective is bitwise the previous epsilon; using it as a floor makes the
-    error monotone in l as a float guarantee, not just in exact arithmetic.
-    """
-    dim = prev.models.ambient_dim
-    subs = tuple(prev.models) + tuple(Subspace.zero(dim) for _ in range(l - len(prev.models)))
-    return _Descent(
-        assignment=prev.assignment,
-        models=Bundle(subs),
-        flags=prev.flags + (False,) * (l - len(prev.flags)),
-        objective=prev.objective,
-        nearest_error=prev.nearest_error,
-        trace=prev.trace,
-        converged=prev.converged,
-    )
-
-
 def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     """Sweep (l, n) pairs; each row reports the achieved error epsilon.
 
@@ -325,11 +299,7 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
         prev = None
         for l in l_values:
             cfg_ln = replace(cfg, l=l, n=n)
-            fit_cells, distances = _euclidean_step(dataset, cfg_ln)
-            best, _ = _multistart(
-                dataset.m, cfg_ln, fit_cells, distances,
-                _euclidean_singleton_dists(dataset),
-            )
+            fit_cells, distances, singleton_dists = _euclidean_step(dataset, cfg_ln)
             # Deterministic warm seeds on top of the cold restarts.  Plain
             # alternation never repopulates an empty cell, so growing l needs
             # explicit candidates: reassignment against the padded previous
@@ -340,21 +310,24 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
                 seeds.append(np.arange(dataset.m, dtype=np.intp))
             padded = None
             if prev is not None:
-                padded = _padded_candidate(prev, l, dataset.m)
+                # The previous certificate with zero subspaces appended: the
+                # empty cells add exactly 0.0 to gamma, so its objective is
+                # bitwise the previous epsilon.
+                extra = l - len(prev.models)
+                zeros = (Subspace.zero(prev.models.ambient_dim),) * extra
+                padded = replace(prev, models=Bundle(tuple(prev.models) + zeros),
+                                 flags=prev.flags + (False,) * extra)
                 dmat = distances(padded.models)
                 seeds.append(nearest(dmat))
                 assigned = dmat[np.arange(dataset.m), prev.assignment]
                 split = prev.assignment.copy()
                 split[int(np.argmax(assigned))] = l - 1
                 seeds.append(split)
-            for p0 in seeds:
-                cand = _descend(p0, fit_cells, distances, cfg_ln.rel_tol, cfg_ln.max_iters)
-                if cand.objective < best.objective:
-                    best = cand
+            best, _ = _best_descent(dataset.m, cfg_ln, fit_cells, distances,
+                                    singleton_dists, seeds)
             if padded is not None and padded.objective <= best.objective:
                 # Floor: the epsilon column must never increase along l, even
-                # by one ulp; the padded certificate is bitwise the previous
-                # epsilon (empty cells add exactly 0.0).
+                # by one ulp.
                 best = padded
             rows.append(SweepRow(l=l, n=n, epsilon=best.objective))
             prev = best

@@ -44,16 +44,15 @@ def _fix_phases(vecs):
     return np.where(pivot < 0.0, -vecs, vecs)
 
 
-def sym_eigen(mat, psd_clamp=PSD_CLAMP):
+def sym_eigen(mat):
     """Eigendecompose symmetric (or Hermitian) positive-semidefinite matrices.
 
     Parameters
     ----------
     mat : (k, k) or (..., k, k) array_like
         Real symmetric or complex Hermitian matrix, or a stack of them; a
-        stack is decomposed in one call, matrix by matrix.
-    psd_clamp : float
-        Eigenvalues in ``[-psd_clamp, 0)`` are clamped to 0.
+        stack is decomposed in one call, matrix by matrix.  Eigenvalues in
+        ``[-PSD_CLAMP, 0)`` are round-off of a PSD matrix and come out as 0.
 
     Returns
     -------
@@ -82,15 +81,16 @@ def sym_eigen(mat, psd_clamp=PSD_CLAMP):
     # Exact hermitization removes the (tolerated) asymmetry.
     vals, vecs = np.linalg.eigh(((a + herm) / 2.0).astype(dtype))
     vals = vals[..., ::-1].copy()
-    vals[(vals < 0.0) & (vals >= -psd_clamp)] = 0.0
+    vals[(vals < 0.0) & (vals >= -PSD_CLAMP)] = 0.0
     vecs = _fix_phases(vecs[..., ::-1])
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return SymmetricEigen(eigenvalues=vals, eigenvectors=vecs)
 
 
-def orthonormalize(rows, drop_tol=1e-12):
-    """Modified Gram-Schmidt on the rows; near-dependent rows are dropped."""
+def orthonormalize(rows):
+    """Modified Gram-Schmidt on the rows; a row whose residual norm is at most
+    1e-12 is near-dependent and dropped."""
     rows = np.asarray(rows, dtype=np.float64)
     out = []
     for v in rows:
@@ -98,7 +98,7 @@ def orthonormalize(rows, drop_tol=1e-12):
         for u in out:
             w -= (u @ w) * u
         nrm = float(np.linalg.norm(w))
-        if nrm > drop_tol:
+        if nrm > 1e-12:
             out.append(w / nrm)
     if not out:
         return np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))

@@ -215,16 +215,20 @@ class TestCliCommands:
         assert code == 1
 
 
-def _fitted_report(tmp_path):
+# A shift-invariant fit of the fixture: signals of length 3, shift step 1.
+SIS_FIT = ("--mode", "sis", "--signal-len", "3", "--shift-step", "1")
+
+
+def _fitted_report(tmp_path, extra=()):
     report = tmp_path / "rep.json"
     assert main(["fit", "--input", str(FIXTURE), "--l", "2", "--n", "1", "--seed", "0",
-                 "--report", str(report), "--no-timings"]) == 0
+                 "--report", str(report), "--no-timings", *extra]) == 0
     return json.loads(report.read_text())
 
 
-def _edit(change):
+def _edit(change, extra=()):
     def write(tmp_path):
-        doc = _fitted_report(tmp_path)
+        doc = _fitted_report(tmp_path, extra)
         change(doc)
         return json.dumps(doc).encode()
     return write
@@ -238,6 +242,19 @@ def _basis_entry_text(doc):
     doc["components"][0]["basis"][0][0] = "a"
 
 
+def _generator_re_short(doc):
+    # one entry would broadcast over the whole signal
+    doc["components"][0]["generators"][0]["re"] = [1.0]
+
+
+def _generator_im_long(doc):
+    doc["components"][0]["generators"][0]["im"].append(0.0)
+
+
+def _generators_missing(doc):
+    doc["components"][0]["generators"] = []
+
+
 MALFORMED = {
     "fit-input-not-utf8": ("fit", b"\xff1,2\n3,4\n"),
     "report-is-a-list": ("score", lambda tmp_path: b"[]"),
@@ -246,6 +263,10 @@ MALFORMED = {
     "report-basis-entry-text": ("score", _edit(_basis_entry_text)),
     "report-objective-null": ("score", _edit(lambda d: d.update(objective=None))),
     "report-not-utf8": ("score", lambda tmp_path: b'{"mode": "\xff"}'),
+    "report-sis-no-components": ("score", _edit(lambda d: d.update(components=[]), SIS_FIT)),
+    "report-sis-generator-re-short": ("score", _edit(_generator_re_short, SIS_FIT)),
+    "report-sis-generator-im-long": ("score", _edit(_generator_im_long, SIS_FIT)),
+    "report-sis-generators-missing": ("score", _edit(_generators_missing, SIS_FIT)),
 }
 
 
@@ -270,19 +291,23 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-NONFINITE_SETTINGS = {
+BAD_SETTINGS = {
     "fit-rel-tol-nan": ["fit", "--rel-tol", "nan"],
     "fit-rel-tol-inf": ["fit", "--rel-tol", "inf"],
     "sweep-rel-tol-nan": ["sweep", "--rel-tol", "nan"],
     "fit-dedup-tol-nan": ["fit", "--dedup-tol", "nan"],
     "generate-noise-sigma-nan": ["generate", "--noise-sigma", "nan"],
     "generate-noise-sigma-inf": ["generate", "--noise-sigma", "inf"],
+    "fit-seed-negative": ["fit", "--seed", "-1"],
+    "fit-farthest-point-seed-negative": ["fit", "--init", "farthest_point", "--seed", "-1"],
+    "sweep-seed-negative": ["sweep", "--seed", "-1"],
+    "generate-seed-negative": ["generate", "--seed", "-5"],
 }
 
 
-@pytest.mark.parametrize("case", sorted(NONFINITE_SETTINGS))
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
 def test_nonfinite_setting_exits_2_without_traceback(tmp_path, capsys, case):
-    command, *setting = NONFINITE_SETTINGS[case]
+    command, *setting = BAD_SETTINGS[case]
     if command == "generate":
         argv = ["generate", "--l", "2", "--n", "1", "--ambient-dim", "3",
                 "--points-per-subspace", "4", "--out", str(tmp_path / "g.csv"), *setting]

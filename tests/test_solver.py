@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uosfit import (
     DataSet,
@@ -14,7 +15,8 @@ from uosfit import (
     solve,
     sparsity_curve,
 )
-from uosfit.solver import _descend
+from uosfit.bundles import nearest
+from uosfit.solver import _best_descent, _descend, _farthest_point_assignment, search
 from helpers import lines_dataset, random_dataset
 
 
@@ -171,3 +173,112 @@ def test_descend_raises_on_revisited_partition():
 
     with pytest.raises(ArithmeticError, match="revisited"):
         _descend(first, fit_cells, distances, rel_tol=1e-12, max_iters=10)
+
+
+def reference_farthest_point(m, l, rng, singleton_dists):
+    """The set-based seeding that the boolean-mask version replaced."""
+    first = int(rng.integers(m))
+    chosen = {first}
+    d = singleton_dists(first)
+    mins = d.copy()
+    seed_dists = [d]
+    for _ in range(1, l):
+        if len(chosen) < m:
+            cand = np.array([i for i in range(m) if i not in chosen], dtype=np.intp)
+            nxt = int(cand[np.argmax(mins[cand])])
+        else:
+            nxt = int(np.argmax(mins))
+        chosen.add(nxt)
+        d = singleton_dists(nxt)
+        seed_dists.append(d)
+        np.minimum(mins, d, out=mins)
+    return nearest(np.stack(seed_dists).T)
+
+
+@st.composite
+def singleton_tables(draw):
+    """(m, l, table): row j of the table is the distance map of point j, with
+    small integer values (many ties) and some all-zero rows."""
+    m = draw(st.integers(1, 12))
+    l = draw(st.integers(1, 16))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                         min_size=m, max_size=m))
+    table = np.array(rows, dtype=np.float64)
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=m)):
+        table[j] = 0.0
+    return m, l, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(singleton_tables(), st.integers(0, 2**32 - 1))
+def test_farthest_point_matches_set_based_reference(case, seed):
+    m, l, table = case
+
+    def dists(j):
+        return table[j].copy()
+
+    got = _farthest_point_assignment(m, l, np.random.default_rng(seed), dists)
+    want = reference_farthest_point(m, l, np.random.default_rng(seed), dists)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _constant_maps(refit_gammas, nearest_sum):
+    """Stub maps for two points in one cell: gamma is taken from
+    ``refit_gammas`` call by call, and the distances sum to ``nearest_sum``."""
+    gammas = iter(refit_gammas)
+
+    def fit_cells(assignment):
+        return ("model",), next(gammas), (False,)
+
+    def distances(models):
+        return np.array([[nearest_sum / 2.0], [nearest_sum / 2.0]])
+
+    return fit_cells, distances, None
+
+
+@pytest.mark.parametrize("refit_gammas, nearest_sum, converged", [
+    ((1.0, 1.0), 1.0, True),    # a true fixed point
+    ((1.0, 0.5), 1.0, False),   # re-fitting the cells goes below the objective
+    ((1.0, 1.0), 2.0, False),   # the nearest-model error does not match gamma
+])
+def test_search_reverifies_the_winning_pair(refit_gammas, nearest_sum, converged):
+    cfg = SolveConfig(l=1, n=0, restarts=1)
+    rep = search(2, cfg, *_constant_maps(refit_gammas, nearest_sum))
+    assert rep.objective == 1.0
+    assert rep.converged is converged
+    assert rep.per_restart_objectives == (1.0,)
+
+
+def _gamma_by_assignment(gamma_of):
+    """Stub maps whose gamma is ``gamma_of(assignment)``, at a fixed point."""
+
+    def fit_cells(assignment):
+        g = gamma_of(assignment)
+        return (assignment.copy(), g), g, (False, False)
+
+    def distances(models):
+        assignment, g = models
+        dmat = np.zeros((assignment.size, 2))
+        dmat[0] = g
+        return dmat
+
+    return fit_cells, distances, None
+
+
+def test_best_descent_prefers_cold_restart_on_ties():
+    cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
+    warm = np.arange(6, dtype=np.intp) % 2
+    best, restarts = _best_descent(6, cfg, *_gamma_by_assignment(lambda a: 1.0), seeds=[warm])
+    assert len(restarts) == 3
+    assert best is restarts[0]
+
+
+def test_best_descent_takes_strictly_better_warm_seed():
+    cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
+    warm = np.arange(12, dtype=np.intp) % 2
+    maps = _gamma_by_assignment(lambda a: 0.5 if np.array_equal(a, warm) else 1.0)
+    best, restarts = _best_descent(12, cfg, *maps, seeds=[warm])
+    assert [r.objective for r in restarts] == [1.0, 1.0, 1.0]
+    assert best.objective == 0.5
+    assert np.array_equal(best.assignment, warm)
