@@ -89,9 +89,17 @@ def _config_echo(args, mode, extra=None):
     return echo
 
 
+def _ingest_numeric(path, complex_pairs=False):
+    """``ingest``, refusing rows that hold labels but no numeric column."""
+    dataset = ingest(path, complex_pairs=complex_pairs)
+    if dataset.m and not dataset.ambient_dim:
+        raise ParseError(f"input file {path} holds labels but no numeric columns")
+    return dataset
+
+
 def _load_dataset(args, mode):
     complex_pairs = mode == "sis" and args.input_format == "spectra"
-    dataset = ingest(args.input, complex_pairs=complex_pairs)
+    dataset = _ingest_numeric(args.input, complex_pairs)
     if dataset.m == 0:
         raise EmptyDataSet(f"input file {args.input} holds no data rows")
     return dataset
@@ -261,13 +269,12 @@ def _rebuild_sis(doc):
             # reshape, not broadcast: a generator of the wrong length is an error
             gens[i] = (np.array(g["re"], dtype=np.float64).reshape(shape)
                        + 1j * np.array(g["im"], dtype=np.float64).reshape(shape))
-        models.append(
-            SISModel(
-                structure=structure,
-                generators=gens,
-                per_freq_rank=np.array(comp["per_freq_rank"], dtype=np.intp),
-            )
-        )
+        ranks, cap = comp["per_freq_rank"], min(length, structure.num_aliases)
+        if len(ranks) != structure.num_freqs or not all(type(r) is int and 0 <= r <= cap
+                                                        for r in ranks):
+            raise ValueError(f"per_freq_rank needs {structure.num_freqs} integers in [0, {cap}]")
+        models.append(SISModel(structure=structure, generators=gens,
+                               per_freq_rank=np.array(ranks, dtype=np.intp)))
     return structure, tuple(models)
 
 
@@ -278,6 +285,7 @@ def cmd_score(args):
         with open(args.report, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         mode = doc["mode"]
+        complex_pairs = False
         if mode == "euclidean":
             bundle = _rebuild_euclidean(doc)
         elif mode == "sis":
@@ -289,11 +297,10 @@ def cmd_score(args):
     except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
         raise ParseError(f"malformed report {args.report}: {type(exc).__name__}: {exc}") from None
 
+    dataset = _ingest_numeric(args.input, complex_pairs)
     if mode == "euclidean":
-        dataset = ingest(args.input)
         objective = objective_e(dataset, bundle)
     else:
-        dataset = ingest(args.input, complex_pairs=complex_pairs)
         objective = float(sis_distance_matrix(dataset, models, structure).min(axis=1).sum())
 
     out = {

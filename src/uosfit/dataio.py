@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidSpec, NonFinite, ParseError, RaggedRows
-from .spectral import orthonormalize
-from .subspace import DataSet
+from .subspace import DataSet, Subspace
 
 
 def _is_number(cell):
@@ -94,8 +93,8 @@ def _raise_first_fault(rows, lines, skip):
 def generate(l, n, ambient_dim, points_per_subspace, noise_sigma=0.0, seed=0):
     """Sample a union-of-subspaces data set with known ground truth.
 
-    Draws ``l`` random subspaces of dimension ``n`` (orthonormalized Gaussian
-    bases), samples ``points_per_subspace`` points from each with standard
+    Draws ``l`` random subspaces of dimension ``n`` (``Subspace.span`` of
+    Gaussian rows), samples ``points_per_subspace`` points from each with standard
     Gaussian coefficients, and adds isotropic Gaussian noise of deviation
     ``noise_sigma``.  Returns ``(DataSet, truth)`` where ``truth[i]`` is the
     generating subspace index; the data set labels are "s<k>" strings.
@@ -103,6 +102,8 @@ def generate(l, n, ambient_dim, points_per_subspace, noise_sigma=0.0, seed=0):
     """
     if l < 1 or points_per_subspace < 1:
         raise InvalidSpec("l and points_per_subspace must be >= 1")
+    if ambient_dim < 1:
+        raise InvalidSpec("ambient_dim must be >= 1")
     if n < 0 or n > ambient_dim:
         raise InvalidSpec("need 0 <= n <= ambient_dim")
     if not (math.isfinite(noise_sigma) and noise_sigma >= 0):
@@ -114,10 +115,7 @@ def generate(l, n, ambient_dim, points_per_subspace, noise_sigma=0.0, seed=0):
         raise InvalidSpec(f"seed must be >= 0, got {seed!r}") from None
     blocks, labels = [], []
     for k in range(l):
-        basis = orthonormalize(rng.standard_normal((n, ambient_dim)))
-        while basis.shape[0] < n:  # essentially unreachable for Gaussian draws
-            extra = rng.standard_normal((n - basis.shape[0], ambient_dim))
-            basis = orthonormalize(np.vstack([basis, extra]))
+        basis = Subspace.span(rng.standard_normal((n, ambient_dim))).basis
         pts = rng.standard_normal((points_per_subspace, n)) @ basis
         if noise_sigma > 0:
             pts = pts + noise_sigma * rng.standard_normal(pts.shape)

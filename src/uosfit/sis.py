@@ -27,14 +27,8 @@ import numpy as np
 from .bundles import Partition
 from .errors import EmptyDataSet, LengthMismatch, StructureMismatch
 from .solver import SolveConfig, SolveReport, search
-from .spectral import sym_eigen
+from .spectral import leading_cut, sym_eigen
 from .subspace import DataSet
-
-# Fiber-covariance eigenvalues below ZERO_TOL * (largest over all
-# frequencies) count as zero: their eigenvectors give no generator fiber.
-ZERO_TOL = 1e-12
-
-DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -179,39 +173,24 @@ def best_sis(dataset: DataSet, structure: ShiftStructure, n) -> SISFit:
 
     Per frequency class w the L x L fiber covariance
     ``C(w)_ts = sum_i fhat_i(w + K t) conj(fhat_i(w + K s))`` is
-    eigendecomposed, all K classes in one stacked call.  Its top
-    ``min(n, m, L)`` eigenvectors with eigenvalue above ``ZERO_TOL`` times
-    the largest over all frequencies are the generator fibers, orthonormal
-    per frequency, so the generators form a Parseval frame.  Its eigenvalues,
+    eigendecomposed, all K classes in one stacked call.  Its eigenvalues,
     cut or zero-padded to length m, are the spectrum of the m x m Gramian;
-    the error is the sum of the spectrum beyond the n-th over all
-    frequencies.
+    ``spectral.leading_cut`` reads the rank at each w, the error and the
+    ``degenerate`` flag off all K, as ``best_fit_subspace`` does off its one.
+    The top ``rank[w]`` eigenvectors are the generator fibers, orthonormal
+    per frequency, so the generators form a Parseval frame.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     m = dataset.m
     fib = _signal_fibers(dataset, structure)                       # (m, K, L)
     eig = sym_eigen(np.einsum("ikt,iks->kts", fib, fib.conj()))    # (K, L, L)
-    k = min(m, structure.num_aliases)
-    lam = np.zeros((structure.num_freqs, m))
-    lam[:, :k] = eig.eigenvalues[:, :k]
-
-    lam_max = float(lam[:, 0].max()) if m else 0.0
-    thr = ZERO_TOL * lam_max
-    rank = np.count_nonzero(lam[:, :min(n, k)] > thr, axis=1)
+    lam, rank, error, degenerate = leading_cut(eig.eigenvalues, m, n)
     keep = int(rank.max())
     active = np.arange(keep)[:, None] < rank[None, :]              # (keep, K)
     gen_fibers = eig.eigenvectors[:, :, :keep].transpose(2, 0, 1) * active[:, :, None]
     spectra = _spectra_from_fibers(gen_fibers)
-    error = float(np.sum(lam[:, n:])) if n < m else 0.0
-    error = max(error, 0.0)
-
-    degenerate = False
-    if 0 < n < m and lam_max > 0.0:
-        gaps = np.abs(lam[:, n - 1] - lam[:, n])
-        degenerate = bool(np.any((lam[:, n - 1] > thr) & (gaps <= DEGENERACY_TOL * lam_max)))
-
-    for arr in (spectra, rank, lam):
+    for arr in (spectra, rank):
         arr.flags.writeable = False
     model = SISModel(structure=structure, generators=spectra, per_freq_rank=rank)
     return SISFit(model=model, error=error, spectrum=lam, degenerate=degenerate)

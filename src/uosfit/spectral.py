@@ -19,6 +19,10 @@ from .errors import DimensionMismatch, NonFinite, NonSymmetric
 # Eigenvalues in [-PSD_CLAMP, 0) are treated as exact zeros.
 PSD_CLAMP = 1e-12
 
+# Relative gap at the cut below which the optimal model is not unique.
+DEGENERACY_TOL = 1e-10
+_EPS = np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class SymmetricEigen:
@@ -88,18 +92,28 @@ def sym_eigen(mat):
     return SymmetricEigen(eigenvalues=vals, eigenvectors=vecs)
 
 
-def orthonormalize(rows):
-    """Modified Gram-Schmidt on the rows; a row whose residual norm is at most
-    1e-12 is near-dependent and dropped."""
-    rows = np.asarray(rows, dtype=np.float64)
-    out = []
-    for v in rows:
-        w = v.copy()
-        for u in out:
-            w -= (u @ w) * u
-        nrm = float(np.linalg.norm(w))
-        if nrm > 1e-12:
-            out.append(w / nrm)
-    if not out:
-        return np.zeros((0, rows.shape[1] if rows.ndim == 2 else 0))
-    return np.array(out)
+def leading_cut(vals, m, n):
+    """The best model of dimension <= n from K descending spectra ``vals`` (K, d)
+    of matrices whose nonzero eigenvalues are those of an m x m Gramian.
+
+    Returns the spectra cut or zero-padded to (K, m); the rank of each, the
+    eigenvalues above the round-off floor ``max(m, d) * eps * top`` (top: the
+    largest in the stack) capped at n; the error, everything beyond the n-th;
+    and ``degenerate``: the gap at the cut is at most ``DEGENERACY_TOL * top``
+    for a matrix whose n-th eigenvalue is above the floor.
+    """
+    num, d = vals.shape
+    k = min(m, d)
+    spectrum = np.zeros((num, m))
+    spectrum[:, :k] = vals[:, :k]
+    spectrum.flags.writeable = False
+    top = float(vals[:, 0].max()) if k else 0.0
+    floor = max(m, d) * _EPS * top
+    rank = (spectrum[:, :min(n, k)] > floor).sum(axis=1)
+    if n >= m:
+        return spectrum, rank, 0.0, False
+    error = max(float(spectrum[:, n:].sum()), 0.0)
+    # Above the floor, descending order makes the gap nonnegative.
+    lead = spectrum[:, n - 1]
+    degenerate = n > 0 and ((lead > floor) & (lead - spectrum[:, n] <= DEGENERACY_TOL * top)).any()
+    return spectrum, rank, error, bool(degenerate)

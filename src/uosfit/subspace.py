@@ -13,10 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .spectral import orthonormalize, sym_eigen
-
-# Relative gap below which the optimal subspace is not unique.
-DEGENERACY_TOL = 1e-10
+from .spectral import leading_cut, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -120,9 +117,10 @@ class Subspace:
 
     @classmethod
     def span(cls, rows) -> "Subspace":
-        """Subspace spanned by the given (not necessarily orthonormal) rows."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        return cls(rows.shape[1], orthonormalize(rows))
+        """Subspace spanned by the given rows: their best fit at full dimension,
+        so directions within round-off of zero (``spectral.leading_cut``) drop."""
+        data = DataSet(rows)
+        return best_fit_subspace(data, data.m).subspace
 
 
 @dataclass(frozen=True)
@@ -196,9 +194,8 @@ def best_fit_subspace(dataset: DataSet, n) -> SubspaceFit:
     The span of the top ``min(n, rank)`` left singular vectors of the matrix
     whose columns are the data.  The returned error is the sum of the Gram
     eigenvalues beyond the n-th, which equals ``total_error`` on the result.
-    The ``degenerate`` flag is set when the spectral gap at the cut is below
-    ``DEGENERACY_TOL`` relative to the top eigenvalue (the optimum is then
-    not unique).
+    Rank, error and the ``degenerate`` flag (the optimum is not unique)
+    come from ``spectral.leading_cut``, as in ``sis.best_sis``.
 
     An empty data set yields the zero subspace with error 0.
     """
@@ -215,21 +212,6 @@ def best_fit_subspace(dataset: DataSet, n) -> SubspaceFit:
     # vectors of A; its nonzero eigenvalues are those of the m x m Gram A^T A.
     # The rank is read off the Gram spectrum, so it never exceeds m.
     eig = sym_eigen(x.T @ x)
-    vals = eig.eigenvalues
-    spectrum = vals[:m] if m <= dim else np.concatenate([vals, np.zeros(m - dim)])
-    # Eigenvalues within LAPACK's round-off of zero (about eps times the
-    # largest, per unit of problem size) do not count towards the rank.
-    floor = max(m, dim) * np.finfo(np.float64).eps * spectrum[0]
-    rank = int(np.count_nonzero(spectrum > floor))
-    keep = min(n, rank)
-    basis = eig.eigenvectors[:, :keep].T.copy() if keep else np.zeros((0, dim))
-
-    error = float(np.sum(spectrum[n:])) if n < spectrum.size else 0.0
-    error = max(error, 0.0)
-    top = spectrum[0]
-    degenerate = bool(
-        0 < n < spectrum.size and abs(spectrum[n - 1] - spectrum[n]) <= DEGENERACY_TOL * top
-    )
-    spectrum = spectrum.copy()
-    spectrum.flags.writeable = False
-    return SubspaceFit(Subspace(dim, basis), error, spectrum, degenerate)
+    spectrum, rank, error, degenerate = leading_cut(eig.eigenvalues[None, :], m, n)
+    basis = eig.eigenvectors[:, :rank[0]].T.copy()  # contiguous: Subspace checks it faster
+    return SubspaceFit(Subspace(dim, basis), error, spectrum[0], degenerate)

@@ -267,6 +267,8 @@ MALFORMED = {
     "report-sis-generator-re-short": ("score", _edit(_generator_re_short, SIS_FIT)),
     "report-sis-generator-im-long": ("score", _edit(_generator_im_long, SIS_FIT)),
     "report-sis-generators-missing": ("score", _edit(_generators_missing, SIS_FIT)),
+    "report-sis-per-freq-rank": (
+        "score", _edit(lambda d: d["components"][0].update(per_freq_rank=[5]), SIS_FIT)),
 }
 
 
@@ -302,6 +304,7 @@ BAD_SETTINGS = {
     "fit-farthest-point-seed-negative": ["fit", "--init", "farthest_point", "--seed", "-1"],
     "sweep-seed-negative": ["sweep", "--seed", "-1"],
     "generate-seed-negative": ["generate", "--seed", "-5"],
+    "generate-ambient-dim-zero": ["generate", "--n", "0", "--ambient-dim", "0"],
 }
 
 
@@ -322,3 +325,20 @@ def test_nonfinite_setting_exits_2_without_traceback(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "sweep", "score"])
+def test_label_only_input_exits_2_naming_the_missing_columns(tmp_path, capsys, command):
+    # what `generate --ambient-dim 0` used to write: labels, no numbers
+    labels_only = tmp_path / "labels.csv"
+    labels_only.write_text("s0\ns0\ns1\n")
+    if command == "score":
+        _fitted_report(tmp_path)
+        argv = ["score", "--input", str(labels_only), "--report", str(tmp_path / "rep.json")]
+    else:
+        argv = [command, "--input", str(labels_only), "--l", "1", "--n", "1",
+                "--report", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no numeric columns" in err

@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uosfit import DimensionMismatch, NonFinite, NonSymmetric, sym_eigen
+from uosfit import (
+    DataSet,
+    DimensionMismatch,
+    NonFinite,
+    NonSymmetric,
+    ShiftStructure,
+    best_fit_subspace,
+    best_sis,
+    sym_eigen,
+)
+from uosfit.spectral import leading_cut
 
 
 class TestSymEigen:
@@ -111,3 +122,59 @@ class TestSymEigen:
         stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])])
         with pytest.raises(NonSymmetric):
             sym_eigen(stack)
+
+
+class TestLeadingCut:
+    def test_stack_by_hand(self):
+        # top 4; the second matrix ties at the cut, so the optimum is not unique
+        vals = np.array([[4.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
+        spectrum, rank, error, degenerate = leading_cut(vals, 3, 1)
+        assert spectrum.tolist() == vals.tolist() and not spectrum.flags.writeable
+        assert rank.tolist() == [1, 1]
+        assert error == 3.0
+        assert degenerate
+
+    def test_cut_and_pad_to_point_count(self):
+        vals = np.array([[5.0, 3.0, 1.0]])
+        assert leading_cut(vals, 2, 1)[0].tolist() == [[5.0, 3.0]]
+        assert leading_cut(vals, 5, 1)[0].tolist() == [[5.0, 3.0, 1.0, 0.0, 0.0]]
+
+    def test_rank_counts_above_round_off_and_caps_at_n(self):
+        vals = np.array([[1.0, 1e-17, 0.0], [0.5, 0.25, 1e-15]])
+        assert leading_cut(vals, 3, 3)[1].tolist() == [1, 3]
+        assert leading_cut(vals, 3, 2)[1].tolist() == [1, 2]
+        # the floor is relative to the largest eigenvalue of the whole stack
+        assert leading_cut(1e-300 * vals, 3, 3)[1].tolist() == [1, 3]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_no_degeneracy_below_the_floor(self, n):
+        # rank 1 < n < m: the cut falls among zeros, and the fit is unique
+        _, rank, error, degenerate = leading_cut(np.array([[3.0, 0.0, 0.0]]), 3, n)
+        assert rank.tolist() == [1] and error == 0.0 and not degenerate
+
+    def test_n_at_least_m(self):
+        assert leading_cut(np.array([[2.0, 1.0]]), 2, 4)[2:] == (0.0, False)
+
+    def test_empty(self):
+        spectrum, rank, error, degenerate = leading_cut(np.zeros((3, 2)), 0, 1)
+        assert spectrum.shape == (3, 0) and rank.tolist() == [0, 0, 0]
+        assert (error, degenerate) == (0.0, False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=st.integers(1, 11), dim=st.integers(1, 8), r=st.integers(0, 8), n=st.integers(0, 8),
+       k=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+def test_euclidean_and_one_frequency_sis_fits_share_the_cut(m, dim, r, n, k, seed):
+    # With K = 1 (shift step = signal length) the SIS fit eigendecomposes a
+    # unitary transform of the Euclidean covariance, so both fits see the
+    # same spectrum up to round-off and must make the same cut.
+    r, n = min(r, dim), min(n, dim)
+    rng = np.random.default_rng(seed)
+    x = np.ldexp(rng.standard_normal((m, r)) @ rng.standard_normal((r, dim)), k)
+    data = DataSet(x)
+    euc = best_fit_subspace(data, n)
+    sis = best_sis(data, ShiftStructure(dim, dim), n)
+    assert sis.model.per_freq_rank.tolist() == [euc.subspace.dim]
+    assert sis.degenerate == euc.degenerate
+    energy = float(np.sum(x * x))
+    assert abs(sis.error - euc.error) <= 1e-9 * max(sis.error, euc.error) + 1e-12 * energy

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uosfit import (
     DataSet,
@@ -10,9 +11,11 @@ from uosfit import (
     project,
     total_error,
 )
+from uosfit.subspace import residuals_sq
 from helpers import close_rel, random_dataset
 
 SQ2 = np.sqrt(2.0)
+EPS = np.finfo(np.float64).eps
 
 
 class TestProject:
@@ -183,3 +186,26 @@ class TestBestFit:
             assert fit.spectrum.size == m
             ref = np.sort(np.linalg.eigvalsh(f.vectors @ f.vectors.T))[::-1]
             assert np.max(np.abs(fit.spectrum - ref)) <= 1e-9 * max(1.0, ref[0])
+
+
+class TestSpan:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rows=st.integers(1, 10), dim=st.integers(1, 8), r=st.integers(1, 8),
+           k=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+    def test_generic_rows_span_their_rank(self, rows, dim, r, k, seed):
+        r = min(r, rows, dim)
+        rng = np.random.default_rng(seed)
+        x = np.ldexp(rng.standard_normal((rows, r)) @ rng.standard_normal((r, dim)), k)
+        sub = Subspace.span(x)
+        assert sub.dim == r
+        norms = np.einsum("ij,ij->i", x, x)
+        assert np.all(residuals_sq(DataSet(x), sub) <= 16 * dim * EPS * norms)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 2), (0, 5)])
+    def test_zero_rows_span_the_zero_subspace(self, shape):
+        sub = Subspace.span(np.zeros(shape))
+        assert sub.dim == 0 and sub.ambient_dim == shape[1]
+
+    def test_single_row(self):
+        sub = Subspace.span([3.0, 0.0, -4.0])
+        assert np.allclose(np.abs(sub.basis), [[0.6, 0.0, 0.8]], atol=1e-15)
