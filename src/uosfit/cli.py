@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from itertools import compress
+from itertools import accumulate
 
 import numpy as np
 
@@ -90,19 +90,18 @@ def _config_echo(args, mode, extra=None):
 
 
 def _ingest_numeric(path, complex_pairs=False):
-    """``ingest``, refusing rows that hold labels but no numeric column."""
+    """``ingest``, refusing a file without data rows or without numeric columns."""
     dataset = ingest(path, complex_pairs=complex_pairs)
-    if dataset.m and not dataset.ambient_dim:
+    if dataset.m == 0:
+        raise EmptyDataSet(f"input file {path} holds no data rows")
+    if not dataset.ambient_dim:
         raise ParseError(f"input file {path} holds labels but no numeric columns")
     return dataset
 
 
 def _load_dataset(args, mode):
     complex_pairs = mode == "sis" and args.input_format == "spectra"
-    dataset = _ingest_numeric(args.input, complex_pairs)
-    if dataset.m == 0:
-        raise EmptyDataSet(f"input file {args.input} holds no data rows")
-    return dataset
+    return _ingest_numeric(args.input, complex_pairs)
 
 
 def _structure(args):
@@ -168,13 +167,15 @@ def cmd_fit(args):
             "atom_to_subspace": [list(g) for g in dictionary.atom_to_subspace],
             "raw_atom_count": dictionary.raw_atom_count,
         }
-        # Per point: the atoms with a nonzero weight, and those weights.
+        # Per point: the atoms with a nonzero weight, and those weights.  The
+        # nonzeros come in point order, support_sizes of them per point.
         weights = code.columns.T
-        nonzero = (weights != 0).tolist()
-        atom_ids = range(len(dictionary))
+        points, atoms = np.nonzero(weights)
+        bounds = list(accumulate(code.support_sizes, initial=0))
+        per_point = list(map(slice, bounds[:-1], bounds[1:]))
         doc["codes"] = {
-            "support": [list(compress(atom_ids, nz)) for nz in nonzero],
-            "coefficients": [list(compress(w, nz)) for w, nz in zip(weights.tolist(), nonzero)],
+            "support": list(map(atoms.tolist().__getitem__, per_point)),
+            "coefficients": list(map(weights[points, atoms].tolist().__getitem__, per_point)),
             "support_sizes": list(code.support_sizes),
         }
     else:

@@ -36,21 +36,70 @@ def ingest(path, complex_pairs=False) -> DataSet:
     cell, that column provides the labels.  With ``complex_pairs`` the
     columns are interleaved (re, im) spectrum pairs; they are turned into
     time-domain signals through the unitary inverse DFT.
+
+    A plain numeric file is converted by numpy's C parser in one call.  Any
+    file it rejects (a header, labels, ``float()``-only spellings such as
+    ``1_000``, blank cells, ragged rows) is read again by the checked
+    walker, which yields the same values and the first fault in file order.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such input file: {path}")
+    labels = None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            arr = _parse_plain(fh)
+            if arr is None:
+                fh.seek(0)
+                arr, labels = _walk(list(csv.reader(fh)))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+    if arr is None:
+        return DataSet(np.zeros((0, 0)))
+    if complex_pairs and arr.shape[1]:
+        if arr.shape[1] % 2 != 0:
+            raise ParseError("complex spectra need an even number of columns (re, im pairs)")
+        spectra = arr[:, 0::2] + 1j * arr[:, 1::2]
+        length = spectra.shape[1]
+        arr = np.fft.ifft(spectra, axis=1) * math.sqrt(length)
+    return DataSet(arr, labels)
+
+
+# Separators that numpy's parser strips from a cell as whitespace and Python's
+# float() does not: "1\x1c" is a number to numpy only.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_plain(fh):
+    """The file as one float64 array, or None when it needs the checked walker.
+
+    Apart from those separators, every cell numpy's parser accepts,
+    ``float()`` reads to the same double, so an accepted file holds no
+    header and no labels.  A file of blank lines never reaches the parser:
+    ``loadtxt`` warns on one.
+    """
+    blank = True
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        if any(c in chunk for c in _NUMPY_ONLY_SPACE):
+            return None
+        blank = blank and chunk.isspace()
+    if blank:
+        return None
+    fh.seek(0)
+    try:
+        return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+    except ValueError:
+        return None
+
+
+def _walk(rows):
+    """``(array, labels)`` from csv rows, or ``(None, None)`` without data rows."""
     # 1-based numbers of the rows holding a non-blank cell; the rest are dropped.
     lines = [i for i, row in enumerate(rows, start=1) if any(map(str.strip, row))]
     if len(lines) < len(rows):
         rows = [rows[i - 1] for i in lines]
     if not rows:
-        return DataSet(np.zeros((0, 0)))
+        return None, None
 
     first = rows[0]
     has_header = (len(first) > 1 and any(not _is_number(c) for c in first[1:])) or (
@@ -59,7 +108,7 @@ def ingest(path, complex_pairs=False) -> DataSet:
     if has_header:
         rows, lines = rows[1:], lines[1:]
     if not rows:
-        return DataSet(np.zeros((0, 0)))
+        return None, None
 
     has_labels = all(not _is_number(row[0]) for row in rows)
     skip = 1 if has_labels else 0
@@ -70,13 +119,7 @@ def ingest(path, complex_pairs=False) -> DataSet:
         _raise_first_fault(rows, lines, skip)
         raise
     labels = tuple(row[0].strip() for row in rows) if has_labels else None
-    if complex_pairs:
-        if arr.shape[1] % 2 != 0:
-            raise ParseError("complex spectra need an even number of columns (re, im pairs)")
-        spectra = arr[:, 0::2] + 1j * arr[:, 1::2]
-        length = spectra.shape[1]
-        arr = np.fft.ifft(spectra, axis=1) * math.sqrt(length)
-    return DataSet(arr, labels)
+    return arr, labels
 
 
 def _raise_first_fault(rows, lines, skip):
@@ -144,12 +187,29 @@ def write_dataset_csv(path, dataset: DataSet, with_labels=True):
             writer.writerow(row)
 
 
-_NUMBER_TYPES = {int, float}
+# printf codes that spell a number as format_float (floats) and str (ints) do.
+_NUMBER_CODES = {int: "%d", float: "%.17g"}
 
 
-def _join_numbers(seq):
-    """``[a, b, ...]`` for a list of Python ints and floats."""
-    return "[" + ", ".join([format_float(v) if type(v) is float else str(v) for v in seq]) + "]"
+def _row_formats(rows, types):
+    """Per row of Python ints and floats (``types`` holds all of them), ``[%d, %.17g]``."""
+    if len(types) == 1:
+        # One type: a row's format depends only on its length.
+        code = _NUMBER_CODES[next(iter(types))]
+        by_len = {k: "[" + ", ".join([code] * k) + "]" for k in set(map(len, rows))}
+        return map(by_len.__getitem__, map(len, rows))
+    return ("[" + ", ".join(map(_NUMBER_CODES.__getitem__, map(type, row))) + "]" for row in rows)
+
+
+def _format_numbers(template, values):
+    """``template % values``, refusing non-finite floats as format_float does."""
+    text = template % values
+    # Finite doubles print as digits, sign, '.', 'e' and '+'; nan and inf hold an 'n'.
+    if "n" in text:
+        for v in values:
+            if type(v) is float:
+                format_float(v)
+    return text
 
 
 def _serialize(obj, indent, out):
@@ -181,16 +241,19 @@ def _serialize(obj, indent, out):
         if not seq:
             out.append("[]")
             return
-        # Lists of Python numbers, flat or one level deep, are joined in one
-        # go.  Exact types: bool and numpy scalars take the general path.
+        # Lists of Python numbers, flat or one level deep, take one format
+        # call.  Exact types: bool and numpy scalars take the general path.
         types = set(map(type, seq))
-        if types <= _NUMBER_TYPES:
-            out.append(_join_numbers(seq))
+        if types <= _NUMBER_CODES.keys():
+            out.append(_format_numbers(next(_row_formats([seq], types)), tuple(seq)))
             return
-        if types == {list} and set(map(type, chain.from_iterable(seq))) <= _NUMBER_TYPES:
-            sep = ",\n" + pad + "  "
-            out.append("[\n" + pad + "  " + sep.join(map(_join_numbers, seq)) + "\n" + pad + "]")
-            return
+        if types == {list}:
+            inner = set(map(type, chain.from_iterable(seq)))
+            if inner <= _NUMBER_CODES.keys():
+                sep = ",\n" + pad + "  "
+                template = "[\n" + pad + "  " + sep.join(_row_formats(seq, inner)) + "\n" + pad + "]"
+                out.append(_format_numbers(template, tuple(chain.from_iterable(seq))))
+                return
         scalar = all(isinstance(v, (int, float, str, bool, np.integer, np.floating)) for v in seq)
         if scalar:
             parts = []

@@ -1,14 +1,16 @@
 import json
 import math
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uosfit import RaggedRows, generate, ingest
+from uosfit import Partition, RaggedRows, generate, ingest
 from uosfit import cli
 from uosfit.cli import main
-from uosfit.dataio import write_dataset_csv
+from uosfit.dataio import write_dataset_csv, write_json
+from uosfit.sparsity import encode, extract_dictionary
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE = DATA_DIR / "fixture.csv"
@@ -327,7 +329,7 @@ def test_nonfinite_setting_exits_2_without_traceback(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["fit", "sweep", "score"])
+@pytest.mark.parametrize("command", ["fit", "sweep", "score", "fit-spectra"])
 def test_label_only_input_exits_2_naming_the_missing_columns(tmp_path, capsys, command):
     # what `generate --ambient-dim 0` used to write: labels, no numbers
     labels_only = tmp_path / "labels.csv"
@@ -336,9 +338,74 @@ def test_label_only_input_exits_2_naming_the_missing_columns(tmp_path, capsys, c
         _fitted_report(tmp_path)
         argv = ["score", "--input", str(labels_only), "--report", str(tmp_path / "rep.json")]
     else:
-        argv = [command, "--input", str(labels_only), "--l", "1", "--n", "1",
-                "--report", str(tmp_path / "r.json")]
+        argv = [command.removesuffix("-spectra"), "--input", str(labels_only),
+                "--l", "1", "--n", "1", "--report", str(tmp_path / "r.json")]
+    if command == "fit-spectra":
+        argv += [*SIS_FIT, "--input-format", "spectra"]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no numeric columns" in err
+
+
+NO_DATA_ROWS = {"empty": "", "blank-lines": "\n \n\n", "header-only": "x,y,z\n"}
+
+
+@pytest.mark.parametrize("content", sorted(NO_DATA_ROWS))
+@pytest.mark.parametrize("command", ["fit", "sweep", "score", "score-sis"])
+def test_input_without_data_rows_exits_2(tmp_path, capsys, command, content):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(NO_DATA_ROWS[content])
+    if command.startswith("score"):
+        _fitted_report(tmp_path, SIS_FIT if command == "score-sis" else ())
+        argv = ["score", "--input", str(empty), "--report", str(tmp_path / "rep.json")]
+    else:
+        argv = [command, "--input", str(empty), "--l", "1", "--n", "1",
+                "--report", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: input file {empty} holds no data rows\n"
+
+
+# Points on coordinate axes: some get an exact zero weight on one atom of
+# their 2-dim component, so their support is shorter than its dimension.
+AXES = "3,0,0\n-2,0,0\n0,1.5,0\n0,-1,0\n1,2,0\n2,-1,0\n0,0,4\n0,0,-3\n"
+
+
+def _codes_by_compress(dataset, doc):
+    """A fit report's codes as earlier versions built them: one compress per point."""
+    bundle = cli._rebuild_euclidean(doc)
+    dictionary = extract_dictionary(bundle)
+    partition = Partition(np.array(doc["assignment"]), len(bundle))
+    code = encode(dataset, bundle, partition, dictionary)
+    weights = code.columns.T
+    nonzero = (weights != 0).tolist()
+    atom_ids = range(len(dictionary))
+    return {
+        "support": [list(compress(atom_ids, nz)) for nz in nonzero],
+        "coefficients": [list(compress(w, nz)) for w, nz in zip(weights.tolist(), nonzero)],
+        "support_sizes": list(code.support_sizes),
+    }
+
+
+def test_codes_match_per_point_compress(tmp_path, monkeypatch):
+    data = tmp_path / "axes.csv"
+    data.write_text(AXES)
+    docs = []
+
+    def keep(path, obj):
+        docs.append(obj)
+        return write_json(path, obj)
+
+    monkeypatch.setattr(cli, "write_json", keep)
+    assert main(["fit", "--input", str(data), "--l", "2", "--n", "2", "--seed", "0",
+                 "--report", str(tmp_path / "r.json"), "--no-timings"]) == 0
+    doc = docs[0]
+    dims = [comp["dim"] for comp in doc["components"]]
+    short = [size < dims[cell] for size, cell in
+             zip(doc["codes"]["support_sizes"], doc["assignment"])]
+    assert any(short) and not all(short)
+    # repr tells 3 from 3.0 and -0.0 from 0.0
+    assert repr(doc["codes"]) == repr(_codes_by_compress(ingest(data), doc))

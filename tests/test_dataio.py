@@ -1,13 +1,16 @@
 """Byte-level pins for the report serialiser and the CSV reader."""
 
+import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from uosfit import DataSet, NonFinite, ParseError, RaggedRows, ingest
-from uosfit.dataio import to_json, write_dataset_csv
+from uosfit import dataio
+from uosfit.dataio import format_float, to_json, write_dataset_csv
 
 
 def golden_object():
@@ -50,6 +53,19 @@ GOLDEN_JSON = (
 )
 
 
+def _reference_row(seq):
+    """A list of Python numbers spelled one scalar at a time."""
+    return "[" + ", ".join(format_float(v) if type(v) is float else str(v) for v in seq) + "]"
+
+
+numbers = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+number_lists = st.one_of(
+    st.lists(numbers, max_size=12),
+    st.lists(st.integers(), max_size=12),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+)
+
+
 class TestToJson:
     def test_golden_string(self):
         assert to_json(golden_object()) == GOLDEN_JSON
@@ -63,6 +79,24 @@ class TestToJson:
     def test_non_finite_in_list_raises(self, bad):
         with pytest.raises(NonFinite):
             to_json({"v": bad})
+
+    def test_nan_deep_in_a_block_raises_like_format_float(self):
+        rows = [[float(i), i, -0.5] for i in range(1000)]
+        rows[737][2] = math.nan
+        rows[901][0] = math.inf
+        with pytest.raises(NonFinite, match=r"^cannot serialize non-finite value nan$"):
+            to_json({"v": rows})
+
+    @settings(max_examples=80, deadline=None)
+    @given(seq=number_lists)
+    def test_flat_lists_match_per_scalar_join(self, seq):
+        assert to_json({"v": seq}) == '{\n  "v": ' + _reference_row(seq) + "\n}\n"
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(number_lists, min_size=1, max_size=8))
+    def test_nested_lists_match_per_scalar_join(self, rows):
+        block = "[\n    " + ",\n    ".join(map(_reference_row, rows)) + "\n  ]"
+        assert to_json({"v": rows}) == '{\n  "v": ' + block + "\n}\n"
 
 
 def _is_float_text(text):
@@ -88,7 +122,79 @@ def datasets(draw):
     return DataSet(np.array(rows, dtype=np.float64), names)
 
 
+def _walker_only(path):
+    """``ingest`` without numpy's parser: every file takes the checked walker."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        arr, labels = dataio._walk(list(csv.reader(fh)))
+    return DataSet(np.zeros((0, 0)) if arr is None else arr, labels)
+
+
+def _outcome(read, path):
+    try:
+        data = read(path)
+    except Exception as exc:  # noqa: BLE001 - the outcome being compared
+        return type(exc), str(exc)
+    return data.vectors.shape, data.vectors.tobytes(), data.labels
+
+
+# Inputs around the edge of numpy's parser, with the values and labels they read to.
+EDGE_INPUTS = {
+    "whitespace-only-line": ("1,2\n \t \n3,4\n", [[1, 2], [3, 4]], None),
+    "comma-line": ("1,2\n,\n3,4\n", [[1, 2], [3, 4]], None),
+    "full-width-digits": ("\uff11,2\n3,\uff14.5\n", [[1, 2], [3, 4.5]], None),
+    "quoted-cells": ('"1","2"\n3,"-0"\n', [[1, 2], [3, -0.0]], None),
+    "crlf": ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]], None),
+    "header": ("x,y\n1,2\n3,4\n", [[1, 2], [3, 4]], None),
+    "labels": ("a,1,2\nb,3,4\n", [[1, 2], [3, 4]], ("a", "b")),
+    "underscore-and-blank-lines": ("\n1_0,2\n\n3,4\n\n", [[10, 2], [3, 4]], None),
+}
+
+# Characters that make cells numpy and float() may read differently.
+csv_text = st.text(alphabet="0123456789.e-+ ,\n\r\"\tainfx_\uff11\u00a0\x1c\x1f", max_size=40)
+
+# Doubles at the ends of the range: signed zeros, subnormals, 2**-1000, 2**1000.
+extreme = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1000, -(2.0**-1000), 2.0**1000,
+                     -(2.0**1000), 2.2250738585072009e-308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
 class TestIngestExact:
+    @pytest.mark.parametrize("case", sorted(EDGE_INPUTS))
+    def test_edge_inputs_read_exactly(self, tmp_path, case):
+        text, want, want_labels = EDGE_INPUTS[case]
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        data = ingest(p)
+        assert data.vectors.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert data.vectors.shape == (2, 2)
+        assert data.labels == want_labels
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n \r\n\t\n"])
+    def test_file_without_rows_reads_empty_without_warning(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = ingest(p)
+        assert data.vectors.shape == (0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_text)
+    def test_reads_like_the_checked_walker(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("fuzz") / "d.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert _outcome(ingest, p) == _outcome(_walker_only, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 5).flatmap(
+        lambda k: st.lists(st.lists(extreme, min_size=k, max_size=k), min_size=1, max_size=6)))
+    def test_17_digit_text_reads_back_bitwise(self, tmp_path_factory, rows):
+        p = tmp_path_factory.mktemp("g17") / "d.csv"
+        p.write_text("".join(",".join("%.17g" % v for v in row) + "\n" for row in rows))
+        assert ingest(p).vectors.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(data=datasets())
     def test_csv_round_trip_is_bitwise(self, tmp_path_factory, data):
@@ -111,6 +217,13 @@ class TestIngestExact:
         p = tmp_path / "d.csv"
         p.write_text(f"1,2\n{cell},3\n")
         with pytest.raises(NonFinite):
+            ingest(p)
+
+    def test_numpy_only_space_is_not_a_number(self, tmp_path):
+        # numpy's parser strips \x1c as whitespace; float() does not
+        p = tmp_path / "d.csv"
+        p.write_text("1\x1c,2\n3,4\n")
+        with pytest.raises(ParseError, match=r"^row 1, column 1: not a number: '1\\x1c'$"):
             ingest(p)
 
     def test_first_fault_in_file_order_is_reported(self, tmp_path):
