@@ -9,6 +9,7 @@ guarantee).
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from itertools import chain
@@ -177,14 +178,30 @@ def format_float(x) -> str:
     return format(x, ".17g")
 
 
+def _csv_lead(label):
+    """``label,`` as csv.writer spells a label followed by further cells."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([label, ""])
+    return buf.getvalue()[:-2]  # drop the "\r\n" terminator
+
+
 def write_dataset_csv(path, dataset: DataSet, with_labels=True):
+    """Write one row per point, its label first when kept, as csv.writer
+    writes it: CRLF line ends and labels quoted where needed.  The numbers
+    are spelt as format_float spells them, by one %-format call.
+    """
+    x = dataset.vectors
+    m, dim = x.shape
+    labels = dataset.labels if with_labels else None
+    text = _format_numbers((",".join(["%.17g"] * dim) + "\r\n") * m, tuple(x.ravel().tolist()))
+    if labels is not None and dim:
+        lead = {label: _csv_lead(label) for label in set(labels)}
+        text = "".join(map(str.__add__, map(lead.__getitem__, labels), text.splitlines(True)))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        for i in range(dataset.m):
-            row = [format_float(v) for v in dataset.vectors[i]]
-            if with_labels and dataset.labels is not None:
-                row = [dataset.labels[i]] + row
-            writer.writerow(row)
+        if labels is not None and not dim:  # a label alone on its row
+            csv.writer(fh).writerows(zip(labels))
+        else:
+            fh.write(text)
 
 
 # printf codes that spell a number as format_float (floats) and str (ints) do.

@@ -39,9 +39,15 @@ class SymmetricEigen:
 
 
 def _fix_phases(vecs):
-    """Make the largest-magnitude component of each column real-positive."""
-    j = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
-    pivot = np.take_along_axis(vecs, j, axis=-2)
+    """Make the largest-magnitude component of each column real-positive.
+
+    The pivot is the first row index of the largest magnitude in each column.
+    """
+    k = vecs.shape[-1]
+    stack = vecs.reshape(-1, k, k)
+    j = np.abs(stack).argmax(axis=1)
+    pivot = stack[np.arange(len(stack))[:, None], j, np.arange(k)]
+    pivot = pivot.reshape(vecs.shape[:-2] + (1, k))
     if np.iscomplexobj(vecs):
         # Unit columns: the pivot's magnitude is at least 1/sqrt(k).
         return vecs * (np.conj(pivot) / np.abs(pivot))
@@ -72,20 +78,23 @@ def sym_eigen(mat):
     a = np.asarray(mat)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFinite("matrix contains NaN or infinite entries")
 
-    herm = a.conj().swapaxes(-1, -2)
-    scale = np.max(np.abs(a), axis=(-2, -1))
-    asym = np.max(np.abs(a - herm), axis=(-2, -1))
-    if np.any(asym > 1e-12 * np.maximum(1.0, scale)):
+    is_complex = np.iscomplexobj(a)
+    herm = a.swapaxes(-1, -2).conj() if is_complex else a.swapaxes(-1, -2)
+    scale = np.abs(a).max(axis=(-2, -1))
+    asym = np.abs(a - herm).max(axis=(-2, -1))
+    if (asym > 1e-12 * np.maximum(1.0, scale)).any():
         raise NonSymmetric(f"asymmetry {float(np.max(asym)):.3e} exceeds tolerance")
 
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    dtype = np.complex128 if is_complex else np.float64
     # Exact hermitization removes the (tolerated) asymmetry.
-    vals, vecs = np.linalg.eigh(((a + herm) / 2.0).astype(dtype))
+    vals, vecs = np.linalg.eigh(((a + herm) / 2.0).astype(dtype, copy=False))
     vals = vals[..., ::-1].copy()
-    vals[(vals < 0.0) & (vals >= -PSD_CLAMP)] = 0.0
+    # Descending order puts each matrix's smallest eigenvalue last.
+    if (vals[..., -1] < 0.0).any():
+        vals[(vals < 0.0) & (vals >= -PSD_CLAMP)] = 0.0
     vecs = _fix_phases(vecs[..., ::-1])
     vals.flags.writeable = False
     vecs.flags.writeable = False

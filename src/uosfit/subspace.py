@@ -65,7 +65,7 @@ class DataSet:
         idx = np.asarray(indices, dtype=np.intp)
         if idx.ndim != 1:
             raise DimensionMismatch(f"subset indices must be 1-d, got shape {idx.shape}")
-        rows = self.vectors[idx]
+        rows = self.vectors.take(idx, axis=0)
         rows.flags.writeable = False
         out = object.__new__(DataSet)
         object.__setattr__(out, "vectors", rows)
@@ -155,20 +155,34 @@ def dist_sq(sub: Subspace, f) -> float:
     return float(res @ res)
 
 
+# The distance kernel walks the points in blocks of about this many bytes,
+# so a block's columns and residual stay in cache and its buffers stay small.
+_BLOCK_BYTES = 1 << 18
+
+
 def residual_rows(x, bases) -> np.ndarray:
     """(l, m) squared distances of the m rows of ``x`` to l subspaces.
 
-    ``bases`` holds one (dim, N) orthonormal basis per subspace.  The points
-    are copied once as contiguous columns, and each subspace writes one
-    contiguous row of the result from the explicit residual ``x - P x``
-    (exact zeros for points in the subspace, unlike ``|x|^2 - |Bx|^2``).
+    ``bases`` holds one (dim, N) orthonormal basis per subspace.  Each block
+    of points is copied once as contiguous columns, and each subspace writes
+    its slice of one contiguous result row from the explicit residual
+    ``x - P x`` (exact zeros for points in the subspace, unlike
+    ``|x|^2 - |Bx|^2``).
     """
-    xt = np.ascontiguousarray(x.T)
-    out = np.empty((len(bases), x.shape[0]), dtype=x.dtype)
-    for row, basis in zip(out, bases):
-        r = basis.T @ (basis @ xt)
-        np.subtract(xt, r, out=r)
-        np.einsum("km,km->m", r, r, out=row)
+    m, dim = x.shape
+    out = np.empty((len(bases), m), dtype=x.dtype)
+    step = max(1, _BLOCK_BYTES // (x.itemsize * max(dim, 1)))
+    # Flat buffers, so a short last block is contiguous as well.
+    xt, r = np.empty((2, dim * min(step, m)), dtype=x.dtype)
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        xb = xt[:dim * (stop - start)].reshape(dim, stop - start)
+        rb = r[:xb.size].reshape(xb.shape)
+        np.copyto(xb, x[start:stop].T)
+        for row, basis in zip(out, bases):
+            np.matmul(basis.T, basis @ xb, out=rb)
+            np.subtract(xb, rb, out=rb)
+            np.einsum("km,km->m", rb, rb, out=row[start:stop])
     return out
 
 

@@ -99,6 +99,64 @@ class TestToJson:
         assert to_json({"v": rows}) == '{\n  "v": ' + block + "\n}\n"
 
 
+def _reference_csv(path, dataset, with_labels=True):
+    """The per-value writer: format_float on each number, csv.writer per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        for i in range(dataset.m):
+            row = [format_float(v) for v in dataset.vectors[i]]
+            if with_labels and dataset.labels is not None:
+                row = [dataset.labels[i]] + row
+            writer.writerow(row)
+
+
+def _unchecked(vectors):
+    """A DataSet holding ``vectors`` as given, past the finiteness check."""
+    out = object.__new__(DataSet)
+    object.__setattr__(out, "vectors", np.asarray(vectors, dtype=np.float64))
+    object.__setattr__(out, "labels", None)
+    return out
+
+
+# Written by the per-value writer: \r\n ends, a quoted label, 17 digits.
+GOLDEN_CSV = (
+    b'"a,""b""",-0,1.9999999999999939e-310,0.10000000000000001\r\n'
+    b"s1,1.5000000000000001e+300,-3,4.9406564584124654e-324\r\n"
+)
+
+
+class TestWriteDatasetCsv:
+    def test_golden_bytes(self, tmp_path):
+        data = DataSet([[-0.0, 2e-310, 0.1], [1.5e300, -3.0, 5e-324]], labels=('a,"b"', "s1"))
+        write_dataset_csv(tmp_path / "d.csv", data)
+        assert (tmp_path / "d.csv").read_bytes() == GOLDEN_CSV
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(0, 4).flatmap(lambda k: st.lists(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=k, max_size=k),
+            max_size=6)),
+        labels=st.lists(st.text(max_size=4), min_size=6, max_size=6),
+        with_labels=st.booleans(),
+    )
+    def test_matches_per_value_writer(self, tmp_path_factory, rows, labels, with_labels):
+        width = len(rows[0]) if rows else 3
+        data = DataSet(np.array(rows, dtype=np.float64).reshape(len(rows), width),
+                       labels=labels[:len(rows)])
+        d = tmp_path_factory.mktemp("csv")
+        write_dataset_csv(d / "got.csv", data, with_labels=with_labels)
+        _reference_csv(d / "want.csv", data, with_labels=with_labels)
+        assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_like_format_float(self, tmp_path, bad):
+        vectors = np.ones((500, 3))
+        vectors[321, 1] = bad
+        with pytest.raises(NonFinite, match=r"^cannot serialize non-finite value"):
+            write_dataset_csv(tmp_path / "d.csv", _unchecked(vectors))
+        assert not (tmp_path / "d.csv").exists()  # no half-written file
+
+
 def _is_float_text(text):
     try:
         float(text)

@@ -1,6 +1,7 @@
 """The alternation step's kernels: distances, nearest subspace, cell rows.
 
 ``distance_matrix`` is checked against the per-subspace loop it replaced,
+the blocked residual kernel against the one-pass kernel on each block,
 ``nearest`` against ``argmin``, and both distances and best-fit errors
 against rotation, permutation and power-of-two scaling of the data.
 """
@@ -11,8 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uosfit import Bundle, DataSet, DimensionMismatch, Subspace, best_fit_subspace, distance_matrix
+from uosfit import subspace
 from uosfit.bundles import nearest
-from uosfit.subspace import residuals_sq
+from uosfit.subspace import residual_rows, residuals_sq
 
 EPS = np.finfo(np.float64).eps
 
@@ -76,6 +78,68 @@ def test_distance_matrix_rejects_dimension_mismatch():
         distance_matrix(DataSet(np.ones((3, 2))), Bundle((Subspace.zero(3),)))
 
 
+def one_pass(x, bases):
+    """The unblocked kernel: every point in one block of contiguous columns."""
+    xt = np.ascontiguousarray(x.T)
+    out = np.empty((len(bases), x.shape[0]))
+    for row, basis in zip(out, bases):
+        r = basis.T @ (basis @ xt)
+        np.subtract(xt, r, out=r)
+        np.einsum("km,km->m", r, r, out=row)
+    return out
+
+
+def block_of(monkeypatch, points, dim):
+    """Set the kernel's byte budget so that each block holds ``points`` points."""
+    monkeypatch.setattr(subspace, "_BLOCK_BYTES", points * 8 * dim)
+
+
+def _bases(rng, dim):
+    return [sub.basis for sub in random_bundle(rng, 3, dim)] + [np.zeros((0, dim))]
+
+
+@pytest.mark.parametrize("points", [1, 2, 3])
+@pytest.mark.parametrize("blocks", [0, 1 / 3, 1, 2, 5])
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_each_block_takes_the_one_pass_formula(monkeypatch, points, blocks, edge):
+    # m = 0, m = 1, one block boundary +-1, and m spanning several blocks.
+    m = max(0, round(blocks * points) + edge)
+    rng = np.random.default_rng(m * 10 + points)
+    x = rng.standard_normal((m, 5)) * rng.uniform(0.1, 10.0, size=(m, 1))
+    bases = _bases(rng, 5)
+    default = residual_rows(x, bases)
+    block_of(monkeypatch, points, 5)
+    got = residual_rows(x, bases)
+    want = [one_pass(x[a:a + points], bases) for a in range(0, m, points)]
+    assert got.shape == (len(bases), m) and got.flags.c_contiguous
+    assert got.tobytes() == np.concatenate(want or [np.empty((len(bases), 0))], axis=1).tobytes()
+    # BLAS may round a block of another width differently, within round-off.
+    assert np.all(np.abs(got - default) <= 16 * EPS * np.einsum("ij,ij->i", x, x))
+
+
+def test_default_block_spans_thousands_of_points_in_one_pass():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((subspace._BLOCK_BYTES // (8 * 6), 6))
+    bases = _bases(rng, 6)
+    assert residual_rows(x, bases).tobytes() == one_pass(x, bases).tobytes()
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, None])
+def test_exact_arithmetic_gives_the_same_bits_in_any_block(monkeypatch, points):
+    # Integer coordinates and coordinate-axis subspaces: every product and sum
+    # is exact, so any order of summation gives the exact squared distances.
+    rng = np.random.default_rng(9)
+    x = rng.integers(-50, 50, size=(23, 4)).astype(np.float64)
+    axes = Bundle((Subspace.zero(4), Subspace(4, [[1.0, 0, 0, 0]]), Subspace(4, np.eye(4)[1:3])))
+    if points is not None:
+        block_of(monkeypatch, points, 4)
+    dmat = distance_matrix(DataSet(x), axes)
+    want = np.stack([(x * x).sum(axis=1), (x[:, 1:] ** 2).sum(axis=1),
+                     x[:, 0] ** 2 + x[:, 3] ** 2], axis=1)
+    assert dmat.tobytes() == want.tobytes()
+    assert residuals_sq(DataSet(x), axes[0]).tobytes() == want[:, 0].tobytes()
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     mat=arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 6)),
@@ -106,6 +170,21 @@ class TestSubset:
         cell = data.subset(np.zeros(0, dtype=np.intp))
         assert cell.vectors.shape == (0, 2) and cell.labels is None
         assert best_fit_subspace(cell, 1).error == 0.0
+
+    @pytest.mark.parametrize("labels", [None, tuple("wxyz")])
+    @pytest.mark.parametrize("bad", [4, -5])
+    def test_out_of_range_index_raises(self, bad, labels):
+        data = DataSet(np.arange(8.0).reshape(4, 2), labels=labels)
+        with pytest.raises(IndexError):
+            data.subset(np.array([0, bad]))
+
+    def test_negative_indices_select_like_indexing(self):
+        data = DataSet(np.arange(15.0).reshape(5, 3), labels=tuple("vwxyz"))
+        idx = np.array([-1, 0, -5, 2, -2])
+        cell = data.subset(idx)
+        assert cell.vectors.tobytes() == data.vectors[idx].tobytes()
+        assert cell.labels == tuple(data.labels[i] for i in idx) == ("z", "v", "v", "x", "y")
+        assert not cell.vectors.flags.writeable and cell.vectors.flags.c_contiguous
 
     def test_rejects_2d_index(self):
         data = DataSet(np.ones((4, 2)), labels=tuple("wxyz"))

@@ -12,7 +12,9 @@ from uosfit import (
     best_sis,
     sym_eigen,
 )
-from uosfit.spectral import leading_cut
+from uosfit.spectral import PSD_CLAMP, leading_cut
+
+from helpers import reference_sym_eigen
 
 
 class TestSymEigen:
@@ -122,6 +124,68 @@ class TestSymEigen:
         stack = np.stack([np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])])
         with pytest.raises(NonSymmetric):
             sym_eigen(stack)
+
+
+def assert_same_as_reference(mat):
+    e = sym_eigen(mat)
+    vals, vecs = reference_sym_eigen(mat)
+    for got, want in ((e.eigenvalues, vals), (e.eigenvectors, vecs)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+    return e
+
+
+def _symmetric(rng, shape, k, complex_, entries):
+    a = rng.integers(-entries, entries + 1, size=shape + (k, k)).astype(float)
+    if complex_:
+        a = a + 1j * rng.integers(-entries, entries + 1, size=shape + (k, k))
+    return a + a.conj().swapaxes(-1, -2)
+
+
+class TestSymEigenMatchesReference:
+    """Bitwise agreement with the unfused checks and ``take_along_axis`` pivots."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 7), shape=st.sampled_from([(), (1,), (4,), (2, 3)]),
+           complex_=st.booleans(), entries=st.sampled_from([1, 2, 1000]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_small_integer_matrices(self, k, shape, complex_, entries, seed):
+        # Small integer entries make repeated eigenvalues and pivot ties common.
+        assert_same_as_reference(_symmetric(np.random.default_rng(seed), shape, k, complex_, entries))
+
+    @pytest.mark.parametrize("mat", [
+        [[2.0, 1.0], [1.0, 2.0]],
+        [[2.0, -1.0], [-1.0, 2.0]],
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]],
+        [[2.0, 1j], [-1j, 2.0]],
+        [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+    ], ids=["plus", "minus", "3x3", "hermitian", "ones"])
+    def test_equal_magnitude_pivot_ties(self, mat):
+        e = assert_same_as_reference(np.array(mat))
+        # the first row index of the largest magnitude is the real-positive one
+        first = np.argmax(np.abs(e.eigenvectors) == np.abs(e.eigenvectors).max(axis=0), axis=0)
+        pivots = e.eigenvectors[first, np.arange(len(mat))]
+        assert np.all(pivots.real > 0.0)
+
+    def test_round_off_negatives_are_clamped(self):
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
+        band = np.diag([1.0, -0.5 * PSD_CLAMP, -PSD_CLAMP, -2.0 * PSD_CLAMP])
+        e = assert_same_as_reference(band)
+        assert e.eigenvalues.tolist() == [1.0, 0.0, 0.0, -2.0 * PSD_CLAMP]
+        # a stack where only one member has an eigenvalue in the band
+        rotated = q @ band @ q.T
+        assert_same_as_reference(np.stack([np.eye(4), (rotated + rotated.T) / 2, np.diag([3.0, 2, 1, 0])]))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_empty_stack(self, k, dtype):
+        e = assert_same_as_reference(np.zeros((0, k, k), dtype=dtype))
+        assert e.eigenvalues.shape == (0, k) and e.eigenvectors.shape == (0, k, k)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_cast_inputs(self, dtype):
+        assert_same_as_reference(np.array([[4, 1, 0], [1, 3, 1], [0, 1, 2]], dtype=dtype))
 
 
 class TestLeadingCut:
