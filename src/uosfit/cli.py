@@ -29,6 +29,7 @@ from .errors import (
 )
 from .sis import ShiftStructure, SISModel, sis_distance_matrix, solve_sis_bundle
 from .solver import SolveConfig, solve, sparsity_curve
+from .spectral import STOP_TOL
 from .sparsity import encode, extract_dictionary
 from .subspace import Subspace
 
@@ -67,7 +68,7 @@ def _parse_range(text):
 
 def _solve_config(args, l, n):
     return SolveConfig(l=l, n=n, restarts=args.restarts, seed=args.seed,
-                       init_strategy=args.init, rel_tol=args.rel_tol, max_iters=args.max_iters)
+                       init_strategy=args.init, max_iters=args.max_iters)
 
 
 def _config_echo(args, mode, extra=None):
@@ -77,7 +78,7 @@ def _config_echo(args, mode, extra=None):
         "restarts": args.restarts,
         "seed": args.seed,
         "init_strategy": args.init,
-        "rel_tol": args.rel_tol,
+        "rel_tol": STOP_TOL,
         "max_iters": args.max_iters,
     }
     if mode == "sis":
@@ -320,7 +321,6 @@ def _add_common_solver_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init", default="random_partition",
                    choices=["random_partition", "farthest_point"])
-    p.add_argument("--rel-tol", type=float, default=1e-12)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--no-timings", action="store_true",
                    help="omit the timings section for byte-identical reports")

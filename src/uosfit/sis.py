@@ -129,10 +129,9 @@ def _signal_fibers(dataset, structure):
 def _fiber_gramian(fib, structure):
     """FreqGramian of the (count, K, L) fibers: one stacked eigenproblem."""
     grams = np.einsum("ikt,jkt->kij", fib, fib.conj())
-    grams = (grams + grams.conj().transpose(0, 2, 1)) / 2.0
     if fib.shape[0]:
         eig = sym_eigen(grams)
-        vals, vecs = eig.eigenvalues, eig.eigenvectors
+        vals, vecs = np.maximum(eig.eigenvalues, 0.0), eig.eigenvectors
     else:
         vals = np.zeros((structure.num_freqs, 0))
         vecs = np.zeros((structure.num_freqs, 0, 0), dtype=np.complex128)
@@ -254,4 +253,4 @@ def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure, l, n,
         fit = best_sis(dataset.subset([j]), structure, 1)
         return _residuals_to_fibers(fib_all, _model_fibers(fit.model))
 
-    return search(dataset.m, cfg_eff, fit_cells, distances, singleton_dists)
+    return search(dataset, cfg_eff, fit_cells, distances, singleton_dists)

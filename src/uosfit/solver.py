@@ -20,13 +20,13 @@ along l so the reported error can never increase with l.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bundles import Bundle, Partition, distance_matrix, fit_partition, nearest
 from .errors import EmptyDataSet, InvalidSpec, TooLarge
+from .spectral import STOP_TOL
 from .subspace import DataSet, Subspace
 
 INIT_STRATEGIES = ("random_partition", "farthest_point")
@@ -44,7 +44,6 @@ class SolveConfig:
     seed : base seed (>= 0); restart r uses the stream seeded by (seed, r)
     init_strategy : 'random_partition' (uniform iid cell labels) or
         'farthest_point' (greedy residual-based seeding)
-    rel_tol : relative fixed-point tolerance for the stopping test
     max_iters : per-restart safety cap on alternation steps
     """
 
@@ -53,7 +52,6 @@ class SolveConfig:
     restarts: int = 32
     seed: int = 0
     init_strategy: str = "random_partition"
-    rel_tol: float = 1e-12
     max_iters: int = 1000
 
     def __post_init__(self):
@@ -61,25 +59,23 @@ class SolveConfig:
             raise InvalidSpec("l must be >= 1")
         if self.n < 0:
             raise InvalidSpec("n must be >= 0")
-        if self.restarts < 1:
-            raise InvalidSpec("restarts must be >= 1")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise InvalidSpec("restarts and max_iters must be >= 1")
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
         if self.init_strategy not in INIT_STRATEGIES:
             raise InvalidSpec(f"init_strategy must be one of {INIT_STRATEGIES}")
-        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 0) or self.max_iters < 1:
-            raise InvalidSpec("rel_tol must be finite and >= 0, and max_iters >= 1")
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Result of a multi-start solve: the winning certificate plus accounting.
 
-    ``objective`` is the converged gamma value of the winning restart (equal
-    to the nearest-subspace error within rel_tol at a fixed point) and is the
-    minimum of ``per_restart_objectives``.  ``objective_trace`` holds the
-    winning restart's gamma per iteration, strictly decreasing except
-    possibly its final entry.
+    ``objective`` is the converged gamma value of the winning restart (at a
+    fixed point, the nearest-subspace error up to ``STOP_TOL`` times the data
+    energy) and is the minimum of ``per_restart_objectives``.
+    ``objective_trace`` holds the winning restart's gamma per iteration,
+    strictly decreasing except possibly its final entry.
     """
 
     bundle: Bundle
@@ -109,7 +105,7 @@ class _Descent:
     converged: bool
 
 
-def _descend(assignment, fit_cells, distances, rel_tol, max_iters):
+def _descend(assignment, fit_cells, distances, tol, max_iters):
     """Run one alternation chain from the given initial assignment.
 
     ``fit_cells(assignment) -> (models, gamma, flags)`` must return the
@@ -128,7 +124,7 @@ def _descend(assignment, fit_cells, distances, rel_tol, max_iters):
         trace.append(gam)
         dmat = distances(models)
         err = float(dmat.min(axis=1).sum())
-        if gam <= err * (1.0 + rel_tol) + rel_tol:
+        if gam <= err + tol:
             converged = True
             break
         assignment = nearest(dmat)
@@ -166,7 +162,7 @@ def _farthest_point_assignment(m, l, rng, singleton_dists):
     return nearest(np.stack(seed_dists).T)
 
 
-def _best_descent(m, cfg, fit_cells, distances, singleton_dists, seeds=()):
+def _best_descent(m, cfg, tol, fit_cells, distances, singleton_dists, seeds=()):
     """Descend from every seeded restart, then from each warm seed.
 
     Returns the descent with the lowest objective (the earliest on ties, so a
@@ -180,14 +176,14 @@ def _best_descent(m, cfg, fit_cells, distances, singleton_dists, seeds=()):
         return _farthest_point_assignment(m, cfg.l, rng, singleton_dists)
 
     def descend(p0):
-        return _descend(p0, fit_cells, distances, cfg.rel_tol, cfg.max_iters)
+        return _descend(p0, fit_cells, distances, tol, cfg.max_iters)
 
     restarts = [descend(cold(r)) for r in range(cfg.restarts)]
     warm = [descend(p0) for p0 in seeds]
     return min(restarts + warm, key=lambda d: d.objective), restarts
 
 
-def search(m, cfg: SolveConfig, fit_cells, distances, singleton_dists) -> SolveReport:
+def search(dataset, cfg: SolveConfig, fit_cells, distances, singleton_dists) -> SolveReport:
     """Multi-start alternating search over any model family.
 
     ``fit_cells(assignment) -> (models, gamma, flags)`` fits every cell,
@@ -195,14 +191,17 @@ def search(m, cfg: SolveConfig, fit_cells, distances, singleton_dists) -> SolveR
     ``singleton_dists(j) -> (m,)`` the distances to the span of point j
     (used by farthest-point seeding).  The winning pair is re-verified post
     hoc with one extra evaluation of each map: its gamma must match the
-    nearest-model error, and re-fitting its cells must not go below it.
+    nearest-model error, and re-fitting its cells must not go below it.  This
+    check and each chain's stop test allow ``STOP_TOL`` times the energy of
+    ``dataset`` (its total squared norm, the zero model's error).
     """
-    best, restarts = _best_descent(m, cfg, fit_cells, distances, singleton_dists)
+    # Scaled before the sum: the energy can overflow while every norm is finite.
+    tol = float((STOP_TOL * dataset.norms_sq()).sum())
+    best, restarts = _best_descent(dataset.m, cfg, tol, fit_cells, distances, singleton_dists)
     converged = best.converged
     if converged:
         _, refit_gamma, _ = fit_cells(best.assignment)
         err = float(distances(best.models).min(axis=1).sum())
-        tol = cfg.rel_tol * (1.0 + abs(best.objective)) + cfg.rel_tol
         converged = abs(best.objective - err) <= tol and refit_gamma >= best.objective - tol
     return SolveReport(
         bundle=best.models,
@@ -247,13 +246,13 @@ def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
 
     Each restart draws an initial partition per ``cfg.init_strategy``, then
     alternates cellwise best fits with nearest-subspace reassignment until
-    gamma and the nearest-subspace error agree within ``cfg.rel_tol``.  The
+    gamma and the nearest-subspace error agree (see ``search``).  The
     certificate pair of the winning restart is re-verified post hoc with one
     extra fit/assignment evaluation.
     """
     if dataset.m == 0:
         raise EmptyDataSet("solve requires at least one data vector")
-    return search(dataset.m, cfg, *_euclidean_step(dataset, cfg))
+    return search(dataset, cfg, *_euclidean_step(dataset, cfg))
 
 
 def brute_force(dataset: DataSet, l, n):
@@ -294,6 +293,7 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     if dataset.m == 0:
         raise EmptyDataSet("sparsity_curve requires at least one data vector")
 
+    tol = float((STOP_TOL * dataset.norms_sq()).sum())
     rows = []
     for n in n_values:
         prev = None
@@ -323,7 +323,7 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
                 split = prev.assignment.copy()
                 split[int(np.argmax(assigned))] = l - 1
                 seeds.append(split)
-            best, _ = _best_descent(dataset.m, cfg_ln, fit_cells, distances,
+            best, _ = _best_descent(dataset.m, cfg_ln, tol, fit_cells, distances,
                                     singleton_dists, seeds)
             if padded is not None and padded.objective <= best.objective:
                 # Floor: the epsilon column must never increase along l, even

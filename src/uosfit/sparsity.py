@@ -15,6 +15,7 @@ import numpy as np
 from .bundles import Bundle, Partition
 from .errors import DimensionMismatch, InvalidSpec
 from .solver import SolveConfig, SolveReport, solve
+from .spectral import EXACT_TOL
 from .subspace import DataSet
 
 
@@ -129,15 +130,14 @@ def sparsity_certificate(dataset: DataSet, cfg: SolveConfig, dedup_tol=0.0,
     """Solve for an optimal bundle and package the sparsity certificate.
 
     ``epsilon`` is the achieved objective; ``is_exact`` holds when epsilon
-    falls below ``exact_tol`` (default: 1e-10 times the total data energy,
-    or 1e-12 absolute for all-zero data).
+    falls below ``exact_tol`` (default: ``spectral.EXACT_TOL`` times the total
+    data energy; epsilon is exactly 0 on all-zero data).
     """
     report = solve(dataset, cfg)
     dictionary = extract_dictionary(report.bundle, dedup_tol)
     code = encode(dataset, report.bundle, report.partition, dictionary)
     if exact_tol is None:
-        energy = float(dataset.norms_sq().sum())
-        exact_tol = 1e-10 * energy if energy > 0.0 else 1e-12
+        exact_tol = float((EXACT_TOL * dataset.norms_sq()).sum())
     epsilon = report.objective
     return SparsityCertificate(
         epsilon=epsilon,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
-from .spectral import leading_cut, sym_eigen
+from .spectral import ORTHONORMAL_TOL, leading_cut, sym_eigen
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class Subspace:
             raise NonFinite("basis contains NaN or infinite entries")
         if b.shape[0]:
             gram = b @ b.T
-            if np.max(np.abs(gram - np.eye(b.shape[0]))) > 1e-10:
+            if np.max(np.abs(gram - np.eye(b.shape[0]))) > ORTHONORMAL_TOL:
                 raise DimensionMismatch("basis rows are not orthonormal")
         b = b.copy()
         b.flags.writeable = False

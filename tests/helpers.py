@@ -3,7 +3,6 @@
 import numpy as np
 
 from uosfit import DataSet, NonFinite, NonSymmetric
-from uosfit.spectral import PSD_CLAMP
 
 
 def rel_err(a, b, floor=1e-15):
@@ -56,12 +55,11 @@ def reference_sym_eigen(mat):
     herm = a.conj().swapaxes(-1, -2)
     scale = np.max(np.abs(a), axis=(-2, -1))
     asym = np.max(np.abs(a - herm), axis=(-2, -1))
-    if np.any(asym > 1e-12 * np.maximum(1.0, scale)):
+    if np.any(asym > 1e-12 * scale):
         raise NonSymmetric(f"asymmetry {float(np.max(asym)):.3e} exceeds tolerance")
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     vals, vecs = np.linalg.eigh(((a + herm) / 2.0).astype(dtype))
-    vals = vals[..., ::-1].copy()
-    vals[(vals < 0.0) & (vals >= -PSD_CLAMP)] = 0.0
+    vals = vals[..., ::-1]
     vecs = vecs[..., ::-1]
     j = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
     pivot = np.take_along_axis(vecs, j, axis=-2)

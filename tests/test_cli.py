@@ -296,9 +296,6 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
 
 
 BAD_SETTINGS = {
-    "fit-rel-tol-nan": ["fit", "--rel-tol", "nan"],
-    "fit-rel-tol-inf": ["fit", "--rel-tol", "inf"],
-    "sweep-rel-tol-nan": ["sweep", "--rel-tol", "nan"],
     "fit-dedup-tol-nan": ["fit", "--dedup-tol", "nan"],
     "generate-noise-sigma-nan": ["generate", "--noise-sigma", "nan"],
     "generate-noise-sigma-inf": ["generate", "--noise-sigma", "inf"],

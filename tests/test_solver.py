@@ -172,7 +172,7 @@ def test_descend_raises_on_revisited_partition():
         return dmat
 
     with pytest.raises(ArithmeticError, match="revisited"):
-        _descend(first, fit_cells, distances, rel_tol=1e-12, max_iters=10)
+        _descend(first, fit_cells, distances, tol=0.0, max_iters=10)
 
 
 def reference_farthest_point(m, l, rng, singleton_dists):
@@ -244,7 +244,7 @@ def _constant_maps(refit_gammas, nearest_sum):
 ])
 def test_search_reverifies_the_winning_pair(refit_gammas, nearest_sum, converged):
     cfg = SolveConfig(l=1, n=0, restarts=1)
-    rep = search(2, cfg, *_constant_maps(refit_gammas, nearest_sum))
+    rep = search(DataSet(np.ones((2, 1))), cfg, *_constant_maps(refit_gammas, nearest_sum))
     assert rep.objective == 1.0
     assert rep.converged is converged
     assert rep.per_restart_objectives == (1.0,)
@@ -269,7 +269,7 @@ def _gamma_by_assignment(gamma_of):
 def test_best_descent_prefers_cold_restart_on_ties():
     cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
     warm = np.arange(6, dtype=np.intp) % 2
-    best, restarts = _best_descent(6, cfg, *_gamma_by_assignment(lambda a: 1.0), seeds=[warm])
+    best, restarts = _best_descent(6, cfg, 0.0, *_gamma_by_assignment(lambda a: 1.0), seeds=[warm])
     assert len(restarts) == 3
     assert best is restarts[0]
 
@@ -278,7 +278,7 @@ def test_best_descent_takes_strictly_better_warm_seed():
     cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
     warm = np.arange(12, dtype=np.intp) % 2
     maps = _gamma_by_assignment(lambda a: 0.5 if np.array_equal(a, warm) else 1.0)
-    best, restarts = _best_descent(12, cfg, *maps, seeds=[warm])
+    best, restarts = _best_descent(12, cfg, 0.0, *maps, seeds=[warm])
     assert [r.objective for r in restarts] == [1.0, 1.0, 1.0]
     assert best.objective == 0.5
     assert np.array_equal(best.assignment, warm)

@@ -12,7 +12,7 @@ from uosfit import (
     best_sis,
     sym_eigen,
 )
-from uosfit.spectral import PSD_CLAMP, leading_cut
+from uosfit.spectral import leading_cut
 
 from helpers import reference_sym_eigen
 
@@ -46,8 +46,11 @@ class TestSymEigen:
         assert np.allclose(rec, m, atol=1e-12)
 
     def test_rejects_nonsymmetric(self):
-        with pytest.raises(NonSymmetric):
-            sym_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        # the tolerance is relative to the largest entry, at any scale
+        for scale in (1.0, 1e-20, 1e20):
+            with pytest.raises(NonSymmetric):
+                sym_eigen(scale * np.array([[1.0, 2.0], [0.0, 1.0]]))
+            sym_eigen(scale * np.array([[1.0, 2.0 + 1e-13], [2.0, 1.0]]))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFinite):
@@ -57,9 +60,14 @@ class TestSymEigen:
         with pytest.raises(DimensionMismatch):
             sym_eigen(np.zeros((2, 3)))
 
-    def test_psd_clamp(self):
-        e = sym_eigen(np.array([[-5e-13]]))
-        assert e.eigenvalues[0] == 0.0
+    def test_returns_lapack_negatives(self):
+        # no clamp: a PSD matrix's round-off negatives come out as LAPACK
+        # returns them, at any scale
+        for c in (1.0, 1e-20, 1e20):
+            e = sym_eigen(np.array([[-5e-13 * c]]))
+            assert e.eigenvalues[0] == -5e-13 * c
+        m = np.ones((3, 3)) * 1e6
+        assert sym_eigen(m).eigenvalues.tolist() == np.linalg.eigh(m)[0][::-1].tolist()
 
     def test_random_psd_reconstruction_and_trace(self):
         rng = np.random.default_rng(101)
@@ -168,12 +176,12 @@ class TestSymEigenMatchesReference:
         pivots = e.eigenvectors[first, np.arange(len(mat))]
         assert np.all(pivots.real > 0.0)
 
-    def test_round_off_negatives_are_clamped(self):
+    def test_round_off_negatives_pass_through(self):
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))
-        band = np.diag([1.0, -0.5 * PSD_CLAMP, -PSD_CLAMP, -2.0 * PSD_CLAMP])
+        band = np.diag([1.0, -5e-13, -1e-12, -2e-12])
         e = assert_same_as_reference(band)
-        assert e.eigenvalues.tolist() == [1.0, 0.0, 0.0, -2.0 * PSD_CLAMP]
-        # a stack where only one member has an eigenvalue in the band
+        assert e.eigenvalues.tolist() == [1.0, -5e-13, -1e-12, -2e-12]
+        # a stack where only one member has negative eigenvalues
         rotated = q @ band @ q.T
         assert_same_as_reference(np.stack([np.eye(4), (rotated + rotated.T) / 2, np.diag([3.0, 2, 1, 0])]))
 
@@ -215,6 +223,15 @@ class TestLeadingCut:
         # rank 1 < n < m: the cut falls among zeros, and the fit is unique
         _, rank, error, degenerate = leading_cut(np.array([[3.0, 0.0, 0.0]]), 3, n)
         assert rank.tolist() == [1] and error == 0.0 and not degenerate
+
+    def test_round_off_negatives_are_zeroed(self):
+        vals = np.array([[4.0, -1e-17, -2e-15], [1.0, 0.5, -3.0]])
+        spectrum, rank, error, degenerate = leading_cut(vals, 3, 1)
+        assert spectrum.tolist() == [[4.0, 0.0, 0.0], [1.0, 0.5, 0.0]]
+        assert rank.tolist() == [1, 1] and error == 0.5 and not degenerate
+        # a spectrum of round-off alone is the zero spectrum: rank 0, error 0
+        spectrum, rank, error, _ = leading_cut(np.array([[-1e-17, -2e-15]]), 2, 1)
+        assert spectrum.tolist() == [[0.0, 0.0]] and rank.tolist() == [0] and error == 0.0
 
     def test_n_at_least_m(self):
         assert leading_cut(np.array([[2.0, 1.0]]), 2, 4)[2:] == (0.0, False)
