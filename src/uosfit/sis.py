@@ -162,37 +162,68 @@ def _residuals_to_fibers(fib_all, gen_fibers):
     return np.real(np.einsum("mkt,mkt->m", res, res.conj()))
 
 
-def _fiber_distances(fib_all, models):
-    """(count, l) squared distances of the fibers to each model."""
-    return np.stack([_residuals_to_fibers(fib_all, _model_fibers(mo)) for mo in models], axis=1)
+def _fiber_distances(fib_all, generators, structure):
+    """(G, count) squared distances of the fibers to G models, each given by
+    its (s, M) generator spectra."""
+    return np.stack([_residuals_to_fibers(fib_all, _fibers_from_spectra(g, structure))
+                     for g in generators])
+
+
+def best_sis_stack(fibers, structure: ShiftStructure, n):
+    """Optimal shift-invariant models of length <= n for G fiber blocks, in
+    one stacked eigensolve.
+
+    ``fibers`` yields each block's (m_g, K, L) fibers.  Per block and frequency
+    class w the L x L fiber covariance
+    ``C(w)_ts = sum_i fhat_i(w + K t) conj(fhat_i(w + K s))`` is formed, and
+    all G * K covariances are eigendecomposed in one call.  Their eigenvalues
+    are the spectra of the m_g x m_g Gramians (cut or zero-padded), so
+    ``spectral.leading_cut`` grouped by block reads each block's rank at
+    every w, its error and its ``degenerate`` flag.  The top ``rank[g, w]``
+    eigenvectors are the generator fibers, orthonormal per frequency.  A
+    block's results do not depend on the other blocks.
+
+    Returns ``(generators, spectrum, rank, error, degenerate)``:
+    ``generators[g]`` is a read-only (s_g, M) array of generator spectra;
+    the rest is ``leading_cut``'s, with (G, K) ranks.
+    """
+    num_freqs, num_aliases = structure.num_freqs, structure.num_aliases
+    covs, counts = [], []
+    for fib in fibers:
+        covs.append(np.einsum("ikt,iks->kts", fib, fib.conj()))
+        counts.append(fib.shape[0])
+    eig = sym_eigen(np.stack(covs).reshape(-1, num_aliases, num_aliases))
+    vals = eig.eigenvalues.reshape(len(counts), num_freqs, num_aliases)
+    spectrum, rank, error, degenerate = leading_cut(vals, counts, n)
+    rank.flags.writeable = False
+    vecs = eig.eigenvectors.reshape(len(counts), num_freqs, num_aliases, num_aliases)
+    generators = []
+    for g, r in enumerate(rank):
+        keep = int(r.max())
+        active = np.arange(keep)[:, None] < r[None, :]             # (keep, K)
+        gen_fibers = vecs[g][:, :, :keep].transpose(2, 0, 1) * active[:, :, None]
+        spectra = _spectra_from_fibers(gen_fibers)
+        spectra.flags.writeable = False
+        generators.append(spectra)
+    return generators, spectrum, rank, error, degenerate
 
 
 def best_sis(dataset: DataSet, structure: ShiftStructure, n) -> SISFit:
     """Optimal shift-invariant model of length <= n with its exact error.
 
-    Per frequency class w the L x L fiber covariance
-    ``C(w)_ts = sum_i fhat_i(w + K t) conj(fhat_i(w + K s))`` is
-    eigendecomposed, all K classes in one stacked call.  Its eigenvalues,
-    cut or zero-padded to length m, are the spectrum of the m x m Gramian;
+    ``best_sis_stack`` on one block: per frequency class w the L x L fiber
+    covariance is eigendecomposed, all K classes in one stacked call, and
     ``spectral.leading_cut`` reads the rank at each w, the error and the
     ``degenerate`` flag off all K, as ``best_fit_subspace`` does off its one.
-    The top ``rank[w]`` eigenvectors are the generator fibers, orthonormal
-    per frequency, so the generators form a Parseval frame.
+    The generators form a Parseval frame.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    m = dataset.m
-    fib = _signal_fibers(dataset, structure)                       # (m, K, L)
-    eig = sym_eigen(np.einsum("ikt,iks->kts", fib, fib.conj()))    # (K, L, L)
-    lam, rank, error, degenerate = leading_cut(eig.eigenvalues, m, n)
-    keep = int(rank.max())
-    active = np.arange(keep)[:, None] < rank[None, :]              # (keep, K)
-    gen_fibers = eig.eigenvectors[:, :, :keep].transpose(2, 0, 1) * active[:, :, None]
-    spectra = _spectra_from_fibers(gen_fibers)
-    for arr in (spectra, rank):
-        arr.flags.writeable = False
-    model = SISModel(structure=structure, generators=spectra, per_freq_rank=rank)
-    return SISFit(model=model, error=error, spectrum=lam, degenerate=degenerate)
+    generators, spectrum, rank, error, degenerate = best_sis_stack(
+        [_signal_fibers(dataset, structure)], structure, n)
+    model = SISModel(structure=structure, generators=generators[0], per_freq_rank=rank[0])
+    return SISFit(model=model, error=float(error[0]), spectrum=spectrum[0],
+                  degenerate=bool(degenerate[0]))
 
 
 def generator_gramian(model: SISModel) -> FreqGramian:
@@ -222,35 +253,61 @@ def project_sis(model: SISModel, f) -> np.ndarray:
 
 def sis_distance_matrix(dataset: DataSet, models, structure: ShiftStructure) -> np.ndarray:
     """(m, l) squared distances of the signals to each shift-invariant model."""
-    return _fiber_distances(_signal_fibers(dataset, structure), models)
+    return _fiber_distances(_signal_fibers(dataset, structure),
+                            [mo.generators for mo in models], structure).T
+
+
+class _ShiftInvariantCells:
+    """The alternation maps for l shift-invariant models of length <= n.
+
+    The spectra are computed once; a step's cells take their rows and are
+    fitted by ``best_sis_stack``, and a model is its generator spectra.  The
+    winner's refit goes through ``best_sis``.
+    """
+
+    def __init__(self, dataset, structure, l, n):
+        self.dataset, self.structure, self.l, self.n = dataset, structure, l, n
+        self.spectra = _unitary_spectra(dataset.vectors, structure)
+        self.fibers = _fibers_from_spectra(self.spectra, structure)
+        self.empty = np.zeros((0, structure.signal_len), dtype=np.complex128)
+
+    def _cell_fibers(self, idx):
+        return _fibers_from_spectra(self.spectra.take(idx, axis=0), self.structure)
+
+    def fit(self, cells):
+        generators, _, _, error, _ = best_sis_stack(
+            (self._cell_fibers(idx) for idx in cells), self.structure, self.n)
+        return generators, error
+
+    def distances(self, generators):
+        return _fiber_distances(self.fibers, generators, self.structure)
+
+    def refit(self, assignment):
+        fits = [best_sis(self.dataset.subset(idx), self.structure, self.n)
+                for idx in Partition(assignment, self.l).cells()]
+        return (tuple(f.model for f in fits), float(np.sum([f.error for f in fits])),
+                [f.degenerate for f in fits])
+
+    def bundle_distances(self, models):
+        return self.distances([mo.generators for mo in models]).T
+
+    def singleton_dists(self, j):
+        generators, *_ = best_sis_stack([self._cell_fibers([j])], self.structure, 1)
+        return self.distances(generators)[0]
 
 
 def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure, l, n,
                      cfg: SolveConfig) -> SolveReport:
     """Alternating search over bundles of shift-invariant models.
 
-    The Euclidean solver's search (``solver.search``) with per-frequency
-    eigenproblems as the cellwise fitting step and fiber-space projections
-    as the distance.
-    ``l`` and ``n`` override the corresponding config fields.  The report's
-    ``bundle`` holds a tuple of SISModel components.
+    The Euclidean solver's lockstep search (``solver.search``) with
+    per-frequency eigenproblems as the cellwise fitting step and fiber-space
+    projections as the distance.  ``l`` and ``n`` override the corresponding
+    config fields.  The report's ``bundle`` holds a tuple of SISModel
+    components.
     """
     if dataset.m == 0:
         raise EmptyDataSet("solve_sis_bundle requires at least one signal")
     cfg_eff = dc_replace(cfg, l=int(l), n=int(n))
-    fib_all = _signal_fibers(dataset, structure)
-
-    def fit_cells(assignment):
-        fits = [best_sis(dataset.subset(idx), structure, cfg_eff.n)
-                for idx in Partition(assignment, cfg_eff.l).cells()]
-        return (tuple(f.model for f in fits), float(np.sum([f.error for f in fits])),
-                [f.degenerate for f in fits])
-
-    def distances(models):
-        return _fiber_distances(fib_all, models)
-
-    def singleton_dists(j):
-        fit = best_sis(dataset.subset([j]), structure, 1)
-        return _residuals_to_fibers(fib_all, _model_fibers(fit.model))
-
-    return search(dataset, cfg_eff, fit_cells, distances, singleton_dists)
+    return search(dataset, cfg_eff,
+                  lambda data: _ShiftInvariantCells(data, structure, cfg_eff.l, cfg_eff.n))

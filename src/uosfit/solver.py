@@ -1,33 +1,35 @@
 """Alternating search for an optimal bundle, with multi-start and an oracle.
 
-Each restart alternates two exact steps: fit every cell of the current
-partition with its optimal subspace, then reassign every point to a nearest
-fitted subspace.  The assigned-cell error (gamma) strictly decreases while
-the loop runs and the loop stops as soon as gamma matches the free
-nearest-subspace error, so a restart terminates after finitely many
-partitions and returns a certificate pair (partition, bundle) that is
-simultaneously a best partition for its bundle and a best bundle for its
-partition.
+Each chain alternates two exact steps: fit every cell of the current
+partition with its optimal model, then reassign every point to a nearest
+fitted model.  The assigned-cell error (gamma) strictly decreases while the
+chain runs and it stops as soon as gamma matches the free nearest-model
+error, so a chain terminates after finitely many partitions and ends at a
+certificate pair (partition, bundle) that is simultaneously a best partition
+for its bundle and a best bundle for its partition.
 
-``search`` runs the restarts and the post-hoc certificate check for any
-model family given its fit and distance maps; the Euclidean solver, the
-shift-invariant solver (``sis.solve_sis_bundle``) and the sweep share it.
+One lockstep engine runs the chains of every search: the Euclidean ``solve``,
+the shift-invariant ``sis.solve_sis_bundle`` and ``sparsity_curve``.  All
+cold restarts and warm seeds of a search advance together: each step fits
+every live chain's cells with one stacked eigensolve and takes the distances
+of every live model from one call, and chains that stop drop out.  The
+search works on the data divided by a power of two (exact), so its
+arithmetic stays inside the float range for any finite data.
 ``brute_force`` enumerates all assignments and is the ground-truth oracle
-for small instances.  ``sparsity_curve`` sweeps (l, n) grids, warm-starting
-along l so the reported error can never increase with l.
+for small instances.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .bundles import Bundle, Partition, distance_matrix, fit_partition, nearest
 from .errors import EmptyDataSet, InvalidSpec, TooLarge
 from .spectral import STOP_TOL
-from .subspace import DataSet, Subspace
+from .subspace import DataSet, Subspace, best_fit_stack, residual_rows
 
 INIT_STRATEGIES = ("random_partition", "farthest_point")
 
@@ -96,45 +98,83 @@ class SweepRow:
 
 
 @dataclass
-class _Descent:
+class _Chain:
+    """One alternation chain: the partition it fits next, the one it fitted
+    last, gamma per step, and the partitions it visited as compact keys."""
+
     assignment: np.ndarray
-    models: object
-    flags: tuple
-    objective: float
-    trace: tuple
-    converged: bool
+    seen: set
+    fitted: np.ndarray = None
+    trace: list = field(default_factory=list)
+    converged: bool = False
+
+    @property
+    def objective(self):
+        return self.trace[-1]
 
 
-def _descend(assignment, fit_cells, distances, tol, max_iters):
-    """Run one alternation chain from the given initial assignment.
+def _fit_cells(family, cells):
+    """Fit the nonempty cells (every chain has one) in one ``family.fit``
+    call; an empty cell gets ``family.empty`` with error 0."""
+    full = [j for j, idx in enumerate(cells) if idx.size]
+    fitted, full_errors = family.fit([cells[j] for j in full])
+    models = [family.empty] * len(cells)
+    for j, model in zip(full, fitted):
+        models[j] = model
+    errors = np.zeros(len(cells))
+    errors[full] = full_errors
+    return models, errors
 
-    ``fit_cells(assignment) -> (models, gamma, flags)`` must return the
-    per-cell optimal models and the exact gamma value of the fit;
-    ``distances(models) -> (m, l)`` the squared point-model distances.
+
+def _step(live, family, tol):
+    """One alternation step of every live chain; returns those that go on.
+
+    Each chain's gamma sums its own l cell errors and its nearest error reads
+    its own l rows of the distance stack, so no chain's arithmetic depends on
+    which chains share the step.
     """
-    seen = {assignment.tobytes()}
-    trace = []
-    converged = False
-    models = flags = None
-    gam = err = np.inf
-    fitted = assignment
+    l = family.l
+    models, errors = _fit_cells(
+        family, [np.flatnonzero(chain.assignment == i) for chain in live for i in range(l)])
+    dist = family.distances(models)
+    going = []
+    for j, chain in enumerate(live):
+        chain.fitted = chain.assignment
+        gam = float(errors[j * l:(j + 1) * l].sum())
+        chain.trace.append(gam)
+        dmat = dist[j * l:(j + 1) * l].T
+        if gam <= float(dmat.min(axis=1).sum()) + tol:
+            chain.converged = True
+        else:
+            chain.assignment = nearest(dmat)
+            going.append(chain)
+    return going
+
+
+def _lockstep(starts, family, tol, max_iters):
+    """Run one alternation chain from each start, all in lockstep.
+
+    ``family`` supplies the maps of a model family (see ``search``).  A chain
+    stops at a fixed point (gamma within ``tol`` of the nearest-model error)
+    or after ``max_iters`` steps.  Returns the chains in the order of
+    ``starts``.
+    """
+    # Labels fit the smallest unsigned type holding l - 1: exact, and small.
+    key_type = np.min_scalar_type(family.l - 1)
+    chains = [_Chain(a, {a.astype(key_type).tobytes()}) for a in starts]
+    live = chains
     for _ in range(max_iters):
-        fitted = assignment
-        models, gam, flags = fit_cells(fitted)
-        trace.append(gam)
-        dmat = distances(models)
-        err = float(dmat.min(axis=1).sum())
-        if gam <= err + tol:
-            converged = True
+        if not live:
             break
-        assignment = nearest(dmat)
-        key = assignment.tobytes()
-        # A revisited partition would contradict strict descent (finite
-        # termination proof); only numerical breakage could trigger this.
-        if key in seen:
-            raise ArithmeticError("partition revisited during descent")
-        seen.add(key)
-    return _Descent(fitted, models, tuple(flags), float(gam), tuple(trace), converged)
+        live = _step(live, family, tol)
+        for chain in live:
+            key = chain.assignment.astype(key_type).tobytes()
+            # A revisited partition would contradict strict descent (finite
+            # termination proof); only numerical breakage could trigger this.
+            if key in chain.seen:
+                raise ArithmeticError("partition revisited during descent")
+            chain.seen.add(key)
+    return chains
 
 
 def _farthest_point_assignment(m, l, rng, singleton_dists):
@@ -162,10 +202,10 @@ def _farthest_point_assignment(m, l, rng, singleton_dists):
     return nearest(np.stack(seed_dists).T)
 
 
-def _best_descent(m, cfg, tol, fit_cells, distances, singleton_dists, seeds=()):
-    """Descend from every seeded restart, then from each warm seed.
+def _best_chain(m, cfg, tol, family, seeds=()):
+    """Run every seeded restart and then each warm seed in one lockstep.
 
-    Returns the descent with the lowest objective (the earliest on ties, so a
+    Returns the chain with the lowest objective (the earliest on ties, so a
     cold restart beats a warm seed) and the list of cold restarts.
     """
 
@@ -173,72 +213,123 @@ def _best_descent(m, cfg, tol, fit_cells, distances, singleton_dists, seeds=()):
         rng = np.random.default_rng((cfg.seed, ridx))
         if cfg.init_strategy == "random_partition":
             return rng.integers(0, cfg.l, size=m).astype(np.intp)
-        return _farthest_point_assignment(m, cfg.l, rng, singleton_dists)
+        return _farthest_point_assignment(m, cfg.l, rng, family.singleton_dists)
 
-    def descend(p0):
-        return _descend(p0, fit_cells, distances, tol, cfg.max_iters)
-
-    restarts = [descend(cold(r)) for r in range(cfg.restarts)]
-    warm = [descend(p0) for p0 in seeds]
-    return min(restarts + warm, key=lambda d: d.objective), restarts
+    starts = itertools.chain(map(cold, range(cfg.restarts)), seeds)
+    chains = _lockstep(starts, family, tol, cfg.max_iters)
+    return min(chains, key=lambda c: c.objective), chains[:cfg.restarts]
 
 
-def search(dataset, cfg: SolveConfig, fit_cells, distances, singleton_dists) -> SolveReport:
+def _prescaled(dataset):
+    """The data divided by 2^e, with e the binary exponent of its largest
+    entry (real and imaginary parts alike), and e.
+
+    Scaling by a power of two is exact, and every decision of the search is
+    scale-invariant, so errors of the scaled data are exactly 4^-e times the
+    unscaled ones while the scaled arithmetic can neither over- nor
+    underflow.
+    """
+    v = dataset.vectors
+    parts = v.view(np.float64) if np.iscomplexobj(v) else v
+    peak = float(np.abs(parts).max(initial=0.0))
+    e = int(np.frexp(peak)[1]) - 1 if peak > 0.0 else 0
+    if e == 0:
+        return dataset, 0
+    return DataSet(np.ldexp(parts, -e).view(v.dtype)), e
+
+
+def _unscaled(values, e):
+    """Errors of data scaled by 2^-e, back at the data's scale: exact while
+    they stay in the float range, and inf past its top (as an unscaled
+    search would have computed them)."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.asarray(values, dtype=np.float64), 2 * e).tolist()
+
+
+def _stop_tol(dataset):
+    # Scaled before the sum: the energy can overflow while every norm is finite.
+    return float((STOP_TOL * dataset.norms_sq()).sum())
+
+
+def search(dataset, cfg: SolveConfig, family_of) -> SolveReport:
     """Multi-start alternating search over any model family.
 
-    ``fit_cells(assignment) -> (models, gamma, flags)`` fits every cell,
-    ``distances(models) -> (m, l)`` gives squared point-model distances and
-    ``singleton_dists(j) -> (m,)`` the distances to the span of point j
-    (used by farthest-point seeding).  The winning pair is re-verified post
-    hoc with one extra evaluation of each map: its gamma must match the
-    nearest-model error, and re-fitting its cells must not go below it.  This
-    check and each chain's stop test allow ``STOP_TOL`` times the energy of
-    ``dataset`` (its total squared norm, the zero model's error).
+    ``family_of(data)`` returns the maps of the family on ``data``, which is
+    ``dataset`` divided by a power of two (see ``_prescaled``):
+
+    * ``l``, the number of cells, and ``empty``, the model of an empty cell;
+    * ``fit(cells) -> (models, errors)``: the optimal model of each nonempty
+      index array and its exact error (a length-G array);
+    * ``distances(models) -> (G, m)``: squared point-model distances;
+    * ``refit(assignment) -> (bundle, gamma, flags)``: the public fit of one
+      partition, with its gamma and per-cell degeneracy flags;
+    * ``bundle_distances(bundle) -> (m, l)``: the distances to such a bundle;
+    * ``singleton_dists(j) -> (m,)``: distances to the fit of point j alone
+      (used by farthest-point seeding).
+
+    Every restart runs in one lockstep (``_lockstep``).  Only the winner is
+    refitted into a bundle, and its pair is re-verified post hoc: its gamma
+    must match the nearest-model error of that bundle, and the refit must not
+    go below it.  This check and each chain's stop test allow ``STOP_TOL``
+    times the energy of the data (its total squared norm, the zero model's
+    error).  Objectives and trace are reported at the data's own scale.
     """
-    # Scaled before the sum: the energy can overflow while every norm is finite.
-    tol = float((STOP_TOL * dataset.norms_sq()).sum())
-    best, restarts = _best_descent(dataset.m, cfg, tol, fit_cells, distances, singleton_dists)
+    scaled, e = _prescaled(dataset)
+    family = family_of(scaled)
+    tol = _stop_tol(scaled)
+    best, restarts = _best_chain(scaled.m, cfg, tol, family)
+    bundle, refit_gamma, flags = family.refit(best.fitted)
     converged = best.converged
     if converged:
-        _, refit_gamma, _ = fit_cells(best.assignment)
-        err = float(distances(best.models).min(axis=1).sum())
+        err = float(family.bundle_distances(bundle).min(axis=1).sum())
         converged = abs(best.objective - err) <= tol and refit_gamma >= best.objective - tol
     return SolveReport(
-        bundle=best.models,
-        partition=Partition(best.assignment, cfg.l),
-        objective=best.objective,
-        per_restart_objectives=tuple(r.objective for r in restarts),
+        bundle=bundle,
+        partition=Partition(best.fitted, cfg.l),
+        objective=_unscaled(best.objective, e),
+        per_restart_objectives=tuple(_unscaled([r.objective for r in restarts], e)),
         iterations_per_restart=tuple(len(r.trace) for r in restarts),
-        objective_trace=best.trace,
-        degenerate_flags=best.flags,
+        objective_trace=tuple(_unscaled(best.trace, e)),
+        degenerate_flags=tuple(flags),
         converged=bool(converged),
     )
 
 
-def _euclidean_step(dataset, cfg):
-    """The alternation maps for subspaces of dimension <= cfg.n in l cells.
+class _Subspaces:
+    """The alternation maps for subspaces of dimension <= n in l cells.
 
-    ``fit_partition`` and ``distance_matrix`` are looked up by their module
-    names at each call, so wrappers installed on them see every step.
+    A step's cells are fitted by ``subspace.best_fit_stack`` and its
+    distances come from one ``residual_rows`` call.  ``fit_partition`` and
+    ``distance_matrix`` (the winner's refit and check) are looked up by
+    their module names at each call, so wrappers installed on them see it.
     """
-    x = dataset.vectors
-    norms = np.einsum("ij,ij->i", x, x)
 
-    def fit_cells(assignment):
-        bundle, errors, flags = fit_partition(dataset, Partition(assignment, cfg.l), cfg.n)
+    def __init__(self, dataset, l, n):
+        self.dataset, self.l, self.n = dataset, l, n
+        self.x = dataset.vectors
+        self.norms = dataset.norms_sq()
+        self.empty = np.zeros((0, dataset.ambient_dim))
+
+    def fit(self, cells):
+        bases, _, error, _ = best_fit_stack((self.x.take(idx, axis=0) for idx in cells), self.n)
+        return bases, error
+
+    def distances(self, bases):
+        return residual_rows(self.x, bases)
+
+    def refit(self, assignment):
+        bundle, errors, flags = fit_partition(self.dataset, Partition(assignment, self.l), self.n)
         return bundle, float(errors.sum()), flags
 
-    def distances(bundle):
-        return distance_matrix(dataset, bundle)
+    def bundle_distances(self, bundle):
+        return distance_matrix(self.dataset, bundle)
 
-    def singleton_dists(j):
-        nj = norms[j]
+    def singleton_dists(self, j):
+        nj = self.norms[j]
         if nj <= 0.0:
-            return norms.copy()
-        inner = x @ x[j]
-        return np.maximum(norms - inner * inner / nj, 0.0)
-
-    return fit_cells, distances, singleton_dists
+            return self.norms.copy()
+        inner = self.x @ self.x[j]
+        return np.maximum(self.norms - inner * inner / nj, 0.0)
 
 
 def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
@@ -252,7 +343,7 @@ def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
     """
     if dataset.m == 0:
         raise EmptyDataSet("solve requires at least one data vector")
-    return search(dataset, cfg, *_euclidean_step(dataset, cfg))
+    return search(dataset, cfg, lambda data: _Subspaces(data, cfg.l, cfg.n))
 
 
 def brute_force(dataset: DataSet, l, n):
@@ -293,42 +384,38 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     if dataset.m == 0:
         raise EmptyDataSet("sparsity_curve requires at least one data vector")
 
-    tol = float((STOP_TOL * dataset.norms_sq()).sum())
+    scaled, e = _prescaled(dataset)
+    m = scaled.m
+    tol = _stop_tol(scaled)
     rows = []
     for n in n_values:
-        prev = None
+        bundle = assignment = objective = None  # the previous row's certificate
         for l in l_values:
-            cfg_ln = replace(cfg, l=l, n=n)
-            fit_cells, distances, singleton_dists = _euclidean_step(dataset, cfg_ln)
+            family = _Subspaces(scaled, l, n)
             # Deterministic warm seeds on top of the cold restarts.  Plain
             # alternation never repopulates an empty cell, so growing l needs
             # explicit candidates: reassignment against the padded previous
             # bundle, the previous partition with its worst-fit point given
             # the new cell, and (once l >= m) one cell per point.
             seeds = []
-            if l >= dataset.m:
-                seeds.append(np.arange(dataset.m, dtype=np.intp))
-            padded = None
-            if prev is not None:
+            if l >= m:
+                seeds.append(np.arange(m, dtype=np.intp))
+            if bundle is not None:
                 # The previous certificate with zero subspaces appended: the
                 # empty cells add exactly 0.0 to gamma, so its objective is
                 # bitwise the previous epsilon.
-                extra = l - len(prev.models)
-                zeros = (Subspace.zero(prev.models.ambient_dim),) * extra
-                padded = replace(prev, models=Bundle(tuple(prev.models) + zeros),
-                                 flags=prev.flags + (False,) * extra)
-                dmat = distances(padded.models)
+                zeros = (Subspace.zero(scaled.ambient_dim),) * (l - len(bundle))
+                bundle = Bundle(tuple(bundle) + zeros)
+                dmat = family.bundle_distances(bundle)
                 seeds.append(nearest(dmat))
-                assigned = dmat[np.arange(dataset.m), prev.assignment]
-                split = prev.assignment.copy()
-                split[int(np.argmax(assigned))] = l - 1
+                split = assignment.copy()
+                split[int(np.argmax(dmat[np.arange(m), assignment]))] = l - 1
                 seeds.append(split)
-            best, _ = _best_descent(dataset.m, cfg_ln, tol, fit_cells, distances,
-                                    singleton_dists, seeds)
-            if padded is not None and padded.objective <= best.objective:
-                # Floor: the epsilon column must never increase along l, even
-                # by one ulp.
-                best = padded
-            rows.append(SweepRow(l=l, n=n, epsilon=best.objective))
-            prev = best
+            best, _ = _best_chain(m, replace(cfg, l=l, n=n), tol, family, seeds)
+            # Floor: the epsilon column must never increase along l, even by
+            # one ulp.
+            if bundle is None or best.objective < objective:
+                bundle, assignment, objective = (family.refit(best.fitted)[0], best.fitted,
+                                                 best.objective)
+            rows.append(SweepRow(l=l, n=n, epsilon=_unscaled(objective, e)))
     return rows

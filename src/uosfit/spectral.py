@@ -100,27 +100,48 @@ def sym_eigen(mat):
 
 
 def leading_cut(vals, m, n):
-    """The best model of dimension <= n from K descending spectra ``vals`` (K, d)
-    of matrices whose nonzero eigenvalues are those of an m x m Gramian.
+    """The best model of dimension <= n from groups of descending spectra.
 
-    Returns the spectra clamped at 0 and cut or zero-padded to (K, m); the
-    rank of each, the eigenvalues above the round-off floor ``max(m, d) * eps
-    * top`` (top: the largest in the stack) capped at n; the error, everything
-    beyond the n-th; and ``degenerate``: the gap at the cut is at most
-    ``DEGENERACY_TOL * top`` for a matrix whose n-th eigenvalue is above it.
+    ``vals`` is one group (K, d) or a stack of G groups (G, K, d): a group
+    holds K spectra of matrices whose nonzero eigenvalues are those of an
+    m x m Gramian, and ``m`` is the point count (one int, or one per group).
+    Per group, returns the spectra clamped at 0 and cut or zero-padded to
+    (K, m), padded further to the largest m of a stack; the rank of each
+    spectrum, the eigenvalues above the group's round-off floor
+    ``max(m, d) * eps * top`` (top: the group's largest eigenvalue) capped at
+    n; the error, everything beyond the n-th; and ``degenerate``: the gap at
+    the cut is at most ``DEGENERACY_TOL * top`` for a spectrum whose n-th
+    eigenvalue is above the floor.  One group gives a float error and a bool
+    flag; a stack gives (G,) arrays.
+
+    Each group's error is summed over its own (K, m) spectra, so a group's
+    results do not depend on the other groups of a stack.
     """
-    num, d = vals.shape
-    k = min(m, d)
-    spectrum = np.zeros((num, m))
-    np.maximum(vals[:, :k], 0.0, out=spectrum[:, :k])
+    vals = np.asarray(vals)
+    single = vals.ndim == 2
+    groups = vals[None] if single else vals
+    num_groups, num, d = groups.shape
+    counts = np.broadcast_to(np.asarray(m, dtype=np.intp), (num_groups,))
+    width = int(counts.max(initial=0))
+    k = min(width, d)
+    spectrum = np.zeros((num_groups, num, width))
+    inside = (np.arange(k) < counts[:, None])[:, None, :]
+    np.maximum(groups[:, :, :k], 0.0, out=spectrum[:, :, :k], where=inside)
     spectrum.flags.writeable = False
-    top = float(spectrum[:, 0].max()) if k else 0.0
-    floor = max(m, d) * _EPS * top
-    rank = (spectrum[:, :min(n, k)] > floor).sum(axis=1)
-    if n >= m:
-        return spectrum, rank, 0.0, False
-    error = float(spectrum[:, n:].sum())
-    # Above the floor, descending order makes the gap nonnegative.
-    lead = spectrum[:, n - 1]
-    degenerate = n > 0 and ((lead > floor) & (lead - spectrum[:, n] <= DEGENERACY_TOL * top)).any()
-    return spectrum, rank, error, bool(degenerate)
+    top = spectrum[:, :, :1].max(axis=(1, 2), initial=0.0)
+    floor = (np.maximum(counts, d) * _EPS * top)[:, None]
+    # Past a group's own min(m, d) the spectra are zeros, never above floor.
+    rank = (spectrum[:, :, :min(n, width)] > floor[:, :, None]).sum(axis=-1)
+    cut = counts > n
+    error = np.zeros(num_groups)
+    for g in np.flatnonzero(cut):
+        error[g] = np.ascontiguousarray(spectrum[g, :, :counts[g]])[:, n:].sum()
+    degenerate = np.zeros(num_groups, dtype=bool)
+    if 0 < n < width:
+        # Above the floor, descending order makes the gap nonnegative.
+        lead = spectrum[:, :, n - 1]
+        gap = lead - spectrum[:, :, n] <= DEGENERACY_TOL * top[:, None]
+        degenerate = cut & ((lead > floor) & gap).any(axis=1)
+    if single:
+        return spectrum[0], rank[0], float(error[0]), bool(degenerate[0])
+    return spectrum, rank, error, degenerate

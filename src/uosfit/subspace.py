@@ -202,14 +202,54 @@ def total_error(dataset: DataSet, sub: Subspace) -> float:
     return float(residuals_sq(dataset, sub).sum())
 
 
+def best_fit_stack(blocks, n):
+    """Optimal subspaces of dimension <= n for G blocks of rows, in one
+    stacked eigensolve.
+
+    ``blocks`` yields G nonempty real (m_g, N) arrays whose rows are data
+    points; each is let go once its covariance is formed.  A block's N x N
+    covariance ``x.T @ x`` has the left singular vectors of the data matrix
+    A = x.T as eigenvectors and the nonzero eigenvalues of its m_g x m_g
+    Gram A^T A, so rank, error and degeneracy come from
+    ``spectral.leading_cut`` grouped by block, each group with its own point
+    count.  The bases are checked orthonormal in one batched product.  A
+    block's results do not depend on the other blocks.
+
+    Returns ``(bases, spectrum, error, degenerate)``: ``bases[g]`` is a
+    (rank_g, N) array of orthonormal rows; ``spectrum`` (G, 1, max m_g),
+    ``error`` (G,) and ``degenerate`` (G,) are ``leading_cut``'s.
+    """
+    covs, counts = [], []
+    for x in blocks:
+        if np.iscomplexobj(x):
+            raise DimensionMismatch("best_fit_subspace expects real-valued data")
+        covs.append(x.T @ x)
+        counts.append(x.shape[0])
+    eig = sym_eigen(np.stack(covs))
+    dim = eig.eigenvalues.shape[1]
+    spectrum, rank, error, degenerate = leading_cut(eig.eigenvalues[:, None, :], counts, n)
+    rank = rank[:, 0]
+    rows = np.ascontiguousarray(eig.eigenvectors.swapaxes(1, 2))
+    kept = np.arange(dim) < rank[:, None]
+    dev = np.abs(rows @ rows.swapaxes(1, 2) - np.eye(dim))
+    dev = np.where(kept[:, :, None] & kept[:, None, :], dev, 0.0)
+    if not (dev <= ORTHONORMAL_TOL).all():
+        if not np.isfinite(dev).all():
+            raise NonFinite("basis contains NaN or infinite entries")
+        raise DimensionMismatch("basis rows are not orthonormal")
+    bases = [rows[g, :r] for g, r in enumerate(rank.tolist())]
+    return bases, spectrum, error, degenerate
+
+
 def best_fit_subspace(dataset: DataSet, n) -> SubspaceFit:
     """Optimal subspace of dimension <= n for the data, with exact error.
 
     The span of the top ``min(n, rank)`` left singular vectors of the matrix
     whose columns are the data.  The returned error is the sum of the Gram
     eigenvalues beyond the n-th, which equals ``total_error`` on the result.
-    Rank, error and the ``degenerate`` flag (the optimum is not unique)
-    come from ``spectral.leading_cut``, as in ``sis.best_sis``.
+    This is ``best_fit_stack`` on one block: rank, error and the
+    ``degenerate`` flag (the optimum is not unique) come from
+    ``spectral.leading_cut``, as in ``sis.best_sis``.
 
     An empty data set yields the zero subspace with error 0.
     """
@@ -217,15 +257,8 @@ def best_fit_subspace(dataset: DataSet, n) -> SubspaceFit:
         raise ValueError("n must be nonnegative")
     if np.iscomplexobj(dataset.vectors):
         raise DimensionMismatch("best_fit_subspace expects real-valued data")
-    m, dim = dataset.m, dataset.ambient_dim
-    if m == 0:
-        return SubspaceFit(Subspace.zero(dim), 0.0, np.zeros(0), False)
-
-    x = dataset.vectors  # rows are data points; the data matrix A is x.T
-    # Eigenvectors of the N x N covariance A A^T are the left singular
-    # vectors of A; its nonzero eigenvalues are those of the m x m Gram A^T A.
-    # The rank is read off the Gram spectrum, so it never exceeds m.
-    eig = sym_eigen(x.T @ x)
-    spectrum, rank, error, degenerate = leading_cut(eig.eigenvalues[None, :], m, n)
-    basis = eig.eigenvectors[:, :rank[0]].T.copy()  # contiguous: Subspace checks it faster
-    return SubspaceFit(Subspace(dim, basis), error, spectrum[0], degenerate)
+    if dataset.m == 0:
+        return SubspaceFit(Subspace.zero(dataset.ambient_dim), 0.0, np.zeros(0), False)
+    bases, spectrum, error, degenerate = best_fit_stack([dataset.vectors], n)
+    return SubspaceFit(Subspace(dataset.ambient_dim, bases[0]), float(error[0]),
+                       spectrum[0, 0], bool(degenerate[0]))

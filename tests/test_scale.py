@@ -21,7 +21,7 @@ from uosfit import (
 
 from helpers import rel_err
 
-POWERS = st.integers(-60, 60)
+POWERS = st.integers(-480, 480)
 SEEDS = st.integers(0, 2**32 - 1)
 
 
@@ -85,6 +85,46 @@ def test_objective_per_c_squared_is_flat(c):
     assert scaled.converged
     assert np.array_equal(scaled.partition.assignment, base.partition.assignment)
     assert scaled.iterations_per_restart == base.iterations_per_restart
+
+
+def _planted_lines():
+    # 60 points on 3 lines through the origin in R^4, noise 1e-6
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((3, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    x = np.vstack([np.outer(rng.standard_normal(20), d) for d in dirs])
+    return x + 1e-6 * rng.standard_normal(x.shape)
+
+
+def _same_partition(a, b):
+    """Equal up to a relabelling of the cells."""
+    pairs = set(zip(a.tolist(), b.tolist()))
+    return len(pairs) == len(set(a.tolist())) == len(set(b.tolist()))
+
+
+@pytest.mark.parametrize("c", [1e154, 1e-160])
+def test_search_runs_at_the_ends_of_the_float_range(c):
+    # Unscaled, x.T @ x overflows at 1e154 (NonFinite) and the squared
+    # norms are subnormal at 1e-160 (a partition was revisited); the search
+    # divides the data by a power of two first.  At 1e-160 the objective
+    # itself underflows, so only the decisions are compared there.
+    x = _planted_lines()
+    cfg = SolveConfig(l=3, n=1, restarts=8, seed=0)
+    base = solve(DataSet(x), cfg)
+    scaled = solve(DataSet(c * x), cfg)
+    assert scaled.converged
+    assert scaled.iterations_per_restart == base.iterations_per_restart
+    assert _same_partition(scaled.partition.assignment, base.partition.assignment)
+    if c > 1.0:
+        assert abs(scaled.objective / c**2 - base.objective) <= 1e-12 * float(np.sum(x * x))
+
+
+def test_search_is_exact_under_a_power_of_two_past_lapacks_safe_range():
+    # LAPACK rescales a matrix whose norm is above about 1e153 by a factor
+    # that is not a power of two; the pre-scaled search never hands it one.
+    x = _planted_lines()
+    cfg = SolveConfig(l=3, n=1, restarts=8, seed=0)
+    _same_up_to_4k(solve(DataSet(x), cfg), solve(DataSet(x * 2.0**500), cfg), 500)
 
 
 @pytest.mark.parametrize("c", [1.0, 1e6, 1e-6])

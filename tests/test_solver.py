@@ -10,13 +10,22 @@ from uosfit import (
     best_fit_subspace,
     brute_force,
     gamma,
+    ShiftStructure,
     generate,
     objective_e,
     solve,
     sparsity_curve,
 )
 from uosfit.bundles import nearest
-from uosfit.solver import _best_descent, _descend, _farthest_point_assignment, search
+from uosfit.sis import _ShiftInvariantCells
+from uosfit.solver import (
+    _best_chain,
+    _farthest_point_assignment,
+    _lockstep,
+    _stop_tol,
+    _Subspaces,
+    search,
+)
 from helpers import lines_dataset, random_dataset
 
 
@@ -158,21 +167,23 @@ class TestSparsityCurve:
 
 
 def test_descend_raises_on_revisited_partition():
-    # stubs whose reassignment flips between two partitions forever, with
-    # gamma never meeting the nearest error: strict descent is broken
-    first, second = np.zeros(2, dtype=np.intp), np.ones(2, dtype=np.intp)
+    # a stub family whose reassignment flips between two partitions forever,
+    # with gamma never meeting the nearest error: strict descent is broken
+    class Flip:
+        l, empty = 2, None
 
-    def fit_cells(assignment):
-        return assignment.copy(), 1.0, (False, False)
+        def fit(self, cells):
+            return list(cells), np.ones(len(cells))
 
-    def distances(models):
-        target = second if models[0] == 0 else first
-        dmat = np.ones((2, 2))
-        dmat[np.arange(2), target] = 0.0
-        return dmat
+        def distances(self, models):
+            # each chain moves every point to its empty cell
+            dist = np.ones((len(models), 2))
+            for j in range(0, len(models), 2):
+                dist[j + 1 if models[j] is not None else j] = 0.0
+            return dist
 
     with pytest.raises(ArithmeticError, match="revisited"):
-        _descend(first, fit_cells, distances, tol=0.0, max_iters=10)
+        _lockstep([np.zeros(2, dtype=np.intp)], Flip(), tol=0.0, max_iters=10)
 
 
 def reference_farthest_point(m, l, rng, singleton_dists):
@@ -223,18 +234,28 @@ def test_farthest_point_matches_set_based_reference(case, seed):
     assert np.array_equal(got, want)
 
 
-def _constant_maps(refit_gammas, nearest_sum):
-    """Stub maps for two points in one cell: gamma is taken from
-    ``refit_gammas`` call by call, and the distances sum to ``nearest_sum``."""
-    gammas = iter(refit_gammas)
+class _ConstantMaps:
+    """Stub family for two points in one cell: the step's gamma and the
+    refit's gamma are ``refit_gammas``, and the distances sum to
+    ``nearest_sum``."""
 
-    def fit_cells(assignment):
-        return ("model",), next(gammas), (False,)
+    l, empty = 1, None
 
-    def distances(models):
-        return np.array([[nearest_sum / 2.0], [nearest_sum / 2.0]])
+    def __init__(self, refit_gammas, nearest_sum):
+        self.gammas = refit_gammas
+        self.nearest_sum = nearest_sum
 
-    return fit_cells, distances, None
+    def fit(self, cells):
+        return [None] * len(cells), np.full(len(cells), self.gammas[0])
+
+    def distances(self, models):
+        return np.full((len(models), 2), self.nearest_sum / 2.0)
+
+    def refit(self, assignment):
+        return ("model",), self.gammas[1], (False,)
+
+    def bundle_distances(self, bundle):
+        return np.full((2, 1), self.nearest_sum / 2.0)
 
 
 @pytest.mark.parametrize("refit_gammas, nearest_sum, converged", [
@@ -244,32 +265,38 @@ def _constant_maps(refit_gammas, nearest_sum):
 ])
 def test_search_reverifies_the_winning_pair(refit_gammas, nearest_sum, converged):
     cfg = SolveConfig(l=1, n=0, restarts=1)
-    rep = search(DataSet(np.ones((2, 1))), cfg, *_constant_maps(refit_gammas, nearest_sum))
+    rep = search(DataSet(np.ones((2, 1))), cfg,
+                 lambda data: _ConstantMaps(refit_gammas, nearest_sum))
     assert rep.objective == 1.0
     assert rep.converged is converged
     assert rep.per_restart_objectives == (1.0,)
 
 
-def _gamma_by_assignment(gamma_of):
-    """Stub maps whose gamma is ``gamma_of(assignment)``, at a fixed point."""
+class _CellMaps:
+    """Stub family in two cells: a cell's model is its index array, its error
+    ``per_point(cell)`` per point, and every point is nearest its own cell's
+    model, so each partition is a fixed point."""
 
-    def fit_cells(assignment):
-        g = gamma_of(assignment)
-        return (assignment.copy(), g), g, (False, False)
+    l = 2
+    empty = np.zeros(0, dtype=np.intp)
 
-    def distances(models):
-        assignment, g = models
-        dmat = np.zeros((assignment.size, 2))
-        dmat[0] = g
-        return dmat
+    def __init__(self, m, per_point):
+        self.m, self.per_point = m, per_point
 
-    return fit_cells, distances, None
+    def fit(self, cells):
+        return list(cells), np.array([self.per_point(c) * c.size for c in cells])
+
+    def distances(self, models):
+        dist = np.full((len(models), self.m), 10.0)
+        for row, cell in zip(dist, models):
+            row[cell] = self.per_point(cell)
+        return dist
 
 
 def test_best_descent_prefers_cold_restart_on_ties():
     cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
     warm = np.arange(6, dtype=np.intp) % 2
-    best, restarts = _best_descent(6, cfg, 0.0, *_gamma_by_assignment(lambda a: 1.0), seeds=[warm])
+    best, restarts = _best_chain(6, cfg, 0.0, _CellMaps(6, lambda c: 1.0), seeds=[warm])
     assert len(restarts) == 3
     assert best is restarts[0]
 
@@ -277,8 +304,50 @@ def test_best_descent_prefers_cold_restart_on_ties():
 def test_best_descent_takes_strictly_better_warm_seed():
     cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
     warm = np.arange(12, dtype=np.intp) % 2
-    maps = _gamma_by_assignment(lambda a: 0.5 if np.array_equal(a, warm) else 1.0)
-    best, restarts = _best_descent(12, cfg, 0.0, *maps, seeds=[warm])
-    assert [r.objective for r in restarts] == [1.0, 1.0, 1.0]
-    assert best.objective == 0.5
-    assert np.array_equal(best.assignment, warm)
+    warm_cells = [np.flatnonzero(warm == i).tobytes() for i in range(2)]
+    maps = _CellMaps(12, lambda c: 0.5 if c.tobytes() in warm_cells else 1.0)
+    best, restarts = _best_chain(12, cfg, 0.0, maps, seeds=[warm])
+    assert [r.objective for r in restarts] == [12.0, 12.0, 12.0]
+    assert best.objective == 6.0
+    assert np.array_equal(best.fitted, warm)
+
+
+@st.composite
+def engine_cases(draw):
+    """A family on random data and k starting partitions.  Many points in
+    few cells make chains stop at different steps; few points give empty
+    cells and l >= m; a step cap cuts some chains."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        m, l, n = draw(st.integers(12, 40)), draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    else:
+        m = draw(st.integers(1, 6))
+        l, n = draw(st.integers(1, m + 2)), draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        dim = draw(st.integers(3, 6))
+        data = DataSet(rng.standard_normal((m, dim)))
+        family = _Subspaces(data, l, n)
+    else:
+        x = rng.standard_normal((m, 8))
+        if draw(st.booleans()):
+            x = x + 1j * rng.standard_normal((m, 8))
+        data = DataSet(x)
+        family = _ShiftInvariantCells(data, ShiftStructure(8, draw(st.sampled_from([4, 8, 2]))),
+                                      l, n)
+    starts = [rng.integers(0, l, size=m).astype(np.intp) for _ in range(draw(st.integers(2, 5)))]
+    return family, _stop_tol(data), starts, draw(st.sampled_from([100, 3, 2, 1]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(engine_cases())
+def test_lockstep_chains_match_one_start_searches(case):
+    # each chain's arithmetic must not depend on which chains share its steps
+    family, tol, starts, max_iters = case
+    together = _lockstep(starts, family, tol, max_iters)
+    for start, chain in zip(starts, together):
+        (alone,) = _lockstep([start], family, tol, max_iters)
+        assert [v.hex() for v in chain.trace] == [v.hex() for v in alone.trace]
+        assert np.array_equal(chain.fitted, alone.fitted)
+        assert chain.converged == alone.converged
+        assert len(chain.trace) <= max_iters

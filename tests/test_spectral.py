@@ -241,6 +241,34 @@ class TestLeadingCut:
         assert spectrum.shape == (3, 0) and rank.tolist() == [0, 0, 0]
         assert (error, degenerate) == (0.0, False)
 
+    def test_each_group_has_its_own_floor(self):
+        # in one group 1e-17 is round-off next to 1; alone, a group of
+        # 1e-300-sized eigenvalues keeps them all
+        vals = np.array([[[1.0, 1e-17, 0.0]], [[1e-300, 1e-301, 1e-302]]])
+        spectrum, rank, error, degenerate = leading_cut(vals, [3, 3], 3)
+        assert rank.tolist() == [[1], [3]]
+        assert error.tolist() == [0.0, 0.0] and degenerate.tolist() == [False, False]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_stack_of_groups_is_cut_group_by_group(data):
+    # every group's spectrum, rank, error bits and flag equal its own cut
+    num, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(0, 6))
+    counts = data.draw(st.lists(st.integers(0, 20), min_size=1, max_size=6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vals = rng.standard_normal((len(counts), num, d)) ** 2
+    vals[rng.random(vals.shape) < 0.3] = 0.0  # exact zeros and ties
+    vals = -np.sort(-vals, axis=-1)
+    spectrum, rank, error, degenerate = leading_cut(vals, counts, n)
+    for g, m in enumerate(counts):
+        alone = leading_cut(vals[g], m, n)
+        assert np.array_equal(spectrum[g, :, :m], alone[0]) and not spectrum[g, :, m:].any()
+        assert np.array_equal(rank[g], alone[1])
+        assert error[g].hex() == alone[2].hex()
+        assert degenerate[g] == alone[3]
+
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(m=st.integers(1, 11), dim=st.integers(1, 8), r=st.integers(0, 8), n=st.integers(0, 8),
