@@ -46,6 +46,7 @@ _CONFIG_ERRORS = (
     IndexOutOfRange,
     json.JSONDecodeError,
     KeyError,
+    MemoryError,
 )
 
 
@@ -181,7 +182,7 @@ def cmd_fit(args):
         }
     else:
         structure = _structure(args)
-        report = solve_sis_bundle(dataset, structure, cfg.l, cfg.n, cfg)
+        report = solve_sis_bundle(dataset, structure, cfg)
         dmat = sis_distance_matrix(dataset, report.bundle, structure)
         doc["components"] = _sis_components(report.bundle)
 

@@ -20,12 +20,12 @@ invariant spaces and their Parseval frame generators", ACHA 2007).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bundles import Partition
-from .errors import EmptyDataSet, LengthMismatch, StructureMismatch
+from .errors import LengthMismatch, StructureMismatch
 from .solver import SolveConfig, SolveReport, search
 from .spectral import leading_cut, sym_eigen
 from .subspace import DataSet
@@ -181,7 +181,8 @@ def best_sis_stack(fibers, structure: ShiftStructure, n):
     ``spectral.leading_cut`` grouped by block reads each block's rank at
     every w, its error and its ``degenerate`` flag.  The top ``rank[g, w]``
     eigenvectors are the generator fibers, orthonormal per frequency.  A
-    block's results do not depend on the other blocks.
+    block's results do not depend on the other blocks; an empty block gets
+    (0, M) generators and error 0, and is never degenerate.
 
     Returns ``(generators, spectrum, rank, error, degenerate)``:
     ``generators[g]`` is a read-only (s_g, M) array of generator spectra;
@@ -269,7 +270,6 @@ class _ShiftInvariantCells:
         self.dataset, self.structure, self.l, self.n = dataset, structure, l, n
         self.spectra = _unitary_spectra(dataset.vectors, structure)
         self.fibers = _fibers_from_spectra(self.spectra, structure)
-        self.empty = np.zeros((0, structure.signal_len), dtype=np.complex128)
 
     def _cell_fibers(self, idx):
         return _fibers_from_spectra(self.spectra.take(idx, axis=0), self.structure)
@@ -296,18 +296,14 @@ class _ShiftInvariantCells:
         return self.distances(generators)[0]
 
 
-def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure, l, n,
+def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure,
                      cfg: SolveConfig) -> SolveReport:
-    """Alternating search over bundles of shift-invariant models.
+    """Alternating search over bundles of ``cfg.l`` shift-invariant models of
+    length <= ``cfg.n``.
 
     The Euclidean solver's lockstep search (``solver.search``) with
     per-frequency eigenproblems as the cellwise fitting step and fiber-space
-    projections as the distance.  ``l`` and ``n`` override the corresponding
-    config fields.  The report's ``bundle`` holds a tuple of SISModel
-    components.
+    projections as the distance.  The report's ``bundle`` holds a tuple of
+    SISModel components.
     """
-    if dataset.m == 0:
-        raise EmptyDataSet("solve_sis_bundle requires at least one signal")
-    cfg_eff = dc_replace(cfg, l=int(l), n=int(n))
-    return search(dataset, cfg_eff,
-                  lambda data: _ShiftInvariantCells(data, structure, cfg_eff.l, cfg_eff.n))
+    return search(dataset, cfg, lambda data: _ShiftInvariantCells(data, structure, cfg.l, cfg.n))

@@ -8,12 +8,12 @@ error, so a chain terminates after finitely many partitions and ends at a
 certificate pair (partition, bundle) that is simultaneously a best partition
 for its bundle and a best bundle for its partition.
 
-One lockstep engine runs the chains of every search: the Euclidean ``solve``,
-the shift-invariant ``sis.solve_sis_bundle`` and ``sparsity_curve``.  All
-cold restarts and warm seeds of a search advance together: each step fits
-every live chain's cells with one stacked eigensolve and takes the distances
-of every live model from one call, and chains that stop drop out.  The
-search works on the data divided by a power of two (exact), so its
+One driver, ``search``, runs every search: the Euclidean ``solve``, the
+shift-invariant ``sis.solve_sis_bundle`` and each row of ``sparsity_curve``.
+All cold restarts and warm seeds of a search advance in lockstep: each step
+fits every live chain's cells with one stacked eigensolve and takes the
+distances of every live model from one call, and chains that stop drop out.
+The search works on the data divided by a power of two (exact), so its
 arithmetic stays inside the float range for any finite data.
 ``brute_force`` enumerates all assignments and is the ground-truth oracle
 for small instances.
@@ -113,19 +113,6 @@ class _Chain:
         return self.trace[-1]
 
 
-def _fit_cells(family, cells):
-    """Fit the nonempty cells (every chain has one) in one ``family.fit``
-    call; an empty cell gets ``family.empty`` with error 0."""
-    full = [j for j, idx in enumerate(cells) if idx.size]
-    fitted, full_errors = family.fit([cells[j] for j in full])
-    models = [family.empty] * len(cells)
-    for j, model in zip(full, fitted):
-        models[j] = model
-    errors = np.zeros(len(cells))
-    errors[full] = full_errors
-    return models, errors
-
-
 def _step(live, family, tol):
     """One alternation step of every live chain; returns those that go on.
 
@@ -134,8 +121,8 @@ def _step(live, family, tol):
     which chains share the step.
     """
     l = family.l
-    models, errors = _fit_cells(
-        family, [np.flatnonzero(chain.assignment == i) for chain in live for i in range(l)])
+    models, errors = family.fit(
+        [np.flatnonzero(chain.assignment == i) for chain in live for i in range(l)])
     dist = family.distances(models)
     going = []
     for j, chain in enumerate(live):
@@ -202,24 +189,6 @@ def _farthest_point_assignment(m, l, rng, singleton_dists):
     return nearest(np.stack(seed_dists).T)
 
 
-def _best_chain(m, cfg, tol, family, seeds=()):
-    """Run every seeded restart and then each warm seed in one lockstep.
-
-    Returns the chain with the lowest objective (the earliest on ties, so a
-    cold restart beats a warm seed) and the list of cold restarts.
-    """
-
-    def cold(ridx):
-        rng = np.random.default_rng((cfg.seed, ridx))
-        if cfg.init_strategy == "random_partition":
-            return rng.integers(0, cfg.l, size=m).astype(np.intp)
-        return _farthest_point_assignment(m, cfg.l, rng, family.singleton_dists)
-
-    starts = itertools.chain(map(cold, range(cfg.restarts)), seeds)
-    chains = _lockstep(starts, family, tol, cfg.max_iters)
-    return min(chains, key=lambda c: c.objective), chains[:cfg.restarts]
-
-
 def _prescaled(dataset):
     """The data divided by 2^e, with e the binary exponent of its largest
     entry (real and imaginary parts alike), and e.
@@ -246,20 +215,16 @@ def _unscaled(values, e):
         return np.ldexp(np.asarray(values, dtype=np.float64), 2 * e).tolist()
 
 
-def _stop_tol(dataset):
-    # Scaled before the sum: the energy can overflow while every norm is finite.
-    return float((STOP_TOL * dataset.norms_sq()).sum())
-
-
-def search(dataset, cfg: SolveConfig, family_of) -> SolveReport:
+def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> SolveReport:
     """Multi-start alternating search over any model family.
 
     ``family_of(data)`` returns the maps of the family on ``data``, which is
     ``dataset`` divided by a power of two (see ``_prescaled``):
 
-    * ``l``, the number of cells, and ``empty``, the model of an empty cell;
-    * ``fit(cells) -> (models, errors)``: the optimal model of each nonempty
-      index array and its exact error (a length-G array);
+    * ``l``, the number of cells;
+    * ``fit(cells) -> (models, errors)``: the optimal model of each index
+      array and its exact error (a length-G array); an empty cell's model
+      fits nothing and has error 0;
     * ``distances(models) -> (G, m)``: squared point-model distances;
     * ``refit(assignment) -> (bundle, gamma, flags)``: the public fit of one
       partition, with its gamma and per-cell degeneracy flags;
@@ -267,17 +232,33 @@ def search(dataset, cfg: SolveConfig, family_of) -> SolveReport:
     * ``singleton_dists(j) -> (m,)``: distances to the fit of point j alone
       (used by farthest-point seeding).
 
-    Every restart runs in one lockstep (``_lockstep``).  Only the winner is
-    refitted into a bundle, and its pair is re-verified post hoc: its gamma
-    must match the nearest-model error of that bundle, and the refit must not
-    go below it.  This check and each chain's stop test allow ``STOP_TOL``
-    times the energy of the data (its total squared norm, the zero model's
-    error).  Objectives and trace are reported at the data's own scale.
+    ``seeds(family)`` yields warm starting partitions, run after the
+    ``cfg.restarts`` cold ones, all in one lockstep (``_lockstep``).  The
+    lowest objective wins, the earliest chain on ties, so a cold restart
+    beats a warm seed; ``per_restart_objectives`` holds the cold restarts
+    only.  Only the winner is refitted into a bundle, and its pair is
+    re-verified post hoc: its gamma must match the nearest-model error of
+    that bundle, and the refit must not go below it.  This check and each
+    chain's stop test allow ``STOP_TOL`` times the energy of the data (its
+    total squared norm, the zero model's error).  Objectives and trace are
+    reported at the data's own scale.
     """
+    if dataset.m == 0:
+        raise EmptyDataSet("a search requires at least one data vector")
     scaled, e = _prescaled(dataset)
     family = family_of(scaled)
-    tol = _stop_tol(scaled)
-    best, restarts = _best_chain(scaled.m, cfg, tol, family)
+    # Scaled before the sum: the energy can overflow while every norm is finite.
+    tol = float((STOP_TOL * scaled.norms_sq()).sum())
+
+    def cold(ridx):
+        rng = np.random.default_rng((cfg.seed, ridx))
+        if cfg.init_strategy == "random_partition":
+            return rng.integers(0, cfg.l, size=scaled.m).astype(np.intp)
+        return _farthest_point_assignment(scaled.m, cfg.l, rng, family.singleton_dists)
+
+    starts = itertools.chain(map(cold, range(cfg.restarts)), seeds(family))
+    chains = _lockstep(starts, family, tol, cfg.max_iters)
+    best, restarts = min(chains, key=lambda c: c.objective), chains[:cfg.restarts]
     bundle, refit_gamma, flags = family.refit(best.fitted)
     converged = best.converged
     if converged:
@@ -308,7 +289,6 @@ class _Subspaces:
         self.dataset, self.l, self.n = dataset, l, n
         self.x = dataset.vectors
         self.norms = dataset.norms_sq()
-        self.empty = np.zeros((0, dataset.ambient_dim))
 
     def fit(self, cells):
         bases, _, error, _ = best_fit_stack((self.x.take(idx, axis=0) for idx in cells), self.n)
@@ -341,8 +321,6 @@ def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
     certificate pair of the winning restart is re-verified post hoc with one
     extra fit/assignment evaluation.
     """
-    if dataset.m == 0:
-        raise EmptyDataSet("solve requires at least one data vector")
     return search(dataset, cfg, lambda data: _Subspaces(data, cfg.l, cfg.n))
 
 
@@ -372,50 +350,49 @@ def brute_force(dataset: DataSet, l, n):
 def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     """Sweep (l, n) pairs; each row reports the achieved error epsilon.
 
-    For each n, l is visited in increasing order and the search is
-    warm-started from the previous solution padded with zero subspaces, so
-    the epsilon column never increases along l.  Rows are ordered by
-    (n, l).
+    Each row is one ``search``, so its winner is refitted and
+    certificate-checked as a fit's is.  For each n, l is visited in
+    increasing order and the search is warm-started from the previous
+    row's certificate padded with zero subspaces, so the epsilon column
+    never increases along l.  Rows are ordered by (n, l).
     """
     l_values = sorted(set(int(v) for v in l_values))
     n_values = sorted(set(int(v) for v in n_values))
     if not l_values or not n_values:
         raise InvalidSpec("l and n ranges must be nonempty")
-    if dataset.m == 0:
-        raise EmptyDataSet("sparsity_curve requires at least one data vector")
 
+    # Scaled once, so every search below runs on its input as given.
     scaled, e = _prescaled(dataset)
     m = scaled.m
-    tol = _stop_tol(scaled)
     rows = []
     for n in n_values:
-        bundle = assignment = objective = None  # the previous row's certificate
+        prev = None  # the report of the previous row's certificate
         for l in l_values:
-            family = _Subspaces(scaled, l, n)
-            # Deterministic warm seeds on top of the cold restarts.  Plain
-            # alternation never repopulates an empty cell, so growing l needs
-            # explicit candidates: reassignment against the padded previous
-            # bundle, the previous partition with its worst-fit point given
-            # the new cell, and (once l >= m) one cell per point.
-            seeds = []
-            if l >= m:
-                seeds.append(np.arange(m, dtype=np.intp))
-            if bundle is not None:
-                # The previous certificate with zero subspaces appended: the
-                # empty cells add exactly 0.0 to gamma, so its objective is
-                # bitwise the previous epsilon.
-                zeros = (Subspace.zero(scaled.ambient_dim),) * (l - len(bundle))
-                bundle = Bundle(tuple(bundle) + zeros)
-                dmat = family.bundle_distances(bundle)
-                seeds.append(nearest(dmat))
-                split = assignment.copy()
-                split[int(np.argmax(dmat[np.arange(m), assignment]))] = l - 1
-                seeds.append(split)
-            best, _ = _best_chain(m, replace(cfg, l=l, n=n), tol, family, seeds)
+
+            def seeds(family):
+                # Plain alternation never repopulates an empty cell, so
+                # growing l needs explicit candidates: reassignment against
+                # the padded previous bundle, the previous partition with its
+                # worst-fit point given the new cell, and (once l >= m) one
+                # cell per point.
+                if l >= m:
+                    yield np.arange(m, dtype=np.intp)
+                if prev is not None:
+                    # The previous certificate with zero subspaces appended:
+                    # the empty cells add exactly 0.0 to gamma, so its
+                    # objective is bitwise the previous epsilon.
+                    zeros = (Subspace.zero(scaled.ambient_dim),) * (l - len(prev.bundle))
+                    dmat = family.bundle_distances(Bundle(tuple(prev.bundle) + zeros))
+                    yield nearest(dmat)
+                    split = prev.partition.assignment.copy()
+                    split[int(np.argmax(dmat[np.arange(m), split]))] = l - 1
+                    yield split
+
+            report = search(scaled, replace(cfg, l=l, n=n),
+                            lambda data: _Subspaces(data, l, n), seeds)
             # Floor: the epsilon column must never increase along l, even by
             # one ulp.
-            if bundle is None or best.objective < objective:
-                bundle, assignment, objective = (family.refit(best.fitted)[0], best.fitted,
-                                                 best.objective)
-            rows.append(SweepRow(l=l, n=n, epsilon=_unscaled(objective, e)))
+            if prev is None or report.objective < prev.objective:
+                prev = report
+            rows.append(SweepRow(l=l, n=n, epsilon=_unscaled(prev.objective, e)))
     return rows

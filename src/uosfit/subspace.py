@@ -206,8 +206,9 @@ def best_fit_stack(blocks, n):
     """Optimal subspaces of dimension <= n for G blocks of rows, in one
     stacked eigensolve.
 
-    ``blocks`` yields G nonempty real (m_g, N) arrays whose rows are data
-    points; each is let go once its covariance is formed.  A block's N x N
+    ``blocks`` yields G real (m_g, N) arrays whose rows are data points; each
+    is let go once its covariance is formed.  An empty block gets a (0, N)
+    basis and error 0, and is never degenerate.  A block's N x N
     covariance ``x.T @ x`` has the left singular vectors of the data matrix
     A = x.T as eigenvectors and the nonzero eigenvalues of its m_g x m_g
     Gram A^T A, so rank, error and degeneracy come from

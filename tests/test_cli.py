@@ -271,6 +271,10 @@ MALFORMED = {
     "report-sis-generators-missing": ("score", _edit(_generators_missing, SIS_FIT)),
     "report-sis-per-freq-rank": (
         "score", _edit(lambda d: d["components"][0].update(per_freq_rank=[5]), SIS_FIT)),
+    # generators of 10**15 bins: far past any address space, so the
+    # allocation fails at once
+    "report-sis-signal-len-huge": (
+        "score", _edit(lambda d: d["config"].update(signal_len=10**15), SIS_FIT)),
 }
 
 
@@ -304,6 +308,8 @@ BAD_SETTINGS = {
     "sweep-seed-negative": ["sweep", "--seed", "-1"],
     "generate-seed-negative": ["generate", "--seed", "-5"],
     "generate-ambient-dim-zero": ["generate", "--n", "0", "--ambient-dim", "0"],
+    # a basis of 10**15 coordinates cannot be allocated on any machine
+    "generate-ambient-dim-huge": ["generate", "--ambient-dim", str(10**15)],
 }
 
 

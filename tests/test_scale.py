@@ -54,8 +54,8 @@ def test_sis_solve_is_exact_under_powers_of_two(k, seed, m, step, l, n, complex_
         x = x + 1j * rng.standard_normal((m, 8))
     structure = ShiftStructure(8, step)
     cfg = SolveConfig(l=l, n=n, restarts=3, seed=seed % 1000)
-    base = solve_sis_bundle(DataSet(x), structure, l, n, cfg)
-    scaled = solve_sis_bundle(DataSet(x * 2.0**k), structure, l, n, cfg)
+    base = solve_sis_bundle(DataSet(x), structure, cfg)
+    scaled = solve_sis_bundle(DataSet(x * 2.0**k), structure, cfg)
     _same_up_to_4k(base, scaled, k)
 
 

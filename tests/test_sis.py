@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from uosfit import (
     DataSet,
+    EmptyDataSet,
     LengthMismatch,
     ShiftStructure,
     SolveConfig,
@@ -17,6 +18,7 @@ from uosfit import (
     sis_distance_matrix,
     solve_sis_bundle,
 )
+from uosfit.sis import _signal_fibers, best_sis_stack
 from helpers import close_rel, sis_signals_from_generator
 
 
@@ -237,7 +239,42 @@ class TestParseval:
                 assert np.max(dist) <= 1e-9
 
 
+@pytest.mark.parametrize("sizes", [(0, 3, 0, 5, 1), (2, 0), (0, 4), (0, 0, 6)])
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("complex_", [False, True])
+def test_best_sis_stack_empty_blocks_fit_nothing(sizes, n, complex_):
+    # an empty block gets no generators and error 0; a nonempty one gets the
+    # bits of its own one-block fit
+    rng = np.random.default_rng(sum(sizes) + n)
+    s = ShiftStructure(12, 3)
+    x = rng.standard_normal((sum(sizes), 12))
+    if complex_:
+        x = x + 1j * rng.standard_normal(x.shape)
+    fib = _signal_fibers(DataSet(x), s)
+    bounds = np.cumsum((0,) + sizes)
+    blocks = [fib[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    generators, _, rank, error, degenerate = best_sis_stack(blocks, s, n)
+    for g, block in enumerate(blocks):
+        if block.shape[0]:
+            gen1, _, rank1, error1, degenerate1 = best_sis_stack([block], s, n)
+            assert generators[g].tobytes() == gen1[0].tobytes()
+            assert np.array_equal(rank[g], rank1[0])
+            assert error[g].hex() == error1[0].hex()
+            assert degenerate[g] == degenerate1[0]
+        else:
+            assert generators[g].shape == (0, s.signal_len)
+            assert generators[g].dtype == np.complex128
+            assert not rank[g].any()
+            assert error[g] == 0.0
+            assert not degenerate[g]
+
+
 class TestSolveSisBundle:
+    def test_empty_dataset_raises(self):
+        with pytest.raises(EmptyDataSet):
+            solve_sis_bundle(DataSet(np.zeros((0, 8))), ShiftStructure(8, 2),
+                             SolveConfig(l=1, n=1))
+
     def test_two_disjoint_models(self):
         rng = np.random.default_rng(16)
         s = ShiftStructure(16, 4)
@@ -246,7 +283,7 @@ class TestSolveSisBundle:
             sis_signals_from_generator(rng, g1, s, 6),
             sis_signals_from_generator(rng, g2, s, 6),
         ])
-        rep = solve_sis_bundle(DataSet(sigs), s, 2, 1, SolveConfig(l=2, n=1, restarts=8, seed=0))
+        rep = solve_sis_bundle(DataSet(sigs), s, SolveConfig(l=2, n=1, restarts=8, seed=0))
         assert rep.objective <= 1e-10
         assert rep.converged
 
@@ -254,14 +291,14 @@ class TestSolveSisBundle:
         rng = np.random.default_rng(17)
         s = ShiftStructure(12, 2)
         data = DataSet(rng.standard_normal((4, 12)))
-        rep = solve_sis_bundle(data, s, 1, 2, SolveConfig(l=1, n=2, restarts=2, seed=0))
+        rep = solve_sis_bundle(data, s, SolveConfig(l=1, n=2, restarts=2, seed=0))
         assert rep.objective == best_sis(data, s, 2).error
 
     def test_n_zero_total_energy(self):
         rng = np.random.default_rng(18)
         x = rng.standard_normal((5, 8))
         s = ShiftStructure(8, 2)
-        rep = solve_sis_bundle(DataSet(x), s, 3, 0, SolveConfig(l=3, n=0, restarts=2, seed=0))
+        rep = solve_sis_bundle(DataSet(x), s, SolveConfig(l=3, n=0, restarts=2, seed=0))
         assert close_rel(rep.objective, float(np.sum(x * x)), 1e-10)
 
     def test_farthest_point_init(self):
@@ -273,5 +310,5 @@ class TestSolveSisBundle:
             sis_signals_from_generator(rng, g2, s, 5),
         ])
         cfg = SolveConfig(l=2, n=1, restarts=4, seed=0, init_strategy="farthest_point")
-        rep = solve_sis_bundle(DataSet(sigs), s, 2, 1, cfg)
+        rep = solve_sis_bundle(DataSet(sigs), s, cfg)
         assert rep.objective <= 1e-10

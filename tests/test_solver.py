@@ -17,12 +17,11 @@ from uosfit import (
     sparsity_curve,
 )
 from uosfit.bundles import nearest
+from uosfit.spectral import STOP_TOL
 from uosfit.sis import _ShiftInvariantCells
 from uosfit.solver import (
-    _best_chain,
     _farthest_point_assignment,
     _lockstep,
-    _stop_tol,
     _Subspaces,
     search,
 )
@@ -165,12 +164,16 @@ class TestSparsityCurve:
         rows = sparsity_curve(f, [1, 2], [1, 2], SolveConfig(l=1, n=1, restarts=2, seed=0))
         assert [(r.l, r.n) for r in rows] == [(1, 1), (2, 1), (1, 2), (2, 2)]
 
+    def test_empty_dataset_raises(self):
+        with pytest.raises(EmptyDataSet):
+            sparsity_curve(DataSet(np.zeros((0, 2))), [1, 2], [1], SolveConfig(l=1, n=1))
+
 
 def test_descend_raises_on_revisited_partition():
     # a stub family whose reassignment flips between two partitions forever,
     # with gamma never meeting the nearest error: strict descent is broken
     class Flip:
-        l, empty = 2, None
+        l = 2
 
         def fit(self, cells):
             return list(cells), np.ones(len(cells))
@@ -179,7 +182,7 @@ def test_descend_raises_on_revisited_partition():
             # each chain moves every point to its empty cell
             dist = np.ones((len(models), 2))
             for j in range(0, len(models), 2):
-                dist[j + 1 if models[j] is not None else j] = 0.0
+                dist[j + 1 if models[j].size else j] = 0.0
             return dist
 
     with pytest.raises(ArithmeticError, match="revisited"):
@@ -239,7 +242,7 @@ class _ConstantMaps:
     refit's gamma are ``refit_gammas``, and the distances sum to
     ``nearest_sum``."""
 
-    l, empty = 1, None
+    l = 1
 
     def __init__(self, refit_gammas, nearest_sum):
         self.gammas = refit_gammas
@@ -278,7 +281,6 @@ class _CellMaps:
     model, so each partition is a fixed point."""
 
     l = 2
-    empty = np.zeros(0, dtype=np.intp)
 
     def __init__(self, m, per_point):
         self.m, self.per_point = m, per_point
@@ -292,24 +294,38 @@ class _CellMaps:
             row[cell] = self.per_point(cell)
         return dist
 
+    def refit(self, assignment):
+        models, errors = self.fit([np.flatnonzero(assignment == i) for i in range(self.l)])
+        return models, float(errors.sum()), [False] * self.l
+
+    def bundle_distances(self, bundle):
+        return self.distances(bundle).T
+
+
+def _seeded_search(m, per_point, warm):
+    cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
+    return search(DataSet(np.ones((m, 1))), cfg, lambda data: _CellMaps(m, per_point),
+                  lambda family: [warm])
+
 
 def test_best_descent_prefers_cold_restart_on_ties():
-    cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
     warm = np.arange(6, dtype=np.intp) % 2
-    best, restarts = _best_chain(6, cfg, 0.0, _CellMaps(6, lambda c: 1.0), seeds=[warm])
-    assert len(restarts) == 3
-    assert best is restarts[0]
+    rep = _seeded_search(6, lambda c: 1.0, warm)
+    assert rep.per_restart_objectives == (6.0, 6.0, 6.0)
+    # every start is its own fixed point: the first cold restart's partition wins
+    first = np.random.default_rng((5, 0)).integers(0, 2, size=6)
+    assert not np.array_equal(first, warm)
+    assert np.array_equal(rep.partition.assignment, first)
+    assert rep.objective == 6.0 and rep.converged
 
 
 def test_best_descent_takes_strictly_better_warm_seed():
-    cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
     warm = np.arange(12, dtype=np.intp) % 2
     warm_cells = [np.flatnonzero(warm == i).tobytes() for i in range(2)]
-    maps = _CellMaps(12, lambda c: 0.5 if c.tobytes() in warm_cells else 1.0)
-    best, restarts = _best_chain(12, cfg, 0.0, maps, seeds=[warm])
-    assert [r.objective for r in restarts] == [12.0, 12.0, 12.0]
-    assert best.objective == 6.0
-    assert np.array_equal(best.fitted, warm)
+    rep = _seeded_search(12, lambda c: 0.5 if c.tobytes() in warm_cells else 1.0, warm)
+    assert rep.per_restart_objectives == (12.0, 12.0, 12.0)
+    assert rep.objective == 6.0 and rep.converged
+    assert np.array_equal(rep.partition.assignment, warm)
 
 
 @st.composite
@@ -336,7 +352,7 @@ def engine_cases(draw):
         family = _ShiftInvariantCells(data, ShiftStructure(8, draw(st.sampled_from([4, 8, 2]))),
                                       l, n)
     starts = [rng.integers(0, l, size=m).astype(np.intp) for _ in range(draw(st.integers(2, 5)))]
-    return family, _stop_tol(data), starts, draw(st.sampled_from([100, 3, 2, 1]))
+    return family, float((STOP_TOL * data.norms_sq()).sum()), starts, draw(st.sampled_from([100, 3, 2, 1]))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

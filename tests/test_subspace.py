@@ -11,7 +11,7 @@ from uosfit import (
     project,
     total_error,
 )
-from uosfit.subspace import residuals_sq
+from uosfit.subspace import best_fit_stack, residuals_sq
 from helpers import close_rel, random_dataset
 
 SQ2 = np.sqrt(2.0)
@@ -114,6 +114,34 @@ class TestBestFit:
         fit = best_fit_subspace(DataSet(np.zeros((0, 3))), 2)
         assert fit.subspace.dim == 0
         assert fit.error == 0.0
+
+    def test_no_data_no_dimensions(self):
+        fit = best_fit_subspace(DataSet([]), 2)
+        assert (fit.subspace.ambient_dim, fit.subspace.dim) == (0, 0)
+        assert fit.error == 0.0
+        assert fit.spectrum.shape == (0,)
+        assert not fit.degenerate
+
+    @pytest.mark.parametrize("sizes", [(0, 3, 0, 5, 1), (2, 0), (0, 4), (0, 0, 6)])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_stack_empty_blocks_fit_nothing(self, sizes, n):
+        # an empty block gets the zero subspace and error 0; a nonempty one
+        # gets the bits of its own one-block fit
+        rng = np.random.default_rng(sum(sizes) + n)
+        x = rng.standard_normal((sum(sizes), 4))
+        bounds = np.cumsum((0,) + sizes)
+        blocks = [x[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        bases, _, error, degenerate = best_fit_stack(blocks, n)
+        for g, block in enumerate(blocks):
+            if block.shape[0]:
+                bases1, _, error1, degenerate1 = best_fit_stack([block], n)
+                assert bases[g].tobytes() == bases1[0].tobytes()
+                assert error[g].hex() == error1[0].hex()
+                assert degenerate[g] == degenerate1[0]
+            else:
+                assert bases[g].shape == (0, 4)
+                assert error[g] == 0.0
+                assert not degenerate[g]
 
     def test_rank_deficient_returns_smaller_dim(self):
         f = DataSet([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
