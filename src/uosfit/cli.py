@@ -28,7 +28,7 @@ from .errors import (
     UosfitError,
 )
 from .sis import ShiftStructure, SISModel, sis_distance_matrix, solve_sis_bundle
-from .solver import SolveConfig, solve, sparsity_curve
+from .solver import INIT_STRATEGIES, SolveConfig, solve, sparsity_curve
 from .spectral import STOP_TOL
 from .sparsity import encode, extract_dictionary
 from .subspace import Subspace
@@ -247,10 +247,14 @@ def cmd_generate(args):
 
 
 def _rebuild_euclidean(doc):
-    ambient = int(doc["ambient_dim"])
+    ambient = doc["ambient_dim"]
+    if type(ambient) is not int:
+        raise ValueError(f"ambient_dim {ambient!r} is not an integer")
     subs = []
     for comp in doc["components"]:
-        dim = int(comp["dim"])
+        dim = comp["dim"]
+        if type(dim) is not int or not 0 <= dim <= ambient:
+            raise ValueError(f"dim {dim!r} is not an integer in [0, {ambient}]")
         basis = np.array(comp["basis"], dtype=np.float64).reshape(dim, ambient)
         subs.append(Subspace(ambient, basis))
     return Bundle(tuple(subs))
@@ -320,8 +324,7 @@ def cmd_score(args):
 def _add_common_solver_flags(p):
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", default="random_partition",
-                   choices=["random_partition", "farthest_point"])
+    p.add_argument("--init", default="random_partition", choices=INIT_STRATEGIES)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--no-timings", action="store_true",
                    help="omit the timings section for byte-identical reports")

@@ -9,7 +9,6 @@ guarantee).
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from itertools import chain
@@ -33,10 +32,11 @@ def ingest(path, complex_pairs=False) -> DataSet:
     """Read a CSV of one vector per row.
 
     An optional header row is detected by non-numeric cells outside the
-    first column and skipped.  If every data row starts with a non-numeric
-    cell, that column provides the labels.  With ``complex_pairs`` the
-    columns are interleaved (re, im) spectrum pairs; they are turned into
-    time-domain signals through the unitary inverse DFT.
+    first column (blank ones only after a non-numeric first cell) and
+    skipped.  If every data row starts with a non-numeric cell, that column
+    provides the labels.  With ``complex_pairs`` the columns are interleaved
+    (re, im) spectrum pairs; they are turned into time-domain signals
+    through the unitary inverse DFT.
 
     A plain numeric file is converted by numpy's C parser in one call.  Any
     file it rejects (a header, labels, ``float()``-only spellings such as
@@ -102,10 +102,13 @@ def _walk(rows):
     if not rows:
         return None, None
 
+    # The first row is a header when it is one non-number, or when a cell
+    # after the first is not a number.  A blank cell counts only after a
+    # non-number lead ("name,"): in "1," it is a fault of data row 1.
     first = rows[0]
-    has_header = (len(first) > 1 and any(not _is_number(c) for c in first[1:])) or (
-        len(first) == 1 and not _is_number(first[0])
-    )
+    lead = _is_number(first[0])
+    has_header = (len(first) == 1 and not lead) or any(
+        not _is_number(c) and (not lead or c.strip()) for c in first[1:])
     if has_header:
         rows, lines = rows[1:], lines[1:]
     if not rows:
@@ -178,30 +181,16 @@ def format_float(x) -> str:
     return format(x, ".17g")
 
 
-def _csv_lead(label):
-    """``label,`` as csv.writer spells a label followed by further cells."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow([label, ""])
-    return buf.getvalue()[:-2]  # drop the "\r\n" terminator
-
-
 def write_dataset_csv(path, dataset: DataSet, with_labels=True):
-    """Write one row per point, its label first when kept, as csv.writer
-    writes it: CRLF line ends and labels quoted where needed.  The numbers
-    are spelt as format_float spells them, by one %-format call.
+    """Write one row per point, its label first when kept, by csv.writer
+    (CRLF line ends, labels quoted where needed), each number spelt by
+    format_float.  A non-finite value raises before the file is opened.
     """
-    x = dataset.vectors
-    m, dim = x.shape
-    labels = dataset.labels if with_labels else None
-    text = _format_numbers((",".join(["%.17g"] * dim) + "\r\n") * m, tuple(x.ravel().tolist()))
-    if labels is not None and dim:
-        lead = {label: _csv_lead(label) for label in set(labels)}
-        text = "".join(map(str.__add__, map(lead.__getitem__, labels), text.splitlines(True)))
+    rows = [list(map(format_float, row)) for row in dataset.vectors.tolist()]
+    if with_labels and dataset.labels is not None:
+        rows = [[label, *row] for label, row in zip(dataset.labels, rows)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if labels is not None and not dim:  # a label alone on its row
-            csv.writer(fh).writerows(zip(labels))
-        else:
-            fh.write(text)
+        csv.writer(fh).writerows(rows)
 
 
 # printf codes that spell a number as format_float (floats) and str (ints) do.

@@ -271,12 +271,10 @@ class _ShiftInvariantCells:
         self.spectra = _unitary_spectra(dataset.vectors, structure)
         self.fibers = _fibers_from_spectra(self.spectra, structure)
 
-    def _cell_fibers(self, idx):
-        return _fibers_from_spectra(self.spectra.take(idx, axis=0), self.structure)
-
     def fit(self, cells):
         generators, _, _, error, _ = best_sis_stack(
-            (self._cell_fibers(idx) for idx in cells), self.structure, self.n)
+            (_fibers_from_spectra(self.spectra.take(idx, axis=0), self.structure)
+             for idx in cells), self.structure, self.n)
         return generators, error
 
     def distances(self, generators):
@@ -290,10 +288,6 @@ class _ShiftInvariantCells:
 
     def bundle_distances(self, models):
         return self.distances([mo.generators for mo in models]).T
-
-    def singleton_dists(self, j):
-        generators, *_ = best_sis_stack([self._cell_fibers([j])], self.structure, 1)
-        return self.distances(generators)[0]
 
 
 def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure,

@@ -164,9 +164,11 @@ def _lockstep(starts, family, tol, max_iters):
     return chains
 
 
-def _farthest_point_assignment(m, l, rng, singleton_dists):
+def _farthest_point_assignment(m, l, rng, dists_of):
     """Greedy seeding: first seed random, then argmax of min residual to the
-    spans of already-chosen seeds; finally nearest-span assignment.
+    models fitted to already-chosen seeds alone; finally nearest-seed
+    assignment.  ``dists_of(j)`` gives the (m,) distances to the fit of
+    point j alone.
 
     Seeds are distinct points while any remain (so l >= m yields one cell
     per point); once the residuals all vanish the tie goes to the lowest
@@ -176,14 +178,14 @@ def _farthest_point_assignment(m, l, rng, singleton_dists):
     first = int(rng.integers(m))
     chosen = np.zeros(m, dtype=bool)
     chosen[first] = True
-    d = singleton_dists(first)
+    d = dists_of(first)
     mins = d.copy()
     seed_dists = [d]
     for _ in range(1, l):
         # Residuals are >= 0, so -1 rules out the chosen points.
         nxt = int(np.argmax(np.where(chosen, -1.0, mins)))
         chosen[nxt] = True
-        d = singleton_dists(nxt)
+        d = dists_of(nxt)
         seed_dists.append(d)
         np.minimum(mins, d, out=mins)
     return nearest(np.stack(seed_dists).T)
@@ -218,8 +220,8 @@ def _unscaled(values, e):
 def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> SolveReport:
     """Multi-start alternating search over any model family.
 
-    ``family_of(data)`` returns the maps of the family on ``data``, which is
-    ``dataset`` divided by a power of two (see ``_prescaled``):
+    ``family_of(data)`` returns the five maps of the family on ``data``,
+    which is ``dataset`` divided by a power of two (see ``_prescaled``):
 
     * ``l``, the number of cells;
     * ``fit(cells) -> (models, errors)``: the optimal model of each index
@@ -228,9 +230,10 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
     * ``distances(models) -> (G, m)``: squared point-model distances;
     * ``refit(assignment) -> (bundle, gamma, flags)``: the public fit of one
       partition, with its gamma and per-cell degeneracy flags;
-    * ``bundle_distances(bundle) -> (m, l)``: the distances to such a bundle;
-    * ``singleton_dists(j) -> (m,)``: distances to the fit of point j alone
-      (used by farthest-point seeding).
+    * ``bundle_distances(bundle) -> (m, l)``: the distances to such a bundle.
+
+    Farthest-point seeding uses ``fit`` too: each chosen point is fitted
+    alone and its model's distances come from ``distances``.
 
     ``seeds(family)`` yields warm starting partitions, run after the
     ``cfg.restarts`` cold ones, all in one lockstep (``_lockstep``).  The
@@ -254,7 +257,8 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
         rng = np.random.default_rng((cfg.seed, ridx))
         if cfg.init_strategy == "random_partition":
             return rng.integers(0, cfg.l, size=scaled.m).astype(np.intp)
-        return _farthest_point_assignment(scaled.m, cfg.l, rng, family.singleton_dists)
+        return _farthest_point_assignment(
+            scaled.m, cfg.l, rng, lambda j: family.distances(family.fit([np.array([j])])[0])[0])
 
     starts = itertools.chain(map(cold, range(cfg.restarts)), seeds(family))
     chains = _lockstep(starts, family, tol, cfg.max_iters)
@@ -288,7 +292,6 @@ class _Subspaces:
     def __init__(self, dataset, l, n):
         self.dataset, self.l, self.n = dataset, l, n
         self.x = dataset.vectors
-        self.norms = dataset.norms_sq()
 
     def fit(self, cells):
         bases, _, error, _ = best_fit_stack((self.x.take(idx, axis=0) for idx in cells), self.n)
@@ -303,13 +306,6 @@ class _Subspaces:
 
     def bundle_distances(self, bundle):
         return distance_matrix(self.dataset, bundle)
-
-    def singleton_dists(self, j):
-        nj = self.norms[j]
-        if nj <= 0.0:
-            return self.norms.copy()
-        inner = self.x @ self.x[j]
-        return np.maximum(self.norms - inner * inner / nj, 0.0)
 
 
 def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
@@ -361,9 +357,7 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     if not l_values or not n_values:
         raise InvalidSpec("l and n ranges must be nonempty")
 
-    # Scaled once, so every search below runs on its input as given.
-    scaled, e = _prescaled(dataset)
-    m = scaled.m
+    m = dataset.m
     rows = []
     for n in n_values:
         prev = None  # the report of the previous row's certificate
@@ -381,18 +375,18 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
                     # The previous certificate with zero subspaces appended:
                     # the empty cells add exactly 0.0 to gamma, so its
                     # objective is bitwise the previous epsilon.
-                    zeros = (Subspace.zero(scaled.ambient_dim),) * (l - len(prev.bundle))
+                    zeros = (Subspace.zero(dataset.ambient_dim),) * (l - len(prev.bundle))
                     dmat = family.bundle_distances(Bundle(tuple(prev.bundle) + zeros))
                     yield nearest(dmat)
                     split = prev.partition.assignment.copy()
                     split[int(np.argmax(dmat[np.arange(m), split]))] = l - 1
                     yield split
 
-            report = search(scaled, replace(cfg, l=l, n=n),
+            report = search(dataset, replace(cfg, l=l, n=n),
                             lambda data: _Subspaces(data, l, n), seeds)
             # Floor: the epsilon column must never increase along l, even by
             # one ulp.
             if prev is None or report.objective < prev.objective:
                 prev = report
-            rows.append(SweepRow(l=l, n=n, epsilon=_unscaled(prev.objective, e)))
+            rows.append(SweepRow(l=l, n=n, epsilon=prev.objective))
     return rows

@@ -125,23 +125,21 @@ def reconstruction_error(dataset: DataSet, dictionary: Dictionary,
     return float(np.sum(res * res))
 
 
-def sparsity_certificate(dataset: DataSet, cfg: SolveConfig, dedup_tol=0.0,
-                         exact_tol=None) -> SparsityCertificate:
+def sparsity_certificate(dataset: DataSet, cfg: SolveConfig,
+                         dedup_tol=0.0) -> SparsityCertificate:
     """Solve for an optimal bundle and package the sparsity certificate.
 
-    ``epsilon`` is the achieved objective; ``is_exact`` holds when epsilon
-    falls below ``exact_tol`` (default: ``spectral.EXACT_TOL`` times the total
-    data energy; epsilon is exactly 0 on all-zero data).
+    ``epsilon`` is the achieved objective; ``is_exact`` holds when epsilon is
+    at most ``spectral.EXACT_TOL`` times the total data energy (epsilon is
+    exactly 0 on all-zero data).
     """
     report = solve(dataset, cfg)
     dictionary = extract_dictionary(report.bundle, dedup_tol)
     code = encode(dataset, report.bundle, report.partition, dictionary)
-    if exact_tol is None:
-        exact_tol = float((EXACT_TOL * dataset.norms_sq()).sum())
     epsilon = report.objective
     return SparsityCertificate(
         epsilon=epsilon,
-        is_exact=bool(epsilon <= exact_tol),
+        is_exact=bool(epsilon <= float((EXACT_TOL * dataset.norms_sq()).sum())),
         dictionary=dictionary,
         code=code,
         report=report,

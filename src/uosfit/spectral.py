@@ -100,33 +100,31 @@ def sym_eigen(mat):
 
 
 def leading_cut(vals, m, n):
-    """The best model of dimension <= n from groups of descending spectra.
+    """The best model of dimension <= n from each of G groups of descending
+    spectra.
 
-    ``vals`` is one group (K, d) or a stack of G groups (G, K, d): a group
-    holds K spectra of matrices whose nonzero eigenvalues are those of an
-    m x m Gramian, and ``m`` is the point count (one int, or one per group).
-    Per group, returns the spectra clamped at 0 and cut or zero-padded to
-    (K, m), padded further to the largest m of a stack; the rank of each
-    spectrum, the eigenvalues above the group's round-off floor
-    ``max(m, d) * eps * top`` (top: the group's largest eigenvalue) capped at
-    n; the error, everything beyond the n-th; and ``degenerate``: the gap at
-    the cut is at most ``DEGENERACY_TOL * top`` for a spectrum whose n-th
-    eigenvalue is above the floor.  One group gives a float error and a bool
-    flag; a stack gives (G,) arrays.
+    ``vals`` is a (G, K, d) stack: group g holds K spectra of matrices whose
+    nonzero eigenvalues are those of an m[g] x m[g] Gramian, and ``m`` gives
+    the G point counts.  Per group, returns the spectra clamped at 0 and cut
+    or zero-padded to (K, m[g]), padded further to the largest count; the
+    rank of each spectrum, the eigenvalues above the group's round-off floor
+    ``max(m[g], d) * eps * top`` (top: the group's largest eigenvalue)
+    capped at n; the error, everything beyond the n-th; and ``degenerate``:
+    the gap at the cut is at most ``DEGENERACY_TOL * top`` for a spectrum
+    whose n-th eigenvalue is above the floor.  Error and flag are (G,)
+    arrays.
 
-    Each group's error is summed over its own (K, m) spectra, so a group's
-    results do not depend on the other groups of a stack.
+    Each group's error is summed over its own (K, m[g]) spectra, so a
+    group's results do not depend on the other groups of the stack.
     """
     vals = np.asarray(vals)
-    single = vals.ndim == 2
-    groups = vals[None] if single else vals
-    num_groups, num, d = groups.shape
-    counts = np.broadcast_to(np.asarray(m, dtype=np.intp), (num_groups,))
+    num_groups, num, d = vals.shape
+    counts = np.asarray(m, dtype=np.intp)
     width = int(counts.max(initial=0))
     k = min(width, d)
     spectrum = np.zeros((num_groups, num, width))
     inside = (np.arange(k) < counts[:, None])[:, None, :]
-    np.maximum(groups[:, :, :k], 0.0, out=spectrum[:, :, :k], where=inside)
+    np.maximum(vals[:, :, :k], 0.0, out=spectrum[:, :, :k], where=inside)
     spectrum.flags.writeable = False
     top = spectrum[:, :, :1].max(axis=(1, 2), initial=0.0)
     floor = (np.maximum(counts, d) * _EPS * top)[:, None]
@@ -142,6 +140,4 @@ def leading_cut(vals, m, n):
         lead = spectrum[:, :, n - 1]
         gap = lead - spectrum[:, :, n] <= DEGENERACY_TOL * top[:, None]
         degenerate = cut & ((lead > floor) & gap).any(axis=1)
-    if single:
-        return spectrum[0], rank[0], float(error[0]), bool(degenerate[0])
     return spectrum, rank, error, degenerate

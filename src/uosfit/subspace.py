@@ -39,7 +39,6 @@ class DataSet:
             arr = arr.astype(np.complex128)
         if not np.all(np.isfinite(arr)):
             raise NonFinite("data contains NaN or infinite entries")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "vectors", arr)
         if self.labels is not None:

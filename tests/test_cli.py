@@ -167,6 +167,20 @@ class TestCliCommands:
         eps = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(b <= a for a, b in zip(eps, eps[1:]))
 
+    def test_farthest_point_fit_at_n_0_starts_and_stays_in_cell_0(self, tmp_path):
+        # every seed's fit is the zero subspace, so each point ties at its
+        # own energy and goes to cell 0; the objective is the data energy
+        report = tmp_path / "r.json"
+        assert main(["fit", "--input", str(FIXTURE), "--l", "3", "--n", "0",
+                     "--init", "farthest_point", "--restarts", "4", "--no-timings",
+                     "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        energy = float(np.sum(ingest(FIXTURE).vectors ** 2))
+        assert doc["assignment"] == [0] * len(doc["assignment"])
+        assert doc["restarts"]["iterations_per_restart"] == [1, 1, 1, 1]
+        assert abs(doc["objective"] - energy) <= 1e-12 * energy
+        assert doc["converged"]
+
     def test_generate_command_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["generate", "--l", "2", "--n", "1", "--ambient-dim", "3",
@@ -263,6 +277,11 @@ MALFORMED = {
     "report-basis-row-length": ("score", _edit(_basis_row_too_long)),
     "report-ambient-dim-text": ("score", _edit(lambda d: d.update(ambient_dim="x"))),
     "report-basis-entry-text": ("score", _edit(_basis_entry_text)),
+    # dim must be a JSON integer in [0, ambient_dim]: -1 would let reshape
+    # infer the row count, and int() would coerce 1.5 and true
+    "report-dim-negative": ("score", _edit(lambda d: d["components"][0].update(dim=-1))),
+    "report-dim-fraction": ("score", _edit(lambda d: d["components"][0].update(dim=1.5))),
+    "report-dim-bool": ("score", _edit(lambda d: d["components"][0].update(dim=True))),
     "report-objective-null": ("score", _edit(lambda d: d.update(objective=None))),
     "report-not-utf8": ("score", lambda tmp_path: b'{"mode": "\xff"}'),
     "report-sis-no-components": ("score", _edit(lambda d: d.update(components=[]), SIS_FIT)),

@@ -304,6 +304,26 @@ class TestIngestExact:
         with pytest.raises(ParseError, match=r"^row 4, column 3: not a number: ' '$"):
             ingest(p)
 
+    @pytest.mark.parametrize("text, column", [("1,\n3,4\n", "''"), ("1, \n3,4\n", "' '")])
+    def test_blank_cell_in_numeric_first_row_is_a_fault(self, tmp_path, text, column):
+        # a first row led by a number is data, not a header, however blank
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=rf"^row 1, column 2: not a number: {column}$"):
+            ingest(p)
+
+    @pytest.mark.parametrize("text, want, labels", [
+        ("name,\na,1\nb,2\n", [[1.0], [2.0]], ("a", "b")),
+        (",x,y\n1,2,3\n", [[1.0, 2.0, 3.0]], None),
+        ("x\n1\n2\n", [[1.0], [2.0]], None),
+    ])
+    def test_headers_with_blank_or_single_cells_are_skipped(self, tmp_path, text, want, labels):
+        p = tmp_path / "d.csv"
+        p.write_text(text)
+        data = ingest(p)
+        assert data.vectors.tolist() == want
+        assert data.labels == labels
+
     def test_label_only_rows(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("a\nb\n")

@@ -11,8 +11,10 @@ from uosfit import (
     brute_force,
     gamma,
     ShiftStructure,
+    best_sis,
     generate,
     objective_e,
+    sis_distance_matrix,
     solve,
     sparsity_curve,
 )
@@ -367,3 +369,47 @@ def test_lockstep_chains_match_one_start_searches(case):
         assert np.array_equal(chain.fitted, alone.fitted)
         assert chain.converged == alone.converged
         assert len(chain.trace) <= max_iters
+
+
+def _seed_dists(family, j):
+    """The distances farthest-point seeding takes for point j: to the
+    family's fit of that point alone."""
+    return family.distances(family.fit([np.array([j])])[0])[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(m=st.integers(1, 8), dim=st.integers(1, 6), n=st.integers(1, 4),
+       zeros=st.lists(st.booleans(), min_size=8, max_size=8), seed=st.integers(0, 2**32 - 1))
+def test_seeding_through_fit_matches_the_span_of_one_point(m, dim, n, zeros, seed):
+    # the fit of one point is its span (the zero subspace for a zero point)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, dim))
+    x[np.array(zeros[:m])] = 0.0
+    family = _Subspaces(DataSet(x), 2, n)
+    norms = np.einsum("ij,ij->i", x, x)
+    for j in range(m):
+        if norms[j] == 0.0:
+            want = norms
+        else:
+            inner = x @ x[j]
+            want = np.maximum(norms - inner * inner / norms[j], 0.0)
+        assert np.all(np.abs(_seed_dists(family, j) - want) <= 1e-12 * norms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shift_step", [1, 2, 4])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_sis_seeding_through_fit_is_the_one_signal_best_sis(n, shift_step, is_complex):
+    # at any n >= 1 a single signal's model has rank <= 1 at every
+    # frequency, so the family's fit is its best_sis at n = 1, bit for bit
+    rng = np.random.default_rng(10 * n + shift_step)
+    x = rng.standard_normal((7, 8))
+    if is_complex:
+        x = x + 1j * rng.standard_normal((7, 8))
+    x[3] = 0.0
+    data, structure = DataSet(x), ShiftStructure(8, shift_step)
+    family = _ShiftInvariantCells(data, structure, 3, n)
+    for j in range(data.m):
+        model = best_sis(data.subset([j]), structure, 1).model
+        want = sis_distance_matrix(data, [model], structure)[:, 0]
+        assert _seed_dists(family, j).tobytes() == want.tobytes()

@@ -185,16 +185,7 @@ class TestCertificate:
         assert close_rel(rec, cert.epsilon, 1e-9)
 
     def test_all_zero_data_is_exact(self):
-        # epsilon is exactly 0.0, so the energy-relative default needs no floor
+        # epsilon is exactly 0.0, so the energy-relative threshold needs no floor
         cert = sparsity_certificate(DataSet(np.zeros((5, 3))), SolveConfig(l=2, n=1, restarts=2))
         assert cert.epsilon == 0.0
         assert cert.is_exact and cert.report.converged
-
-    def test_looser_exact_tol_never_flips_to_false(self):
-        # (l, n, eps)-sparse implies (l, n, eta)-sparse for eta >= eps
-        data, _ = generate(l=2, n=1, ambient_dim=4, points_per_subspace=6, seed=6)
-        cfg = SolveConfig(l=2, n=1, restarts=8, seed=0)
-        tight = sparsity_certificate(data, cfg, exact_tol=1e-11)
-        loose = sparsity_certificate(data, cfg, exact_tol=1e-6)
-        assert tight.is_exact
-        assert loose.is_exact

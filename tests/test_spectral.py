@@ -196,11 +196,17 @@ class TestSymEigenMatchesReference:
         assert_same_as_reference(np.array([[4, 1, 0], [1, 3, 1], [0, 1, 2]], dtype=dtype))
 
 
+def _one_group(vals, m, n):
+    """``leading_cut`` of one group: a stack of one, read at group 0."""
+    spectrum, rank, error, degenerate = leading_cut(np.asarray(vals)[None], [m], n)
+    return spectrum[0], rank[0], float(error[0]), bool(degenerate[0])
+
+
 class TestLeadingCut:
     def test_stack_by_hand(self):
         # top 4; the second matrix ties at the cut, so the optimum is not unique
         vals = np.array([[4.0, 1.0, 0.0], [2.0, 2.0, 0.0]])
-        spectrum, rank, error, degenerate = leading_cut(vals, 3, 1)
+        spectrum, rank, error, degenerate = _one_group(vals, 3, 1)
         assert spectrum.tolist() == vals.tolist() and not spectrum.flags.writeable
         assert rank.tolist() == [1, 1]
         assert error == 3.0
@@ -208,36 +214,36 @@ class TestLeadingCut:
 
     def test_cut_and_pad_to_point_count(self):
         vals = np.array([[5.0, 3.0, 1.0]])
-        assert leading_cut(vals, 2, 1)[0].tolist() == [[5.0, 3.0]]
-        assert leading_cut(vals, 5, 1)[0].tolist() == [[5.0, 3.0, 1.0, 0.0, 0.0]]
+        assert _one_group(vals, 2, 1)[0].tolist() == [[5.0, 3.0]]
+        assert _one_group(vals, 5, 1)[0].tolist() == [[5.0, 3.0, 1.0, 0.0, 0.0]]
 
     def test_rank_counts_above_round_off_and_caps_at_n(self):
         vals = np.array([[1.0, 1e-17, 0.0], [0.5, 0.25, 1e-15]])
-        assert leading_cut(vals, 3, 3)[1].tolist() == [1, 3]
-        assert leading_cut(vals, 3, 2)[1].tolist() == [1, 2]
+        assert _one_group(vals, 3, 3)[1].tolist() == [1, 3]
+        assert _one_group(vals, 3, 2)[1].tolist() == [1, 2]
         # the floor is relative to the largest eigenvalue of the whole stack
-        assert leading_cut(1e-300 * vals, 3, 3)[1].tolist() == [1, 3]
+        assert _one_group(1e-300 * vals, 3, 3)[1].tolist() == [1, 3]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_no_degeneracy_below_the_floor(self, n):
         # rank 1 < n < m: the cut falls among zeros, and the fit is unique
-        _, rank, error, degenerate = leading_cut(np.array([[3.0, 0.0, 0.0]]), 3, n)
+        _, rank, error, degenerate = _one_group(np.array([[3.0, 0.0, 0.0]]), 3, n)
         assert rank.tolist() == [1] and error == 0.0 and not degenerate
 
     def test_round_off_negatives_are_zeroed(self):
         vals = np.array([[4.0, -1e-17, -2e-15], [1.0, 0.5, -3.0]])
-        spectrum, rank, error, degenerate = leading_cut(vals, 3, 1)
+        spectrum, rank, error, degenerate = _one_group(vals, 3, 1)
         assert spectrum.tolist() == [[4.0, 0.0, 0.0], [1.0, 0.5, 0.0]]
         assert rank.tolist() == [1, 1] and error == 0.5 and not degenerate
         # a spectrum of round-off alone is the zero spectrum: rank 0, error 0
-        spectrum, rank, error, _ = leading_cut(np.array([[-1e-17, -2e-15]]), 2, 1)
+        spectrum, rank, error, _ = _one_group(np.array([[-1e-17, -2e-15]]), 2, 1)
         assert spectrum.tolist() == [[0.0, 0.0]] and rank.tolist() == [0] and error == 0.0
 
     def test_n_at_least_m(self):
-        assert leading_cut(np.array([[2.0, 1.0]]), 2, 4)[2:] == (0.0, False)
+        assert _one_group(np.array([[2.0, 1.0]]), 2, 4)[2:] == (0.0, False)
 
     def test_empty(self):
-        spectrum, rank, error, degenerate = leading_cut(np.zeros((3, 2)), 0, 1)
+        spectrum, rank, error, degenerate = _one_group(np.zeros((3, 2)), 0, 1)
         assert spectrum.shape == (3, 0) and rank.tolist() == [0, 0, 0]
         assert (error, degenerate) == (0.0, False)
 
@@ -263,7 +269,7 @@ def test_a_stack_of_groups_is_cut_group_by_group(data):
     vals = -np.sort(-vals, axis=-1)
     spectrum, rank, error, degenerate = leading_cut(vals, counts, n)
     for g, m in enumerate(counts):
-        alone = leading_cut(vals[g], m, n)
+        alone = _one_group(vals[g], m, n)
         assert np.array_equal(spectrum[g, :, :m], alone[0]) and not spectrum[g, :, m:].any()
         assert np.array_equal(rank[g], alone[1])
         assert error[g].hex() == alone[2].hex()
