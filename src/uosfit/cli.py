@@ -262,13 +262,18 @@ def _rebuild_euclidean(doc):
 
 def _rebuild_sis(doc):
     cfgd = doc["config"]
-    structure = ShiftStructure(int(cfgd["signal_len"]), int(cfgd["shift_step"]))
+    sizes = (cfgd["signal_len"], cfgd["shift_step"])
+    if any(type(v) is not int for v in sizes):
+        raise ValueError(f"signal_len and shift_step {sizes!r} are not integers")
+    structure = ShiftStructure(*sizes)
     if not doc["components"]:
         raise ValueError("the report has no components")
     shape = (structure.signal_len,)
     models = []
     for comp in doc["components"]:
-        length = int(comp["length"])
+        length = comp["length"]
+        if type(length) is not int:
+            raise ValueError(f"length {length!r} is not an integer")
         if len(comp["generators"]) != length:
             raise ValueError(f"{len(comp['generators'])} generators for length {length}")
         gens = np.zeros((length, structure.signal_len), dtype=np.complex128)

@@ -117,9 +117,9 @@ def _fibers_from_spectra(spectra, structure):
 
 
 def _spectra_from_fibers(fibers):
-    """Inverse of _fibers_from_spectra."""
-    m, num_freqs, num_aliases = fibers.shape
-    return fibers.transpose(0, 2, 1).reshape(m, num_freqs * num_aliases)
+    """Inverse of _fibers_from_spectra, over any leading axes."""
+    num_freqs, num_aliases = fibers.shape[-2:]
+    return fibers.swapaxes(-1, -2).reshape(fibers.shape[:-2] + (num_freqs * num_aliases,))
 
 
 def _signal_fibers(dataset, structure):
@@ -164,7 +164,8 @@ def _residuals_to_fibers(fib_all, gen_fibers):
 
 def _fiber_distances(fib_all, generators, structure):
     """(G, count) squared distances of the fibers to G models, each given by
-    its (s, M) generator spectra."""
+    its (s, M) generator spectra.  One model per call: einsum's complex sums
+    over a stack of models run slower than model by model."""
     return np.stack([_residuals_to_fibers(fib_all, _fibers_from_spectra(g, structure))
                      for g in generators])
 
@@ -198,14 +199,15 @@ def best_sis_stack(fibers, structure: ShiftStructure, n):
     spectrum, rank, error, degenerate = leading_cut(vals, counts, n)
     rank.flags.writeable = False
     vecs = eig.eigenvectors.reshape(len(counts), num_freqs, num_aliases, num_aliases)
-    generators = []
-    for g, r in enumerate(rank):
-        keep = int(r.max())
-        active = np.arange(keep)[:, None] < r[None, :]             # (keep, K)
-        gen_fibers = vecs[g][:, :, :keep].transpose(2, 0, 1) * active[:, :, None]
-        spectra = _spectra_from_fibers(gen_fibers)
-        spectra.flags.writeable = False
-        generators.append(spectra)
+    # Block g keeps its top max_w rank[g, w] eigenvectors as generators,
+    # zeroed at the frequencies whose rank is lower: (G, keep, K, L) fibers.
+    keep = rank.max(axis=1, initial=0)
+    width = int(keep.max(initial=0))
+    active = np.arange(width)[None, :, None] < rank[:, None, :]
+    spectra = _spectra_from_fibers(vecs[..., :width].transpose(0, 3, 1, 2)
+                                   * active[..., None])
+    spectra.flags.writeable = False
+    generators = [spectra[g, :k] for g, k in enumerate(keep.tolist())]
     return generators, spectrum, rank, error, degenerate
 
 

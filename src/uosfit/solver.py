@@ -113,28 +113,46 @@ class _Chain:
         return self.trace[-1]
 
 
-def _step(live, family, tol):
+def _step(live, family, tol, key_type):
     """One alternation step of every live chain; returns those that go on.
 
-    Each chain's gamma sums its own l cell errors and its nearest error reads
-    its own l rows of the distance stack, so no chain's arithmetic depends on
-    which chains share the step.
+    One stable sort of the stacked labels gives every chain's cells, each
+    listing its points in index order.  They go to ``fit`` cell-major (cell
+    0 of every chain, then cell 1, ...), so the distance rows of one cell
+    number are one contiguous run and every chain is reassigned by one
+    ``nearest`` pass.  Each chain's gamma sums its own l cell errors in cell
+    order and its nearest error sums its own distances, so no chain's
+    arithmetic depends on which chains share the step.  A chain that goes
+    on records its new partition as a ``key_type`` key.
     """
-    l = family.l
-    models, errors = family.fit(
-        [np.flatnonzero(chain.assignment == i) for chain in live for i in range(l)])
+    l, count = family.l, len(live)
+    labels = np.array([chain.assignment for chain in live])
+    order = np.argsort(labels.astype(key_type), axis=1, kind="stable").ravel()
+    labels += np.arange(0, count * l, l)[:, None]
+    ends = np.bincount(labels.ravel(), minlength=count * l).cumsum().tolist()
+    starts = [0] + ends[:-1]
+    models, errors = family.fit([order[starts[c]:ends[c]]
+                                 for i in range(l) for c in range(i, count * l, l)])
     dist = family.distances(models)
+    gammas = np.ascontiguousarray(errors.reshape(l, count).T).sum(axis=1).tolist()
+    bars = (dist.reshape(l, count, -1).min(axis=0).sum(axis=1) + tol).tolist()
+    moved = nearest(dist.reshape(l, -1).T).reshape(count, -1)
     going = []
-    for j, chain in enumerate(live):
+    for chain, gam, bar, assignment, key in zip(live, gammas, bars, moved,
+                                                 moved.astype(key_type)):
         chain.fitted = chain.assignment
-        gam = float(errors[j * l:(j + 1) * l].sum())
         chain.trace.append(gam)
-        dmat = dist[j * l:(j + 1) * l].T
-        if gam <= float(dmat.min(axis=1).sum()) + tol:
+        if gam <= bar:
             chain.converged = True
-        else:
-            chain.assignment = nearest(dmat)
-            going.append(chain)
+            continue
+        key = key.tobytes()
+        # A revisited partition would contradict strict descent (finite
+        # termination proof); only numerical breakage could trigger this.
+        if key in chain.seen:
+            raise ArithmeticError("partition revisited during descent")
+        chain.seen.add(key)
+        chain.assignment = assignment
+        going.append(chain)
     return going
 
 
@@ -153,14 +171,7 @@ def _lockstep(starts, family, tol, max_iters):
     for _ in range(max_iters):
         if not live:
             break
-        live = _step(live, family, tol)
-        for chain in live:
-            key = chain.assignment.astype(key_type).tobytes()
-            # A revisited partition would contradict strict descent (finite
-            # termination proof); only numerical breakage could trigger this.
-            if key in chain.seen:
-                raise ArithmeticError("partition revisited during descent")
-            chain.seen.add(key)
+        live = _step(live, family, tol, key_type)
     return chains
 
 

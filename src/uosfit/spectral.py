@@ -23,6 +23,7 @@ SYMMETRY_TOL = 1e-12  # of the largest entry: the asymmetry sym_eigen accepts
 DEGENERACY_TOL = 1e-10  # of the top eigenvalue: the cut gap of a non-unique optimum
 ORTHONORMAL_TOL = 1e-10  # of 1: a basis Gram matrix's largest deviation from I
 _EPS = np.finfo(np.float64).eps
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 @dataclass(frozen=True)
@@ -39,20 +40,22 @@ class SymmetricEigen:
     eigenvectors: np.ndarray
 
 
-def _fix_phases(vecs):
-    """Make the largest-magnitude component of each column real-positive.
+def _fix_phases(rows):
+    """Make the largest-magnitude component of each eigenvector real-positive,
+    in place on a C-contiguous stack whose rows are the eigenvectors.
 
-    The pivot is the first row index of the largest magnitude in each column.
+    The pivot is the first index of the largest magnitude in each row.
     """
-    k = vecs.shape[-1]
-    stack = vecs.reshape(-1, k, k)
-    j = np.abs(stack).argmax(axis=1)
-    pivot = stack[np.arange(len(stack))[:, None], j, np.arange(k)]
-    pivot = pivot.reshape(vecs.shape[:-2] + (1, k))
-    if np.iscomplexobj(vecs):
-        # Unit columns: the pivot's magnitude is at least 1/sqrt(k).
-        return vecs * (np.conj(pivot) / np.abs(pivot))
-    return np.where(pivot < 0.0, -vecs, vecs)
+    k = rows.shape[-1]
+    stack = rows.reshape(-1, k, k)
+    j = np.abs(stack).argmax(axis=2)
+    pivot = stack[np.arange(len(stack))[:, None], np.arange(k), j][:, :, None]
+    if np.iscomplexobj(rows):
+        # Unit rows: the pivot's magnitude is at least 1/sqrt(k).
+        np.multiply(stack, np.conj(pivot) / np.abs(pivot), out=stack)
+    else:
+        # Times -1.0 or 1.0: the same bits as negating or keeping each row.
+        np.multiply(stack, np.where(pivot < 0.0, -1.0, 1.0), out=stack)
 
 
 def sym_eigen(mat):
@@ -79,21 +82,30 @@ def sym_eigen(mat):
     a = np.asarray(mat)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NonFinite("matrix contains NaN or infinite entries")
-
-    is_complex = np.iscomplexobj(a)
-    herm = a.swapaxes(-1, -2).conj() if is_complex else a.swapaxes(-1, -2)
-    scale = np.abs(a).max(axis=(-2, -1))
-    asym = np.abs(a - herm).max(axis=(-2, -1))
-    if (asym > SYMMETRY_TOL * scale).any():
-        raise NonSymmetric(f"asymmetry {float(np.max(asym)):.3e} exceeds tolerance")
-
-    dtype = np.complex128 if is_complex else np.float64
-    # Exact hermitization removes the (tolerated) asymmetry.
-    vals, vecs = np.linalg.eigh(((a + herm) / 2.0).astype(dtype, copy=False))
-    vals = vals[..., ::-1]
-    vecs = _fix_phases(vecs[..., ::-1])
+    herm = a.swapaxes(-1, -2)
+    if np.iscomplexobj(a):
+        herm = herm.conj()
+    # A real stack that is bitwise symmetric, with no entry above half the
+    # float range, is its own exact hermitization: pass it on as it is.
+    # Bits, not values: hermitizing turns a -0.0 mirrored by a 0.0 into 0.0.
+    # NaN and inf fail the bound, so they still meet the finiteness check.
+    if not (a.dtype == np.float64 and np.abs(a).max(initial=0.0) <= _HALF_MAX
+            and a.tobytes() == herm.tobytes()):
+        if not np.isfinite(a).all():
+            raise NonFinite("matrix contains NaN or infinite entries")
+        scale = np.abs(a).max(axis=(-2, -1))
+        asym = np.abs(a - herm).max(axis=(-2, -1))
+        if (asym > SYMMETRY_TOL * scale).any():
+            raise NonSymmetric(f"asymmetry {float(np.max(asym)):.3e} exceeds tolerance")
+        dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+        # Exact hermitization removes the (tolerated) asymmetry.
+        a = ((a + herm) / 2.0).astype(dtype, copy=False)
+    vals, vecs = np.linalg.eigh(a)
+    # Eigenvectors as contiguous rows, descending: the pivot search runs
+    # along rows, and a caller that wants basis rows gets them as a view.
+    rows = np.ascontiguousarray(vecs.swapaxes(-1, -2)[..., ::-1, :])
+    _fix_phases(rows)
+    vals, vecs = vals[..., ::-1], rows.swapaxes(-1, -2)
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return SymmetricEigen(eigenvalues=vals, eigenvectors=vecs)
@@ -131,9 +143,12 @@ def leading_cut(vals, m, n):
     # Past a group's own min(m, d) the spectra are zeros, never above floor.
     rank = (spectrum[:, :, :min(n, width)] > floor[:, :, None]).sum(axis=-1)
     cut = counts > n
+    # At n = 0 a group's whole (K, m[g]) block is summed as one contiguous
+    # run, as a copy of it alone would be; past a cut, row by row.
+    tails = (spectrum[g, :, n:count] if n else np.ascontiguousarray(spectrum[g, :, :count])
+             for g, count in enumerate(counts.tolist()) if count > n)
     error = np.zeros(num_groups)
-    for g in np.flatnonzero(cut):
-        error[g] = np.ascontiguousarray(spectrum[g, :, :counts[g]])[:, n:].sum()
+    error[cut] = [np.add.reduce(tail, axis=None) for tail in tails]
     degenerate = np.zeros(num_groups, dtype=bool)
     if 0 < n < width:
         # Above the floor, descending order makes the gap nonnegative.

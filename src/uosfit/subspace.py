@@ -8,6 +8,7 @@ trailing eigenvalues of the Gram matrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,26 +164,46 @@ def residual_rows(x, bases) -> np.ndarray:
     """(l, m) squared distances of the m rows of ``x`` to l subspaces.
 
     ``bases`` holds one (dim, N) orthonormal basis per subspace.  Each block
-    of points is copied once as contiguous columns, and each subspace writes
-    its slice of one contiguous result row from the explicit residual
-    ``x - P x`` (exact zeros for points in the subspace, unlike
-    ``|x|^2 - |Bx|^2``).
+    of points is copied once as contiguous columns, and each subspace's row
+    comes from the explicit residual ``x - P x`` (exact zeros for points in
+    the subspace, unlike ``|x|^2 - |Bx|^2``).  Bases of equal dimension are
+    stacked, and per block a chunk of them, as many as keep the (chunk, N,
+    block) residual within the block budget, takes one product pair and one
+    row sum.  Each basis's products keep the shapes they have alone, so a
+    row's bits do not depend on the other bases of the call.
     """
     m, dim = x.shape
-    out = np.empty((len(bases), m), dtype=x.dtype)
     step = max(1, _BLOCK_BYTES // (x.itemsize * max(dim, 1)))
-    # Flat buffers, so a short last block is contiguous as well.
-    xt, r = np.empty((2, dim * min(step, m)), dtype=x.dtype)
+    width = min(step, m)
+    chunk = max(1, _BLOCK_BYTES // (x.itemsize * max(dim * width, 1)))
+    # Rows in order of basis dimension: each run of equal dimension is one
+    # stack, cut into chunks that know their first row of the sorted result.
+    dims = [basis.shape[0] for basis in bases]
+    order = sorted(range(len(bases)), key=dims.__getitem__)
+    pieces, first = [], 0
+    for _, run in itertools.groupby(order, key=dims.__getitem__):
+        stack = np.array([bases[i] for i in run])
+        pieces += [(first + k, stack[k:k + chunk]) for k in range(0, len(stack), chunk)]
+        first += len(stack)
+    out = np.empty((len(bases), m), dtype=x.dtype)
+    # One flat buffer for the block's columns and a chunk's residuals, so a
+    # short last block is contiguous as well.
+    buf = np.empty((1 + min(chunk, len(bases))) * dim * width, dtype=x.dtype)
+    xt, res = buf[:dim * width], buf[dim * width:]
     for start in range(0, m, step):
         stop = min(start + step, m)
         xb = xt[:dim * (stop - start)].reshape(dim, stop - start)
-        rb = r[:xb.size].reshape(xb.shape)
         np.copyto(xb, x[start:stop].T)
-        for row, basis in zip(out, bases):
-            np.matmul(basis.T, basis @ xb, out=rb)
+        for row, stack in pieces:
+            rb = res[:len(stack) * xb.size].reshape((len(stack),) + xb.shape)
+            np.matmul(stack.swapaxes(1, 2), stack @ xb, out=rb)
             np.subtract(xb, rb, out=rb)
-            np.einsum("km,km->m", rb, rb, out=row[start:stop])
-    return out
+            np.einsum("ckm,ckm->cm", rb, rb, out=out[row:row + len(stack), start:stop])
+    if order == list(range(len(order))):
+        return out
+    unsorted = np.empty_like(out)
+    unsorted[order] = out
+    return unsorted
 
 
 def residuals_sq(dataset: DataSet, sub: Subspace) -> np.ndarray:
@@ -212,8 +233,9 @@ def best_fit_stack(blocks, n):
     A = x.T as eigenvectors and the nonzero eigenvalues of its m_g x m_g
     Gram A^T A, so rank, error and degeneracy come from
     ``spectral.leading_cut`` grouped by block, each group with its own point
-    count.  The bases are checked orthonormal in one batched product.  A
-    block's results do not depend on the other blocks.
+    count.  All G eigenvector sets are checked orthonormal in one batched
+    product, past each rank too.  A block's results do not depend on the
+    other blocks.
 
     Returns ``(bases, spectrum, error, degenerate)``: ``bases[g]`` is a
     (rank_g, N) array of orthonormal rows; ``spectrum`` (G, 1, max m_g),
@@ -221,20 +243,20 @@ def best_fit_stack(blocks, n):
     """
     covs, counts = [], []
     for x in blocks:
-        if np.iscomplexobj(x):
-            raise DimensionMismatch("best_fit_subspace expects real-valued data")
         covs.append(x.T @ x)
         counts.append(x.shape[0])
-    eig = sym_eigen(np.stack(covs))
+    covs = np.array(covs)
+    if np.iscomplexobj(covs):
+        raise DimensionMismatch("best_fit_subspace expects real-valued data")
+    eig = sym_eigen(covs)
     dim = eig.eigenvalues.shape[1]
     spectrum, rank, error, degenerate = leading_cut(eig.eigenvalues[:, None, :], counts, n)
     rank = rank[:, 0]
+    # sym_eigen's eigenvectors are a view of contiguous rows: no copy here.
     rows = np.ascontiguousarray(eig.eigenvectors.swapaxes(1, 2))
-    kept = np.arange(dim) < rank[:, None]
-    dev = np.abs(rows @ rows.swapaxes(1, 2) - np.eye(dim))
-    dev = np.where(kept[:, :, None] & kept[:, None, :], dev, 0.0)
-    if not (dev <= ORTHONORMAL_TOL).all():
-        if not np.isfinite(dev).all():
+    dev = np.abs(rows @ rows.swapaxes(1, 2) - np.eye(dim)).max(initial=0.0)
+    if not dev <= ORTHONORMAL_TOL:
+        if not np.isfinite(dev):
             raise NonFinite("basis contains NaN or infinite entries")
         raise DimensionMismatch("basis rows are not orthonormal")
     bases = [rows[g, :r] for g, r in enumerate(rank.tolist())]
@@ -260,5 +282,9 @@ def best_fit_subspace(dataset: DataSet, n) -> SubspaceFit:
     if dataset.m == 0:
         return SubspaceFit(Subspace.zero(dataset.ambient_dim), 0.0, np.zeros(0), False)
     bases, spectrum, error, degenerate = best_fit_stack([dataset.vectors], n)
-    return SubspaceFit(Subspace(dataset.ambient_dim, bases[0]), float(error[0]),
-                       spectrum[0, 0], bool(degenerate[0]))
+    # The basis passed the stack's checks: it needs no second construction pass.
+    sub = object.__new__(Subspace)
+    object.__setattr__(sub, "ambient_dim", dataset.ambient_dim)
+    object.__setattr__(sub, "basis", bases[0].copy())
+    sub.basis.flags.writeable = False
+    return SubspaceFit(sub, float(error[0]), spectrum[0, 0], bool(degenerate[0]))

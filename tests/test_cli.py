@@ -290,6 +290,13 @@ MALFORMED = {
     "report-sis-generators-missing": ("score", _edit(_generators_missing, SIS_FIT)),
     "report-sis-per-freq-rank": (
         "score", _edit(lambda d: d["components"][0].update(per_freq_rank=[5]), SIS_FIT)),
+    # signal_len, shift_step and length must be JSON integers, as dim must
+    "report-sis-signal-len-fraction": (
+        "score", _edit(lambda d: d["config"].update(signal_len=3.7), SIS_FIT)),
+    "report-sis-shift-step-bool": (
+        "score", _edit(lambda d: d["config"].update(shift_step=True), SIS_FIT)),
+    "report-sis-length-fraction": (
+        "score", _edit(lambda d: d["components"][0].update(length=1.5), SIS_FIT)),
     # generators of 10**15 bins: far past any address space, so the
     # allocation fails at once
     "report-sis-signal-len-huge": (

@@ -140,6 +140,68 @@ def test_exact_arithmetic_gives_the_same_bits_in_any_block(monkeypatch, points):
     assert residuals_sq(DataSet(x), axes[0]).tobytes() == want[:, 0].tobytes()
 
 
+def per_basis_rows(x, bases):
+    """The kernel before bases were stacked: per block of points, one product
+    pair and one row sum for each basis on its own."""
+    m, dim = x.shape
+    step = max(1, subspace._BLOCK_BYTES // (8 * max(dim, 1)))
+    out = np.empty((len(bases), m))
+    for start in range(0, m, step):
+        xb = np.ascontiguousarray(x[start:start + step].T)
+        for row, basis in zip(out, bases):
+            r = basis.T @ (basis @ xb)
+            np.subtract(xb, r, out=r)
+            np.einsum("km,km->m", r, r, out=row[start:start + step])
+    return out
+
+
+def _mixed_bases(rng, dim, count):
+    """``count`` orthonormal bases, their dimensions the first ``count`` of
+    0, 1, 1, dim and ``count`` random values in 0..dim, shuffled together."""
+    dims = [int(d) for d in rng.permutation([0, 1, dim, 1] + list(rng.integers(0, dim + 1, count)))]
+    return [np.ascontiguousarray(rotation(rng, dim)[:, :d].T) for d in dims[:count]]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(m=st.integers(0, 40), dim=st.integers(1, 7), count=st.integers(1, 14),
+       points=st.sampled_from([1, 2, 5, "m", "2m", "3m", None]), seed=st.integers(0, 2**32 - 1))
+@example(m=9, dim=3, count=14, points="2m", seed=0)  # 14 bases in chunks of 2
+@example(m=40, dim=4, count=6, points=3, seed=1)     # 14 blocks of 3 points
+def test_stacked_bases_give_each_basis_its_own_bits(m, dim, count, points, seed):
+    # A block of p >= m points holds p // m bases per chunk; p < m gives
+    # several blocks of one basis per chunk.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0, size=(m, 1))
+    bases = _mixed_bases(rng, dim, count)
+    with pytest.MonkeyPatch.context() as patch:
+        if points is not None:
+            p = {"m": m, "2m": 2 * m, "3m": 3 * m}.get(points, points)
+            block_of(patch, max(p, 1), dim)
+        got = residual_rows(x, bases)
+        want = per_basis_rows(x, bases)
+    assert got.shape == (count, m) and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("points", [1, 4, 25, None])
+def test_points_inside_a_stacked_subspace_are_at_exactly_zero(monkeypatch, points):
+    # Coordinate-axis subspaces, several of each dimension, and points on
+    # them: every residual is an exact zero, whatever the chunk.
+    rng = np.random.default_rng(4)
+    dim = 5
+    axes = [np.eye(dim)[rng.permutation(dim)[:d]] for d in (2, 3, 2, 0, 2, 3, 1, 2)]
+    x = rng.integers(-9, 10, size=(25, dim)).astype(np.float64)
+    x[:, 3:] = 0.0  # every point lies in the span of the first three axes
+    inside = np.eye(dim)[:3]
+    if points is not None:
+        block_of(monkeypatch, points, dim)
+    got = residual_rows(x, axes + [inside, inside])
+    assert got.tobytes() == per_basis_rows(x, axes + [inside, inside]).tobytes()
+    assert not got[-2:].any()
+    want = [(x * x).sum(axis=1) - (x @ b.T * (x @ b.T)).sum(axis=1) for b in axes]
+    assert got[:-2].tobytes() == np.array(want).tobytes()
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     mat=arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 6)),

@@ -185,6 +185,42 @@ class TestSymEigenMatchesReference:
         rotated = q @ band @ q.T
         assert_same_as_reference(np.stack([np.eye(4), (rotated + rotated.T) / 2, np.diag([3.0, 2, 1, 0])]))
 
+    @pytest.mark.parametrize("lower, upper", [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+    def test_signed_zeros_in_mirrored_entries(self, lower, upper):
+        # LAPACK reads the lower triangle, and on this matrix the sign of the
+        # zero at [1, 0] changes its output bits.  Hermitizing turns -0.0
+        # mirrored by 0.0 into 0.0, so such a stack is not passed on as it is.
+        a = np.array([[4.0, upper, 4.0], [lower, -4.0, -1.0], [4.0, -1.0, -4.0]])
+        assert_same_as_reference(a)
+        assert_same_as_reference(np.stack([np.eye(3), a, a.T]))
+
+    @pytest.mark.parametrize("diag", [0.0, -0.0])
+    def test_hermitian_with_signed_zero_imaginary_diagonal(self, diag):
+        a = np.array([[complex(2.0, diag), 1 + 1j, -0.5j],
+                      [1 - 1j, complex(3.0, diag), 0.25],
+                      [0.5j, 0.25, complex(1.0, -0.0)]])
+        assert_same_as_reference(np.stack([a, a.real + 0j]))
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_asymmetry_inside_the_tolerance_is_hermitized(self, complex_):
+        rng = np.random.default_rng(8)
+        a = _symmetric(rng, (3,), 4, complex_, 1000)
+        a[1, 0, 2] += 1e-10  # relative asymmetry about 1e-13, under SYMMETRY_TOL
+        e = assert_same_as_reference(a)
+        herm = (a + a.conj().swapaxes(-1, -2)) / 2.0
+        assert e.eigenvalues.tobytes() == sym_eigen(herm).eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("mat", [
+        [[1.5e308, 0.0], [0.0, 1.0]],
+        [[1.0, 1.7e308], [1.7e308, 1.0]],
+        [[8.0e307, 2.0], [2.0, -8.0e307]],
+    ], ids=["diagonal", "off-diagonal", "below-half"])
+    def test_finite_entries_near_the_top_of_the_range(self, mat):
+        # Above max/2 (about 8.99e307) the hermitization overflows, as in the
+        # reference; the last case stays below max/2 and is passed on as it is.
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_as_reference(np.array(mat))
+
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_empty_stack(self, k, dtype):
