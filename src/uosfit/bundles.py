@@ -96,20 +96,34 @@ def distance_matrix(dataset: DataSet, bundle: Bundle) -> np.ndarray:
 
 
 def nearest(dmat) -> np.ndarray:
-    """Row-wise argmin of an (m, l) distance matrix, one column at a time.
+    """Row-wise argmin of an (m, l) distance matrix (see ``nearest_with_min``)."""
+    return nearest_with_min(dmat)[0]
 
-    Equals ``dmat.argmin(axis=1)``: the strict ``<`` sends ties to the lowest
-    index.  Columns of ``distance_matrix`` are contiguous, so each pass reads
-    memory in order.
+
+def nearest_with_min(dmat):
+    """Row-wise argmin and min of an (m, l) distance matrix, one column at a
+    time; returns ``(labels, minima)``.
+
+    Equals ``(dmat.argmin(axis=1), dmat.min(axis=1))``: the strict ``<``
+    sends ties to the lowest index.  Columns of ``distance_matrix`` are
+    contiguous, so each pass reads memory in order.
     """
+    m, l = dmat.shape
     best = dmat[:, 0].copy()
-    out = np.zeros(dmat.shape[0], dtype=np.intp)
-    for j in range(1, dmat.shape[1]):
+    # Labels in the smallest type holding l - 1 until the end: less memory
+    # traffic per column than the index type.
+    label = np.min_scalar_type(l - 1)
+    out = np.zeros(m, dtype=label)
+    closer = np.empty(m, dtype=bool)
+    mark = np.empty(m, dtype=label)
+    for j in range(1, l):
         col = dmat[:, j]
-        closer = col < best
-        out[closer] = j
+        np.less(col, best, out=closer)
+        # Columns come in increasing order, so a closer column's index is
+        # the largest label yet: a maximum writes it without a masked store.
+        np.maximum(out, np.multiply(closer, j, out=mark, dtype=label), out=out)
         np.minimum(best, col, out=best)
-    return out
+    return out.astype(np.intp), best
 
 
 def objective_e(dataset: DataSet, bundle: Bundle) -> float:

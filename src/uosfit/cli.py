@@ -10,13 +10,13 @@ import argparse
 import json
 import sys
 import time
-from itertools import accumulate
 
 import numpy as np
 
 from . import __version__
 from .bundles import Bundle, distance_matrix, objective_e
-from .dataio import format_float, generate, ingest, to_json, write_dataset_csv, write_json
+from .dataio import (Ragged, format_float, generate, ingest, load_members, to_json,
+                     write_dataset_csv, write_json)
 from .errors import (
     DimensionMismatch,
     EmptyDataSet,
@@ -171,14 +171,12 @@ def cmd_fit(args):
         }
         # Per point: the atoms with a nonzero weight, and those weights.  The
         # nonzeros come in point order, support_sizes of them per point.
-        weights = code.columns.T
-        points, atoms = np.nonzero(weights)
-        bounds = list(accumulate(code.support_sizes, initial=0))
-        per_point = list(map(slice, bounds[:-1], bounds[1:]))
+        points, atoms = np.nonzero(code.columns.T)
+        sizes = list(code.support_sizes)
         doc["codes"] = {
-            "support": list(map(atoms.tolist().__getitem__, per_point)),
-            "coefficients": list(map(weights[points, atoms].tolist().__getitem__, per_point)),
-            "support_sizes": list(code.support_sizes),
+            "support": Ragged(atoms.tolist(), sizes),
+            "coefficients": Ragged(code.columns[atoms, points].tolist(), sizes),
+            "support_sizes": sizes,
         }
     else:
         structure = _structure(args)
@@ -290,12 +288,18 @@ def _rebuild_sis(doc):
     return structure, tuple(models)
 
 
+# The report members score and its _rebuild_* helpers read.  The others (the
+# codes, assignment and residuals among them) are parsed as JSON only, their
+# floats never converted.
+_SCORED_MEMBERS = frozenset({"mode", "config", "ambient_dim", "components", "objective"})
+
+
 def cmd_score(args):
     # Everything read from the report is checked here: a document that is
     # not UTF-8 JSON of the fit schema is a ParseError, never a traceback.
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = load_members(fh, _SCORED_MEMBERS)
         mode = doc["mode"]
         complex_pairs = False
         if mode == "euclidean":

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from itertools import chain
+from dataclasses import dataclass
+from itertools import accumulate, chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -197,14 +198,31 @@ def write_dataset_csv(path, dataset: DataSet, with_labels=True):
 _NUMBER_CODES = {int: "%d", float: "%.17g"}
 
 
-def _row_formats(rows, types):
-    """Per row of Python ints and floats (``types`` holds all of them), ``[%d, %.17g]``."""
+@dataclass(frozen=True)
+class Ragged:
+    """Rows of numbers held flat: ``values`` in row order, ``lengths[i]`` of
+    them in row i.  Serialized as the list of its rows would be."""
+
+    values: list
+    lengths: list
+
+    def rows(self):
+        """The nested list of rows."""
+        bounds = accumulate(self.lengths, initial=0)
+        return [self.values[a:b] for a, b in pairwise(bounds)]
+
+
+def _row_formats(values, lengths, types):
+    """``[%d, %.17g]`` per row of Python ints and floats (``types`` holds all
+    of them), the rows cut from ``values`` by ``lengths``."""
     if len(types) == 1:
         # One type: a row's format depends only on its length.
         code = _NUMBER_CODES[next(iter(types))]
-        by_len = {k: "[" + ", ".join([code] * k) + "]" for k in set(map(len, rows))}
-        return map(by_len.__getitem__, map(len, rows))
-    return ("[" + ", ".join(map(_NUMBER_CODES.__getitem__, map(type, row))) + "]" for row in rows)
+        by_len = {k: "[" + ", ".join([code] * k) + "]" for k in set(lengths)}
+        return map(by_len.__getitem__, lengths)
+    codes = list(map(_NUMBER_CODES.__getitem__, map(type, values)))
+    bounds = accumulate(lengths, initial=0)
+    return ("[" + ", ".join(codes[a:b]) + "]" for a, b in pairwise(bounds))
 
 
 def _format_numbers(template, values):
@@ -216,6 +234,21 @@ def _format_numbers(template, values):
             if type(v) is float:
                 format_float(v)
     return text
+
+
+def _write_rows(values, lengths, pad, out):
+    """One or more rows of Python numbers, one row a line, in one format call.
+
+    Returns False, writing nothing, when a value is not an exact int or float
+    (bool and numpy scalars take the general path) or there are no rows.
+    """
+    types = set(map(type, values))
+    if not lengths or not types <= _NUMBER_CODES.keys():
+        return False
+    sep = ",\n" + pad + "  "
+    rows = sep.join(_row_formats(values, lengths, types))
+    out.append(_format_numbers("[\n" + pad + "  " + rows + "\n" + pad + "]", tuple(values)))
+    return True
 
 
 def _serialize(obj, indent, out):
@@ -242,6 +275,9 @@ def _serialize(obj, indent, out):
             _serialize(val, indent + 2, out)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
+    elif isinstance(obj, Ragged):
+        if not _write_rows(obj.values, obj.lengths, pad, out):
+            _serialize(obj.rows(), indent, out)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -251,15 +287,11 @@ def _serialize(obj, indent, out):
         # call.  Exact types: bool and numpy scalars take the general path.
         types = set(map(type, seq))
         if types <= _NUMBER_CODES.keys():
-            out.append(_format_numbers(next(_row_formats([seq], types)), tuple(seq)))
+            out.append(_format_numbers(next(_row_formats(seq, [len(seq)], types)), tuple(seq)))
             return
-        if types == {list}:
-            inner = set(map(type, chain.from_iterable(seq)))
-            if inner <= _NUMBER_CODES.keys():
-                sep = ",\n" + pad + "  "
-                template = "[\n" + pad + "  " + sep.join(_row_formats(seq, inner)) + "\n" + pad + "]"
-                out.append(_format_numbers(template, tuple(chain.from_iterable(seq))))
-                return
+        if types == {list} and _write_rows(tuple(chain.from_iterable(seq)),
+                                           list(map(len, seq)), pad, out):
+            return
         scalar = all(isinstance(v, (int, float, str, bool, np.integer, np.floating)) for v in seq)
         if scalar:
             parts = []
@@ -291,3 +323,52 @@ def write_json(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return text
+
+
+# load_members parses a skipped member's floats with bool: a C callable that
+# returns a shared object, so such a float is neither converted nor kept.
+_FULL = json.JSONDecoder()
+_SYNTAX_ONLY = json.JSONDecoder(parse_float=bool)
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _past(text, char, at):
+    """The index after ``char``, expected at ``at``, and the whitespace after it."""
+    if not text.startswith(char, at):
+        raise json.JSONDecodeError(f"Expecting {char!r}", text, at)
+    return _SPACE(text, at + 1).end()
+
+
+def load_members(fh, names):
+    """The members ``names`` of the JSON object read from ``fh``, as
+    ``json.load`` gives them.
+
+    The other members are parsed for syntax alone and dropped as soon as they
+    end, their floats never converted.  A repeated member keeps its last
+    value, as in ``json.load``.  A document that is not an object is returned
+    whole.  Malformed JSON raises ``json.JSONDecodeError``.
+    """
+    text = fh.read()
+    at = _SPACE(text).end()
+    if not text.startswith("{", at):
+        return _FULL.decode(text)
+    doc = {}
+    at = _SPACE(text, at + 1).end()
+    more = not text.startswith("}", at)
+    while more:
+        if not text.startswith('"', at):
+            raise json.JSONDecodeError("Expecting a member name", text, at)
+        name, at = json.decoder.scanstring(text, at + 1)
+        at = _past(text, ":", _SPACE(text, at).end())
+        if name in names:
+            doc[name], at = _FULL.raw_decode(text, at)
+        else:
+            at = _SYNTAX_ONLY.raw_decode(text, at)[1]
+        at = _SPACE(text, at).end()
+        more = text.startswith(",", at)
+        if more:
+            at = _SPACE(text, at + 1).end()
+    at = _past(text, "}", at)
+    if at != len(text):
+        raise json.JSONDecodeError("Extra data", text, at)
+    return doc

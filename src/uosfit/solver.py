@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bundles import Bundle, Partition, distance_matrix, fit_partition, nearest
+from .bundles import (Bundle, Partition, distance_matrix, fit_partition, nearest,
+                      nearest_with_min)
 from .errors import EmptyDataSet, InvalidSpec, TooLarge
 from .spectral import STOP_TOL
 from .subspace import DataSet, Subspace, best_fit_stack, residual_rows
@@ -120,10 +121,11 @@ def _step(live, family, tol, key_type):
     listing its points in index order.  They go to ``fit`` cell-major (cell
     0 of every chain, then cell 1, ...), so the distance rows of one cell
     number are one contiguous run and every chain is reassigned by one
-    ``nearest`` pass.  Each chain's gamma sums its own l cell errors in cell
-    order and its nearest error sums its own distances, so no chain's
-    arithmetic depends on which chains share the step.  A chain that goes
-    on records its new partition as a ``key_type`` key.
+    ``nearest_with_min`` pass.  Each chain's gamma sums its own l cell
+    errors in cell order and its nearest error sums its own minima from
+    that pass, so no chain's arithmetic depends on which chains share the
+    step.  A chain that goes on records its new partition as a
+    ``key_type`` key.
     """
     l, count = family.l, len(live)
     labels = np.array([chain.assignment for chain in live])
@@ -135,8 +137,9 @@ def _step(live, family, tol, key_type):
                                  for i in range(l) for c in range(i, count * l, l)])
     dist = family.distances(models)
     gammas = np.ascontiguousarray(errors.reshape(l, count).T).sum(axis=1).tolist()
-    bars = (dist.reshape(l, count, -1).min(axis=0).sum(axis=1) + tol).tolist()
-    moved = nearest(dist.reshape(l, -1).T).reshape(count, -1)
+    moved, minima = nearest_with_min(dist.reshape(l, -1).T)
+    bars = (minima.reshape(count, -1).sum(axis=1) + tol).tolist()
+    moved = moved.reshape(count, -1)
     going = []
     for chain, gam, bar, assignment, key in zip(live, gammas, bars, moved,
                                                  moved.astype(key_type)):

@@ -99,7 +99,17 @@ def sym_eigen(mat):
             raise NonSymmetric(f"asymmetry {float(np.max(asym)):.3e} exceeds tolerance")
         dtype = np.complex128 if np.iscomplexobj(a) else np.float64
         # Exact hermitization removes the (tolerated) asymmetry.
-        a = ((a + herm) / 2.0).astype(dtype, copy=False)
+        if scale.max(initial=0.0) <= _HALF_MAX:
+            a = ((a + herm) / 2.0).astype(dtype, copy=False)
+        else:
+            # Above half the float range a sum of entries can overflow; the
+            # sum of their halves cannot.  Only overflowed entries are redone,
+            # so every other entry keeps the bits of the halved sum.
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = (a + herm) / 2.0
+            over = ~np.isfinite(mean)
+            mean[over] = a[over] * 0.5 + herm[over] * 0.5
+            a = mean.astype(dtype, copy=False)
     vals, vecs = np.linalg.eigh(a)
     # Eigenvectors as contiguous rows, descending: the pivot search runs
     # along rows, and a caller that wants basis rows gets them as a view.

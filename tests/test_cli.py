@@ -9,7 +9,7 @@ import pytest
 from uosfit import Partition, RaggedRows, generate, ingest
 from uosfit import cli
 from uosfit.cli import main
-from uosfit.dataio import write_dataset_csv, write_json
+from uosfit.dataio import Ragged, write_dataset_csv, write_json
 from uosfit.sparsity import encode, extract_dictionary
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -436,5 +436,83 @@ def test_codes_match_per_point_compress(tmp_path, monkeypatch):
     short = [size < dims[cell] for size, cell in
              zip(doc["codes"]["support_sizes"], doc["assignment"])]
     assert any(short) and not all(short)
+    # support and coefficients are ragged blocks, written as their rows
+    codes = {key: val.rows() if isinstance(val, Ragged) else val
+             for key, val in doc["codes"].items()}
+    assert isinstance(doc["codes"]["coefficients"], Ragged)
     # repr tells 3 from 3.0 and -0.0 from 0.0
-    assert repr(doc["codes"]) == repr(_codes_by_compress(ingest(data), doc))
+    assert repr(codes) == repr(_codes_by_compress(ingest(data), doc))
+
+
+def _report_edit(path, where, literal):
+    """The report at ``path`` with the number at ``where`` (keys and indices
+    into the document) spelt as ``literal``."""
+    doc = json.loads(path.read_text())
+    *outer, last = where
+    node = doc
+    for key in outer:
+        node = node[key]
+    node[last] = "@"
+    return json.dumps(doc, indent=1).replace('"@"', literal)
+
+
+def _score_outcome(capsys, data, report):
+    capsys.readouterr()
+    code = main(["score", "--input", str(data), "--report", str(report)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _spectra_csv(path):
+    rng = np.random.default_rng(5)
+    spectra = rng.standard_normal((6, 8))
+    path.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in spectra))
+    return path
+
+
+SPECTRA_FIT = ("--mode", "sis", "--input-format", "spectra", "--signal-len", "4",
+               "--shift-step", "2")
+OBJECTIVE = ("objective",)
+BASIS_ENTRY = ("components", 0, "basis", 0, 0)
+GENERATOR_ENTRY = ("components", 0, "generators", 0, "re", 1)
+
+
+SCORED_REPORTS = {
+    "euclidean": ((), None, None),
+    "sis": (SIS_FIT, None, None),
+    "sis-spectra": (SPECTRA_FIT, None, None),
+    **{f"objective-{lit}": ((), OBJECTIVE, lit) for lit in ("1E2", "-0.0", "5e-324", "1e308")},
+    **{f"basis-{lit}": ("axes", BASIS_ENTRY, lit) for lit in ("-0.0", "5e-324")},
+    **{f"sis-generator-{lit}": (SIS_FIT, GENERATOR_ENTRY, lit)
+       for lit in ("1E2", "-0.0", "5e-324", "1e308")},
+    "sis-spectra-generator-1E-2": (SPECTRA_FIT, GENERATOR_ENTRY, "-1E-2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORED_REPORTS))
+def test_score_reads_the_numbers_a_default_json_load_gives(tmp_path, monkeypatch, capsys,
+                                                           case):
+    fit, where, literal = SCORED_REPORTS[case]
+    data = FIXTURE
+    if fit == SPECTRA_FIT:
+        data = _spectra_csv(tmp_path / "spectra.csv")
+    elif fit == "axes":
+        # the first basis row of this fit is the third axis: its first entry is 0
+        data, fit = tmp_path / "axes.csv", ()
+        data.write_text(AXES)
+    report = tmp_path / "r.json"
+    assert main(["fit", "--input", str(data), "--l", "2", "--n", "1", "--seed", "0",
+                 "--report", str(report), "--no-timings", *fit]) == 0
+    if where is not None:
+        report.write_text(_report_edit(report, where, literal))
+    got = _score_outcome(capsys, data, report)
+    monkeypatch.setattr(cli, "load_members", lambda fh, names: json.load(fh))
+    want = _score_outcome(capsys, data, report)
+    assert got == want
+    if got[0] == 0:
+        # "-0" is a JSON integer: read integers as floats to keep the sign
+        scored, wanted = (json.loads(out, parse_int=float) for _, out, _ in (got, want))
+        for key in ("objective", "stored_objective"):
+            assert scored[key].hex() == wanted[key].hex()
+        if where == OBJECTIVE:
+            assert scored["stored_objective"].hex() == float(literal).hex()

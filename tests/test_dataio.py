@@ -1,16 +1,20 @@
 """Byte-level pins for the report serialiser and the CSV reader."""
 
 import csv
+import io
+import json
 import math
+import re
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uosfit import DataSet, NonFinite, ParseError, RaggedRows, ingest
 from uosfit import dataio
-from uosfit.dataio import format_float, to_json, write_dataset_csv
+from uosfit.dataio import Ragged, format_float, load_members, to_json, write_dataset_csv
 
 
 def golden_object():
@@ -97,6 +101,125 @@ class TestToJson:
     def test_nested_lists_match_per_scalar_join(self, rows):
         block = "[\n    " + ",\n    ".join(map(_reference_row, rows)) + "\n  ]"
         assert to_json({"v": rows}) == '{\n  "v": ' + block + "\n}\n"
+
+
+def _ragged(rows):
+    return Ragged(list(chain.from_iterable(rows)), list(map(len, rows)))
+
+
+def _nested(value, depth):
+    """``value`` inside ``depth`` alternating dicts and lists, for indentation."""
+    for level in range(depth):
+        value = {"k": value} if level % 2 == 0 else [value, 1]
+    return value
+
+
+ragged_rows = st.lists(st.one_of(
+    st.lists(st.integers(), max_size=6),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.just(-0.0), max_size=6),
+    st.lists(numbers, max_size=6),
+    st.just([]),
+), max_size=8)
+
+
+class TestRagged:
+    """A ragged block serializes to the same text as the list of its rows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=ragged_rows, depth=st.integers(0, 4))
+    @example(rows=[], depth=0)
+    @example(rows=[[], [], []], depth=1)
+    @example(rows=[[-0.0, 0.0], [], [3]], depth=2)
+    def test_matches_the_list_of_its_rows(self, rows, depth):
+        block = _ragged(rows)
+        assert block.rows() == rows
+        assert to_json(_nested(block, depth)) == to_json(_nested(rows, depth))
+        spelt = "[\n    " + ",\n    ".join(map(_reference_row, rows)) + "\n  ]" if rows else "[]"
+        assert to_json({"v": block}) == '{\n  "v": ' + spelt + "\n}\n"
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=ragged_rows.filter(any), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           depth=st.integers(0, 3), data=st.data())
+    def test_non_finite_is_refused_like_format_float(self, rows, bad, depth, data):
+        row = data.draw(st.sampled_from([r for r in rows if r]))
+        row[data.draw(st.integers(0, len(row) - 1))] = bad
+        with pytest.raises(NonFinite) as want:
+            format_float(bad)
+        for value in (rows, _ragged(rows)):
+            with pytest.raises(NonFinite, match=f"^{re.escape(str(want.value))}$"):
+                to_json(_nested(value, depth))
+
+    def test_other_values_take_the_general_path(self):
+        rows = [[np.float64(0.5), True], [], [np.int64(3)]]
+        assert to_json({"v": _ragged(rows)}) == to_json({"v": rows})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=12,
+)
+member_names = st.sampled_from(["mode", "codes", "objective", "", "m\u00e9", 'a"b'])
+spaces = st.sampled_from(["", " ", "\n  ", "\t\r\n"])
+
+
+@st.composite
+def json_objects(draw):
+    """Text of a JSON object whose members may repeat, spaced at random."""
+    members = draw(st.lists(st.tuples(member_names, json_values), max_size=6))
+    space, indent = draw(spaces), draw(st.sampled_from([None, 1]))
+    colon = space + ":" + space
+    body = ("," + space).join(json.dumps(name) + colon + json.dumps(value, indent=indent)
+                              for name, value in members)
+    return space + "{" + space + body + space + "}" + space
+
+
+def _loaded(text, names):
+    return load_members(io.StringIO(text), names)
+
+
+class TestLoadMembers:
+    """load_members reads what json.loads reads, for the members it keeps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=json_objects(), names=st.sets(member_names))
+    def test_kept_members_match_json_loads(self, text, names):
+        want = {name: value for name, value in json.loads(text).items() if name in names}
+        # repr tells 1 from 1.0, -0.0 from 0.0 and shows nan
+        assert repr(_loaded(text, names)) == repr(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=json_objects(), data=st.data())
+    def test_malformed_text_fails_as_json_loads_does(self, text, data):
+        cut = data.draw(st.integers(0, len(text)))
+        bad = data.draw(st.sampled_from([text[:cut], text[:cut] + "x" + text[cut:],
+                                         text[:cut] + text[cut + 1:]]))
+        try:
+            want = json.loads(bad)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _loaded(bad, {"mode", "codes"})
+        else:
+            got = _loaded(bad, {"mode", "codes"})
+            if isinstance(want, dict):
+                want = {k: v for k, v in want.items() if k in ("mode", "codes")}
+            assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("text", [
+        '{"a" 1}', '{"a": 1,}', '{"a": 1} x', '{"a": 1 "b": 2}', "{1: 2}", "", "{",
+        # one stray character where a delimiter or a quote belongs
+        '{"a" x 1}', '{"a": 1 x"b": 2}', '{xa": 1}',
+        '{"mode": "x", "codes": [1.5, ]}', '{"codes": [1.5e], "mode": "x"}',
+    ])
+    def test_malformed_members_are_refused(self, text):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError):
+            _loaded(text, {"mode"})
+
+    def test_a_document_that_is_not_an_object_is_returned_whole(self):
+        assert _loaded(" [1, 2.5] ", {"mode"}) == [1, 2.5]
 
 
 def _reference_csv(path, dataset, with_labels=True):

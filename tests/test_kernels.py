@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from uosfit import Bundle, DataSet, DimensionMismatch, Subspace, best_fit_subspace, distance_matrix
 from uosfit import subspace
-from uosfit.bundles import nearest
+from uosfit.bundles import nearest, nearest_with_min
 from uosfit.subspace import residual_rows, residuals_sq
 
 EPS = np.finfo(np.float64).eps
@@ -214,6 +214,24 @@ def test_nearest_equals_argmin(mat, order):
     want = dmat.argmin(axis=1)
     assert got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    mat=arrays(np.float64, st.tuples(st.integers(0, 30), st.integers(1, 6)),
+               elements=st.integers(0, 3).map(float)),
+    order=st.sampled_from("CF"),
+)
+@example(mat=np.zeros((3, 300)), order="C")  # labels past one byte
+@example(mat=np.tile(np.arange(300.0, 0.0, -1.0), (2, 1)), order="F")
+def test_nearest_with_min_equals_argmin_and_min(mat, order):
+    # Integer-valued entries make ties common; the lowest index must win.
+    dmat = np.asarray(mat, order=order)
+    labels, minima = nearest_with_min(dmat)
+    want = dmat.argmin(axis=1)
+    assert labels.dtype == want.dtype
+    assert labels.tobytes() == want.tobytes()
+    assert minima.tobytes() == dmat.min(axis=1).tobytes()
 
 
 class TestSubset:

@@ -210,16 +210,41 @@ class TestSymEigenMatchesReference:
         herm = (a + a.conj().swapaxes(-1, -2)) / 2.0
         assert e.eigenvalues.tobytes() == sym_eigen(herm).eigenvalues.tobytes()
 
-    @pytest.mark.parametrize("mat", [
-        [[1.5e308, 0.0], [0.0, 1.0]],
-        [[1.0, 1.7e308], [1.7e308, 1.0]],
-        [[8.0e307, 2.0], [2.0, -8.0e307]],
+    @pytest.mark.parametrize("mat, want", [
+        ([[1.5e308, 0.0], [0.0, 1.0]], [1.5e308, 1.0]),
+        ([[1.0, 1.7e308], [1.7e308, 1.0]], [1.7e308, -1.7e308]),
+        ([[8.0e307, 2.0], [2.0, -8.0e307]], None),
     ], ids=["diagonal", "off-diagonal", "below-half"])
-    def test_finite_entries_near_the_top_of_the_range(self, mat):
-        # Above max/2 (about 8.99e307) the hermitization overflows, as in the
-        # reference; the last case stays below max/2 and is passed on as it is.
-        with np.errstate(over="ignore", invalid="ignore"):
+    def test_finite_entries_near_the_top_of_the_range(self, mat, want):
+        # Above max/2 (about 8.99e307) the reference's hermitization overflows
+        # to NaN; halving the terms of an overflowed sum keeps the spectrum,
+        # which is representable, finite.  The last case stays below max/2
+        # and is passed on as it is.
+        if want is None:
             assert_same_as_reference(np.array(mat))
+            return
+        e = sym_eigen(np.array(mat))
+        assert np.isfinite(e.eigenvalues).all() and np.isfinite(e.eigenvectors).all()
+        assert np.allclose(e.eigenvalues, want, rtol=4 * np.finfo(np.float64).eps, atol=0.0)
+        assert np.allclose(e.eigenvectors.T @ e.eigenvectors, np.eye(2), atol=1e-15)
+
+    def test_best_fit_with_a_gram_entry_above_half_the_range(self):
+        # x.T @ x holds 1.44e308 on its diagonal: the optimum leaves the
+        # second axis out, at error 1.
+        fit = best_fit_subspace(DataSet([[1.2e154, 0.0], [0.0, 1.0]]), 1)
+        assert fit.error == 1.0
+        assert np.abs(fit.subspace.basis).tolist() == [[1.0, 0.0]]
+
+    def test_overflowed_entries_alone_are_redone(self):
+        # One member of the stack overflows the halved sum, so the whole
+        # stack is hermitized.  The other member's subnormal entries would
+        # round if halved; it keeps the reference's bits.
+        tiny = np.array([[5e-324, 0.0], [0.0, 1.5e-323]])
+        assert (tiny * 0.5 + tiny * 0.5).tolist() != tiny.tolist()
+        big = np.array([[1.5e308, 0.0], [0.0, 1.0]])
+        e = sym_eigen(np.stack([tiny, big]))
+        assert e.eigenvalues[0].tobytes() == reference_sym_eigen(tiny)[0].tobytes()
+        assert e.eigenvalues[1].tolist() == [1.5e308, 1.0]
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
