@@ -7,7 +7,8 @@ Three errors drive everything:
 * per-cell best fits (``best_bundle``) minimise gamma for a fixed partition.
 
 ``objective_e(F, V) <= gamma(F, P, V)`` always, with equality exactly when
-P assigns every point to a nearest subspace (``best_partition``).
+P assigns every point to a nearest subspace (``best_partition``); in floats
+both hold exactly, as the two sum the same distances over the same tree.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, IndexOutOfRange
-from .subspace import DataSet, best_fit_subspace, residual_rows, total_error
+from .subspace import DataSet, best_fit_subspace, residual_rows
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,9 @@ def objective_e(dataset: DataSet, bundle: Bundle) -> float:
 
 
 def gamma(dataset: DataSet, partition: Partition, bundle: Bundle) -> float:
-    """Sum over cells of the fitting error of each cell to its own subspace."""
+    """Sum over points of the squared distance to the assigned subspace,
+    summed as ``objective_e`` sums the nearest ones: ``objective_e <= gamma``
+    holds exactly, with bitwise equality at ``best_partition``."""
     if partition.num_points != dataset.m:
         raise DimensionMismatch(
             f"partition covers {partition.num_points} points, data has {dataset.m}"
@@ -143,11 +146,8 @@ def gamma(dataset: DataSet, partition: Partition, bundle: Bundle) -> float:
         raise DimensionMismatch(
             f"partition has {partition.num_cells} cells, bundle has {len(bundle)}"
         )
-    out = 0.0
-    for idx, sub in zip(partition.cells(), bundle):
-        if idx.size:
-            out += total_error(dataset.subset(idx), sub)
-    return out
+    dmat = distance_matrix(dataset, bundle)
+    return float(dmat[np.arange(dataset.m), partition.assignment].sum())
 
 
 def best_partition(dataset: DataSet, bundle: Bundle) -> Partition:

@@ -78,7 +78,8 @@ class SolveReport:
     fixed point, the nearest-subspace error up to ``STOP_TOL`` times the data
     energy) and is the minimum of ``per_restart_objectives``.
     ``objective_trace`` holds the winning restart's gamma per iteration,
-    strictly decreasing except possibly its final entry.
+    strictly decreasing except possibly its final entry.  ``residuals_sq``
+    holds each point's squared distance to its member of ``bundle``.
     """
 
     bundle: Bundle
@@ -89,6 +90,7 @@ class SolveReport:
     objective_trace: tuple
     degenerate_flags: tuple
     converged: bool
+    residuals_sq: tuple
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,9 @@ class SweepRow:
 @dataclass
 class _Chain:
     """One alternation chain: the partition it fits next, the one it fitted
-    last, gamma per step, and the partitions it visited as compact keys."""
+    last, and gamma per step."""
 
     assignment: np.ndarray
-    seen: set
     fitted: np.ndarray = None
     trace: list = field(default_factory=list)
     converged: bool = False
@@ -124,8 +125,7 @@ def _step(live, family, tol, key_type):
     ``nearest_with_min`` pass.  Each chain's gamma sums its own l cell
     errors in cell order and its nearest error sums its own minima from
     that pass, so no chain's arithmetic depends on which chains share the
-    step.  A chain that goes on records its new partition as a
-    ``key_type`` key.
+    step.  The labels are sorted as ``key_type``, which holds every one.
     """
     l, count = family.l, len(live)
     labels = np.array([chain.assignment for chain in live])
@@ -141,19 +141,16 @@ def _step(live, family, tol, key_type):
     bars = (minima.reshape(count, -1).sum(axis=1) + tol).tolist()
     moved = moved.reshape(count, -1)
     going = []
-    for chain, gam, bar, assignment, key in zip(live, gammas, bars, moved,
-                                                 moved.astype(key_type)):
+    for chain, gam, bar, assignment in zip(live, gammas, bars, moved):
         chain.fitted = chain.assignment
         chain.trace.append(gam)
         if gam <= bar:
             chain.converged = True
             continue
-        key = key.tobytes()
-        # A revisited partition would contradict strict descent (finite
-        # termination proof); only numerical breakage could trigger this.
-        if key in chain.seen:
-            raise ArithmeticError("partition revisited during descent")
-        chain.seen.add(key)
+        # Gamma depends on the partition alone: strict descent rules out a
+        # revisit and ends the chain.  Only numerical breakage fails it.
+        if len(chain.trace) > 1 and not gam < chain.trace[-2]:
+            raise ArithmeticError("gamma did not decrease during descent")
         chain.assignment = assignment
         going.append(chain)
     return going
@@ -169,7 +166,7 @@ def _lockstep(starts, family, tol, max_iters):
     """
     # Labels fit the smallest unsigned type holding l - 1: exact, and small.
     key_type = np.min_scalar_type(family.l - 1)
-    chains = [_Chain(a, {a.astype(key_type).tobytes()}) for a in starts]
+    chains = [_Chain(a) for a in starts]
     live = chains
     for _ in range(max_iters):
         if not live:
@@ -257,8 +254,9 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
     re-verified post hoc: its gamma must match the nearest-model error of
     that bundle, and the refit must not go below it.  This check and each
     chain's stop test allow ``STOP_TOL`` times the energy of the data (its
-    total squared norm, the zero model's error).  Objectives and trace are
-    reported at the data's own scale.
+    total squared norm, the zero model's error).  Its distances give
+    ``residuals_sq``.  Objectives, trace and residuals are at the data's own
+    scale.
     """
     if dataset.m == 0:
         raise EmptyDataSet("a search requires at least one data vector")
@@ -278,10 +276,10 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
     chains = _lockstep(starts, family, tol, cfg.max_iters)
     best, restarts = min(chains, key=lambda c: c.objective), chains[:cfg.restarts]
     bundle, refit_gamma, flags = family.refit(best.fitted)
-    converged = best.converged
-    if converged:
-        err = float(family.bundle_distances(bundle).min(axis=1).sum())
-        converged = abs(best.objective - err) <= tol and refit_gamma >= best.objective - tol
+    dmat = family.bundle_distances(bundle)
+    err = float(dmat.min(axis=1).sum())
+    converged = (best.converged and abs(best.objective - err) <= tol
+                 and refit_gamma >= best.objective - tol)
     return SolveReport(
         bundle=bundle,
         partition=Partition(best.fitted, cfg.l),
@@ -291,6 +289,7 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
         objective_trace=tuple(_unscaled(best.trace, e)),
         degenerate_flags=tuple(flags),
         converged=bool(converged),
+        residuals_sq=tuple(_unscaled(dmat[np.arange(scaled.m), best.fitted], e)),
     )
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uosfit import (
     Bundle,
@@ -16,7 +17,7 @@ from uosfit import (
     total_error,
 )
 from uosfit.bundles import fit_partition
-from helpers import close_rel, random_dataset
+from helpers import random_dataset
 
 
 def axes_bundle():
@@ -53,7 +54,7 @@ class TestGamma:
         f = random_dataset(rng, 8, 3)
         bundle = random_bundle(rng, 3, 2, 3)
         p = best_partition(f, bundle)
-        assert close_rel(gamma(f, p, bundle), objective_e(f, bundle), 1e-12)
+        assert gamma(f, p, bundle) == objective_e(f, bundle)
 
     def test_swapped_assignment(self):
         f = DataSet([[1.0, 0.0], [0.0, 1.0]])
@@ -84,7 +85,21 @@ class TestGamma:
             f = random_dataset(rng, m, 3)
             bundle = random_bundle(rng, l, 2, 3)
             p = Partition(rng.integers(0, l, m), l)
-            assert objective_e(f, bundle) <= gamma(f, p, bundle) + 1e-12
+            assert objective_e(f, bundle) <= gamma(f, p, bundle)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(1, 300), dim=st.integers(1, 6), l=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_gamma_bounds_e_exactly(m, dim, l, seed):
+    # one distance matrix, summed over the same tree: no tolerance either way
+    rng = np.random.default_rng(seed)
+    f = DataSet(rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0, size=(m, 1)))
+    bundle = random_bundle(rng, l, dim, dim)
+    e = objective_e(f, bundle)
+    assert gamma(f, best_partition(f, bundle), bundle).hex() == e.hex()
+    for _ in range(5):
+        assert e <= gamma(f, Partition(rng.integers(0, l, m), l), bundle)
 
 
 class TestBestPartition:
@@ -116,7 +131,7 @@ class TestBestPartition:
         best = gamma(f, best_partition(f, bundle), bundle)
         for _ in range(200):
             p = Partition(rng.integers(0, 3, 7), 3)
-            assert best <= gamma(f, p, bundle) + 1e-12
+            assert best <= gamma(f, p, bundle)
 
 
 class TestBestBundle:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 from itertools import compress
@@ -5,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uosfit import Partition, RaggedRows, generate, ingest
 from uosfit import cli
@@ -167,6 +170,29 @@ class TestCliCommands:
         eps = [float(line.split(",")[2]) for line in lines[1:]]
         assert all(b <= a for a, b in zip(eps, eps[1:]))
 
+    def test_sweep_over_a_list_of_l(self, tmp_path):
+        report = tmp_path / "s.json"
+        assert main(["sweep", "--input", str(FIXTURE), "--l", "1,3", "--n", "1",
+                     "--restarts", "2", "--report", str(report), "--no-timings"]) == 0
+        rows = json.loads(report.read_text())["rows"]
+        assert [(row["l"], row["n"]) for row in rows] == [(1, 1), (3, 1)]
+        assert rows[1]["epsilon"] <= rows[0]["epsilon"]
+
+    def test_fit_verbose_prints_the_report(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        capsys.readouterr()
+        assert main(["fit", "--input", str(FIXTURE), "--l", "2", "--n", "1", "--verbose",
+                     "--report", str(report), "--no-timings"]) == 0
+        assert capsys.readouterr().out == report.read_text()
+
+    def test_score_out_writes_what_it_prints(self, tmp_path, capsys):
+        _fitted_report(tmp_path)
+        out = tmp_path / "score.json"
+        capsys.readouterr()
+        assert main(["score", "--input", str(FIXTURE), "--report", str(tmp_path / "rep.json"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     def test_farthest_point_fit_at_n_0_starts_and_stays_in_cell_0(self, tmp_path):
         # every seed's fit is the zero subspace, so each point ties at its
         # own energy and goes to cell 0; the objective is the data energy
@@ -193,6 +219,30 @@ class TestCliCommands:
         # the parser is built once, so handlers must be looked up per call
         monkeypatch.setattr(cli, "cmd_score", lambda args: 7)
         assert main(["score", "--input", "x.csv", "--report", "r.json"]) == 7
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "x.csv", "--l", "2", "--n", "1", "--report", "r.json",
+         "--mode", "sis", "--no-timings"],
+        ["sweep", "--input", "x.csv", "--l", "1:3", "--n", "1", "--report", "r.json"],
+        ["generate", "--l", "1", "--n", "1", "--ambient-dim", "2",
+         "--points-per-subspace", "3", "--out", "g.csv"],
+        ["score", "--input", "x.csv", "--report", "r.json"],
+    ])
+    def test_command_parser_gives_the_full_parsers_namespace(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or 0)
+        assert main(argv) == 0
+        assert seen == [cli._PARSER.parse_args(argv)]
+
+    def test_lines_without_a_command_first_use_the_full_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0 and capsys.readouterr().out.strip() == cli.__version__
+        for argv in ([], ["fitx"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.splitlines()[-1].startswith("uosfit: error: ")
 
     def test_missing_input_exit_2(self, tmp_path, capsys):
         code = main(["fit", "--input", str(tmp_path / "gone.csv"), "--l", "1",
@@ -242,6 +292,13 @@ def _fitted_report(tmp_path, extra=()):
     return json.loads(report.read_text())
 
 
+def _sweep_report(tmp_path):
+    report = tmp_path / "sweep.json"
+    assert main(["sweep", "--input", str(FIXTURE), "--l", "1:2", "--n", "1",
+                 "--restarts", "2", "--report", str(report)]) == 0
+    return report.read_bytes()
+
+
 def _edit(change, extra=()):
     def write(tmp_path):
         doc = _fitted_report(tmp_path, extra)
@@ -273,6 +330,8 @@ def _generators_missing(doc):
 
 MALFORMED = {
     "fit-input-not-utf8": ("fit", b"\xff1,2\n3,4\n"),
+    "fit-spectra-odd-columns": ("fit-spectra", b"1,2,3\n4,5,6\n"),
+    "report-of-a-sweep": ("score", _sweep_report),
     "report-is-a-list": ("score", lambda tmp_path: b"[]"),
     "report-basis-row-length": ("score", _edit(_basis_row_too_long)),
     "report-ambient-dim-text": ("score", _edit(lambda d: d.update(ambient_dim="x"))),
@@ -313,6 +372,10 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     if command == "fit":
         argv = ["fit", "--input", str(bad), "--l", "1", "--n", "1",
                 "--report", str(tmp_path / "r.json")]
+    elif command == "fit-spectra":
+        argv = ["fit", "--input", str(bad), "--l", "1", "--n", "1", "--mode", "sis",
+                "--signal-len", "2", "--shift-step", "1", "--input-format", "spectra",
+                "--report", str(tmp_path / "r.json")]
     else:
         argv = ["score", "--input", str(FIXTURE), "--report", str(bad)]
     try:
@@ -321,7 +384,7 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
         pytest.fail(f"{case}: {type(exc).__name__}: {exc}")
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -332,6 +395,7 @@ BAD_SETTINGS = {
     "fit-seed-negative": ["fit", "--seed", "-1"],
     "fit-farthest-point-seed-negative": ["fit", "--init", "farthest_point", "--seed", "-1"],
     "sweep-seed-negative": ["sweep", "--seed", "-1"],
+    "sweep-l-descending": ["sweep", "--l", "3:1"],
     "generate-seed-negative": ["generate", "--seed", "-5"],
     "generate-ambient-dim-zero": ["generate", "--n", "0", "--ambient-dim", "0"],
     # a basis of 10**15 coordinates cannot be allocated on any machine
@@ -516,3 +580,70 @@ def test_score_reads_the_numbers_a_default_json_load_gives(tmp_path, monkeypatch
             assert scored[key].hex() == wanted[key].hex()
         if where == OBJECTIVE:
             assert scored["stored_objective"].hex() == float(literal).hex()
+
+
+# The bytes a mutation inserts: JSON and CSV syntax, digits, and a byte that
+# is not UTF-8, besides any byte at all.
+FUZZ_BYTES = st.one_of(st.sampled_from(list(b'0123456789.,-+eE"[]{}:\n \xff')),
+                       st.integers(0, 255))
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after one to three cuts, byte insertions and swaps of two
+    characters."""
+    data = bytearray(text)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["cut", "insert", "swap"]))
+        at = draw(st.integers(0, len(data)))
+        if op == "cut":
+            del data[at:at + draw(st.integers(1, 8))]
+        elif op == "insert":
+            data.insert(at, draw(FUZZ_BYTES))
+        elif data:
+            i, j = min(at, len(data) - 1), draw(st.integers(0, len(data) - 1))
+            data[i], data[j] = data[j], data[i]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_reports(tmp_path_factory):
+    """The fixture's CSV and its Euclidean and shift-invariant fit reports."""
+    where = tmp_path_factory.mktemp("fuzz")
+    reports = {}
+    for name, extra in (("euclidean", ()), ("sis", SIS_FIT)):
+        report = where / f"{name}.json"
+        assert main(["fit", "--input", str(FIXTURE), "--l", "2", "--n", "1", "--restarts", "2",
+                     "--report", str(report), "--no-timings", *extra]) == 0
+        reports[name] = report.read_bytes()
+    return where, FIXTURE.read_bytes(), reports
+
+
+def _assert_exits_cleanly(argv):
+    """``main`` returns 0, 1 or 2, its output captured; an exception that
+    escapes main is a traceback at the shell and fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_csv_fit_exits_cleanly(fuzz_reports, data):
+    where, csv, _ = fuzz_reports
+    bad = where / "fit.csv"
+    bad.write_bytes(data.draw(mutated(csv)))
+    mode = data.draw(st.sampled_from([(), SIS_FIT]))
+    _assert_exits_cleanly(["fit", "--input", str(bad), "--l", "2", "--n", "1", "--restarts", "2",
+                "--report", str(where / "fit.json"), *mode])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_report_score_exits_cleanly(fuzz_reports, data):
+    where, _, reports = fuzz_reports
+    bad = where / "score.json"
+    bad.write_bytes(data.draw(mutated(reports[data.draw(st.sampled_from(sorted(reports)))])))
+    _assert_exits_cleanly(["score", "--input", str(FIXTURE), "--report", str(bad)])

@@ -105,7 +105,7 @@ def _same_partition(a, b):
 @pytest.mark.parametrize("c", [1e154, 1e-160])
 def test_search_runs_at_the_ends_of_the_float_range(c):
     # Unscaled, x.T @ x overflows at 1e154 (NonFinite) and the squared
-    # norms are subnormal at 1e-160 (a partition was revisited); the search
+    # norms are subnormal at 1e-160 (strict descent broke); the search
     # divides the data by a power of two first.  At 1e-160 the objective
     # itself underflows, so only the decisions are compared there.
     x = _planted_lines()

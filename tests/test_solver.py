@@ -187,8 +187,31 @@ def test_descend_raises_on_revisited_partition():
                 dist[j + 1 if models[j].size else j] = 0.0
             return dist
 
-    with pytest.raises(ArithmeticError, match="revisited"):
+    with pytest.raises(ArithmeticError, match="did not decrease"):
         _lockstep([np.zeros(2, dtype=np.intp)], Flip(), tol=0.0, max_iters=10)
+
+
+def test_descend_raises_when_gamma_rises_on_a_fresh_partition():
+    # a stub family that moves one more point to cell 1 each step, so no
+    # partition repeats, while the gamma of its fits rises: strict descent is
+    # broken before any revisit
+    class Rise:
+        l = 2
+        calls = 0
+
+        def fit(self, cells):
+            self.calls += 1
+            return list(cells), np.full(len(cells), float(self.calls))
+
+        def distances(self, models):
+            # cell 1 holds points 0..k-1 after k steps; point k joins it
+            k = models[1].size + 1
+            dist = np.ones((2, 4))
+            dist[0, k:], dist[1, :k] = 0.0, 0.0
+            return dist
+
+    with pytest.raises(ArithmeticError, match="did not decrease"):
+        _lockstep([np.zeros(4, dtype=np.intp)], Rise(), tol=0.0, max_iters=3)
 
 
 def reference_farthest_point(m, l, rng, singleton_dists):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +236,14 @@ class TestSymEigenMatchesReference:
         fit = best_fit_subspace(DataSet([[1.2e154, 0.0], [0.0, 1.0]]), 1)
         assert fit.error == 1.0
         assert np.abs(fit.subspace.basis).tolist() == [[1.0, 0.0]]
+
+    def test_asymmetry_past_the_float_range_is_rejected(self):
+        # The mirrored entries differ by more than the largest float: the
+        # check must neither overflow nor report an infinite asymmetry.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonSymmetric, match=r"half-asymmetry 1\.700e\+308 "):
+                sym_eigen(np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]))
 
     def test_overflowed_entries_alone_are_redone(self):
         # One member of the stack overflows the halved sum, so the whole
