@@ -28,7 +28,7 @@ from .errors import (
     UosfitError,
 )
 from .sis import ShiftStructure, SISModel, sis_distance_matrix, solve_sis_bundle
-from .solver import INIT_STRATEGIES, SolveConfig, solve, sparsity_curve
+from .solver import INIT_STRATEGIES, MAX_ITERS, SolveConfig, solve, sparsity_curve
 from .spectral import STOP_TOL
 from .sparsity import encode, extract_dictionary
 from .subspace import Subspace
@@ -69,7 +69,7 @@ def _parse_range(text):
 
 def _solve_config(args, l, n):
     return SolveConfig(l=l, n=n, restarts=args.restarts, seed=args.seed,
-                       init_strategy=args.init, max_iters=args.max_iters)
+                       init_strategy=args.init)
 
 
 def _config_echo(args, mode, extra=None):
@@ -80,7 +80,7 @@ def _config_echo(args, mode, extra=None):
         "seed": args.seed,
         "init_strategy": args.init,
         "rel_tol": STOP_TOL,
-        "max_iters": args.max_iters,
+        "max_iters": MAX_ITERS,
     }
     if mode == "sis":
         echo["signal_len"] = args.signal_len
@@ -155,18 +155,18 @@ def cmd_fit(args):
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "mode": mode,
-        "config": _config_echo(args, mode, {"l": cfg.l, "n": cfg.n, "dedup_tol": args.dedup_tol}),
+        "config": _config_echo(args, mode, {"l": cfg.l, "n": cfg.n, "dedup_tol": 0.0}),
     }
     if mode == "euclidean":
         report = solve(dataset, cfg)
-        dictionary = extract_dictionary(report.bundle, args.dedup_tol)
+        dictionary = extract_dictionary(report.bundle)
         code = encode(dataset, report.bundle, report.partition, dictionary)
         doc["ambient_dim"] = dataset.ambient_dim
         doc["components"] = _euclidean_components(report.bundle)
         doc["dictionary"] = {
             "atoms": dictionary.atoms.tolist(),
             "atom_to_subspace": [list(g) for g in dictionary.atom_to_subspace],
-            "raw_atom_count": dictionary.raw_atom_count,
+            "raw_atom_count": len(dictionary),
         }
         # Per point: the atoms with a nonzero weight, and those weights.  The
         # nonzeros come in point order, support_sizes of them per point.
@@ -332,7 +332,6 @@ def _add_common_solver_flags(p):
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init", default="random_partition", choices=INIT_STRATEGIES)
-    p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--no-timings", action="store_true",
                    help="omit the timings section for byte-identical reports")
 
@@ -355,7 +354,6 @@ def build_parser():
     p_fit.add_argument("--shift-step", type=int, default=None, help="L (sis mode)")
     p_fit.add_argument("--input-format", default="rows", choices=["rows", "spectra"],
                        help="sis input: real time-domain rows, or interleaved re,im spectra")
-    p_fit.add_argument("--dedup-tol", type=float, default=0.0)
     p_fit.add_argument("--report", required=True)
     p_fit.add_argument("--verbose", action="store_true")
     _add_common_solver_flags(p_fit)

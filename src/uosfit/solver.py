@@ -36,6 +36,9 @@ INIT_STRATEGIES = ("random_partition", "farthest_point")
 
 BRUTE_FORCE_GUARD = 10**7
 
+# The safety cap on a chain's alternation steps.
+MAX_ITERS = 1000
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -47,7 +50,8 @@ class SolveConfig:
     seed : base seed (>= 0); restart r uses the stream seeded by (seed, r)
     init_strategy : 'random_partition' (uniform iid cell labels) or
         'farthest_point' (greedy residual-based seeding)
-    max_iters : per-restart safety cap on alternation steps
+
+    Every chain stops after at most ``MAX_ITERS`` alternation steps.
     """
 
     l: int
@@ -55,15 +59,14 @@ class SolveConfig:
     restarts: int = 32
     seed: int = 0
     init_strategy: str = "random_partition"
-    max_iters: int = 1000
 
     def __post_init__(self):
         if self.l < 1:
             raise InvalidSpec("l must be >= 1")
         if self.n < 0:
             raise InvalidSpec("n must be >= 0")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise InvalidSpec("restarts and max_iters must be >= 1")
+        if self.restarts < 1:
+            raise InvalidSpec("restarts must be >= 1")
         if self.seed < 0:
             raise InvalidSpec("seed must be >= 0")
         if self.init_strategy not in INIT_STRATEGIES:
@@ -273,7 +276,7 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
             scaled.m, cfg.l, rng, lambda j: family.distances(family.fit([np.array([j])])[0])[0])
 
     starts = itertools.chain(map(cold, range(cfg.restarts)), seeds(family))
-    chains = _lockstep(starts, family, tol, cfg.max_iters)
+    chains = _lockstep(starts, family, tol, MAX_ITERS)
     best, restarts = min(chains, key=lambda c: c.objective), chains[:cfg.restarts]
     bundle, refit_gamma, flags = family.refit(best.fitted)
     dmat = family.bundle_distances(bundle)

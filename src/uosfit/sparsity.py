@@ -9,11 +9,12 @@ total squared reconstruction error equal to the solver objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .bundles import Bundle, Partition
-from .errors import DimensionMismatch, InvalidSpec
+from .errors import DimensionMismatch
 from .solver import SolveConfig, SolveReport, solve
 from .spectral import EXACT_TOL
 from .subspace import DataSet
@@ -21,15 +22,10 @@ from .subspace import DataSet
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Unit atoms (rows) plus, per bundle component, the indices spanning it.
-
-    ``raw_atom_count`` is the atom count before cross-component merging; it
-    equals ``len(atoms)`` when no merge happened.
-    """
+    """Unit atoms (rows) plus, per bundle component, the indices spanning it."""
 
     atoms: np.ndarray
     atom_to_subspace: tuple
-    raw_atom_count: int
 
     def __len__(self):
         return self.atoms.shape[0]
@@ -56,37 +52,17 @@ class SparsityCertificate:
     report: SolveReport
 
 
-def extract_dictionary(bundle: Bundle, dedup_tol=0.0) -> Dictionary:
-    """Concatenate the nonzero components' bases into a dictionary.
+def extract_dictionary(bundle: Bundle) -> Dictionary:
+    """The bundle's bases stacked into one dictionary, in component order.
 
-    With ``dedup_tol > 0``, a basis vector whose coherence with an existing
-    atom exceeds ``1 - dedup_tol`` reuses that atom instead of adding a new
-    one (shared-direction heuristic); the default 0 never merges.  Zero
-    subspaces contribute nothing.
+    Component k owns the next ``bundle[k].dim`` atoms; zero subspaces
+    contribute nothing.
     """
-    if not 0.0 <= dedup_tol < 1.0:
-        raise InvalidSpec("dedup_tol must lie in [0, 1)")
-    atoms = []
-    groups = []
-    raw = 0
-    for sub in bundle:
-        idxs = []
-        for w in sub.basis:
-            raw += 1
-            hit = None
-            if dedup_tol > 0.0:
-                for k, a in enumerate(atoms):
-                    if abs(float(a @ w)) > 1.0 - dedup_tol:
-                        hit = k
-                        break
-            if hit is None:
-                atoms.append(w.copy())
-                hit = len(atoms) - 1
-            idxs.append(hit)
-        groups.append(tuple(idxs))
-    mat = np.array(atoms) if atoms else np.zeros((0, bundle.ambient_dim))
+    mat = np.concatenate([sub.basis for sub in bundle])
     mat.flags.writeable = False
-    return Dictionary(atoms=mat, atom_to_subspace=tuple(groups), raw_atom_count=raw)
+    ends = accumulate(sub.dim for sub in bundle)
+    groups = tuple(tuple(range(end - sub.dim, end)) for sub, end in zip(bundle, ends))
+    return Dictionary(atoms=mat, atom_to_subspace=groups)
 
 
 def encode(dataset: DataSet, bundle: Bundle, partition: Partition,
@@ -125,8 +101,7 @@ def reconstruction_error(dataset: DataSet, dictionary: Dictionary,
     return float(np.sum(res * res))
 
 
-def sparsity_certificate(dataset: DataSet, cfg: SolveConfig,
-                         dedup_tol=0.0) -> SparsityCertificate:
+def sparsity_certificate(dataset: DataSet, cfg: SolveConfig) -> SparsityCertificate:
     """Solve for an optimal bundle and package the sparsity certificate.
 
     ``epsilon`` is the achieved objective; ``is_exact`` holds when epsilon is
@@ -134,7 +109,7 @@ def sparsity_certificate(dataset: DataSet, cfg: SolveConfig,
     exactly 0 on all-zero data).
     """
     report = solve(dataset, cfg)
-    dictionary = extract_dictionary(report.bundle, dedup_tol)
+    dictionary = extract_dictionary(report.bundle)
     code = encode(dataset, report.bundle, report.partition, dictionary)
     epsilon = report.objective
     return SparsityCertificate(

@@ -215,6 +215,18 @@ class TestCliCommands:
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_generate_no_labels_drops_the_label_column(self, tmp_path):
+        labelled, bare = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["generate", "--l", "2", "--n", "1", "--ambient-dim", "3",
+                "--points-per-subspace", "4", "--noise-sigma", "0.1", "--seed", "5"]
+        assert main(argv + ["--out", str(labelled)]) == 0
+        assert main(argv + ["--no-labels", "--out", str(bare)]) == 0
+        rows = bare.read_text().splitlines()
+        assert len(rows) == 8 and all(len(row.split(",")) == 3 for row in rows)
+        with_labels, without = ingest(labelled), ingest(bare)
+        assert with_labels.labels is not None and without.labels is None
+        assert without.vectors.tobytes() == with_labels.vectors.tobytes()
+
     def test_dispatch_uses_current_command_binding(self, monkeypatch):
         # the parser is built once, so handlers must be looked up per call
         monkeypatch.setattr(cli, "cmd_score", lambda args: 7)
@@ -389,7 +401,6 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
 
 
 BAD_SETTINGS = {
-    "fit-dedup-tol-nan": ["fit", "--dedup-tol", "nan"],
     "generate-noise-sigma-nan": ["generate", "--noise-sigma", "nan"],
     "generate-noise-sigma-inf": ["generate", "--noise-sigma", "inf"],
     "fit-seed-negative": ["fit", "--seed", "-1"],
@@ -420,6 +431,19 @@ def test_nonfinite_setting_exits_2_without_traceback(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("setting", [["fit", "--dedup-tol", "0.5"], ["fit", "--max-iters", "5"],
+                                     ["sweep", "--max-iters", "5"]])
+def test_removed_settings_are_usage_errors(tmp_path, capsys, setting):
+    # atoms are never merged and the step cap is solver.MAX_ITERS: no flag sets them
+    command, *rest = setting
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(FIXTURE), "--l", "1", "--n", "1",
+              "--report", str(tmp_path / "r.json"), *rest])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["fit", "sweep", "score", "fit-spectra"])
@@ -506,6 +530,35 @@ def test_codes_match_per_point_compress(tmp_path, monkeypatch):
     assert isinstance(doc["codes"]["coefficients"], Ragged)
     # repr tells 3 from 3.0 and -0.0 from 0.0
     assert repr(codes) == repr(_codes_by_compress(ingest(data), doc))
+
+
+@pytest.mark.parametrize("source, l, n", [("fixture", "2", "1"), ("axes", "2", "2"),
+                                           ("planted", "3", "2")])
+def test_fit_report_certifies_its_objective(tmp_path, source, l, n):
+    # The report alone (its atoms and codes) reconstructs the input with total
+    # squared error equal to its objective, at criterion 7's tolerance.
+    data = FIXTURE if source == "fixture" else tmp_path / f"{source}.csv"
+    if source == "axes":
+        data.write_text(AXES)
+    elif source == "planted":
+        planted, _ = generate(l=3, n=2, ambient_dim=5, points_per_subspace=12,
+                              noise_sigma=0.05, seed=17)
+        write_dataset_csv(data, planted)
+    report = tmp_path / "r.json"
+    assert main(["fit", "--input", str(data), "--l", l, "--n", n, "--seed", "0",
+                 "--report", str(report), "--no-timings"]) == 0
+    doc = json.loads(report.read_text())
+    atoms = np.array(doc["dictionary"]["atoms"]).reshape(-1, doc["ambient_dim"])
+    codes = doc["codes"]
+    x = ingest(data).vectors
+    rec = np.array([np.array(coef) @ atoms[support]
+                    for support, coef in zip(codes["support"], codes["coefficients"])])
+    error = float(np.sum((x - rec) ** 2))
+    objective = doc["objective"]
+    dust = 1e-12 * (1.0 + float(np.sum(x * x)))
+    assert abs(error - objective) <= 1e-9 * max(error, objective) + dust
+    assert len(atoms) <= int(l) * int(n)
+    assert max(len(support) for support in codes["support"]) <= int(n)
 
 
 def _report_edit(path, where, literal):

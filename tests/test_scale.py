@@ -3,6 +3,10 @@ decision (rank, cut, stop, assignment) is the same.  Scaling by 2**k is exact
 in floating point, so there the objectives must be exactly 4**k times the
 unscaled ones; other c agree to round-off."""
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,13 +17,16 @@ from uosfit import (
     SolveConfig,
     best_fit_subspace,
     best_sis,
+    generate,
     gramian,
     solve,
     solve_sis_bundle,
     sparsity_curve,
 )
+from uosfit.cli import main
+from uosfit.dataio import write_dataset_csv
 
-from helpers import rel_err
+from helpers import rel_err, sis_signals_from_generator
 
 POWERS = st.integers(-480, 480)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -139,3 +146,62 @@ def test_rank_deficient_fit_spectra_have_no_negatives(c):
                      best_sis(data, ShiftStructure(8, 2), 2).spectrum,
                      gramian(data, ShiftStructure(8, 4)).eigenvalues):
         assert spectrum.min() == 0.0
+
+
+# Planted inputs for score's scale property, with their fit commands: three
+# noisy unions of planes in R^5, and three noisy sets of length-16 signals
+# from two single-generator classes under shift step 4.
+EUCLIDEAN_FIT = ("--l", "3", "--n", "2")
+SIS_SCORE_FIT = ("--mode", "sis", "--signal-len", "16", "--shift-step", "4",
+                 "--l", "2", "--n", "1")
+SCORE_INPUTS = [("euclidean", seed) for seed in (31, 32, 33)] + [
+    ("sis", seed) for seed in (41, 42, 43)]
+
+
+def _planted_rows(kind, seed):
+    if kind == "euclidean":
+        data, _ = generate(l=3, n=2, ambient_dim=5, points_per_subspace=10,
+                           noise_sigma=0.05, seed=seed)
+        return data.vectors
+    rng = np.random.default_rng(seed)
+    structure = ShiftStructure(16, 4)
+    x = np.vstack([sis_signals_from_generator(rng, gen, structure, 6)
+                   for gen in rng.standard_normal((2, 16))])
+    return x + 0.05 * rng.standard_normal(x.shape)
+
+
+def _score(csv, report):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["score", "--input", str(csv), "--report", str(report)]) == 0
+    return json.loads(out.getvalue())["objective"]
+
+
+@pytest.fixture(scope="module")
+def scored_inputs(tmp_path_factory):
+    """Per planted input: its rows, its directory (holding the report of a
+    fit to the unscaled rows) and score's objective of the unscaled rows."""
+    cases = []
+    for kind, seed in SCORE_INPUTS:
+        folder = tmp_path_factory.mktemp(f"{kind}-{seed}")
+        x = _planted_rows(kind, seed)
+        csv, report = folder / "in.csv", folder / "rep.json"
+        write_dataset_csv(csv, DataSet(x), with_labels=False)
+        fit = EUCLIDEAN_FIT if kind == "euclidean" else SIS_SCORE_FIT
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["fit", "--input", str(csv), *fit, "--restarts", "4", "--seed", "0",
+                         "--report", str(report), "--no-timings"]) == 0
+        cases.append((x, folder, _score(csv, report)))
+    return cases
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=st.integers(0, len(SCORE_INPUTS) - 1), k=POWERS)
+def test_score_is_exact_under_powers_of_two(scored_inputs, case, k):
+    # Past |k| = 480 the objective of a larger input can leave the float
+    # range, and score then exits 1 rather than write inf (README's scale
+    # paragraph).
+    x, folder, base = scored_inputs[case]
+    scaled = folder / "scaled.csv"
+    write_dataset_csv(scaled, DataSet(np.ldexp(x, k)), with_labels=False)
+    assert _score(scaled, folder / "rep.json") == np.ldexp(base, 2 * k)

@@ -40,7 +40,6 @@ class TestExtractDictionary:
     def test_two_axes(self):
         d = extract_dictionary(axes_bundle())
         assert len(d) == 2
-        assert d.raw_atom_count == 2
         assert np.allclose(np.abs(d.atoms), np.eye(2))
 
     def test_zero_subspace_contributes_nothing(self):
@@ -49,18 +48,16 @@ class TestExtractDictionary:
         assert len(d) == 1
         assert d.atom_to_subspace == ((), (0,))
 
-    def test_shared_line_dedup(self):
-        # two planes in R^3 sharing the e2 line, bases aligned on it
+    def test_shared_line_keeps_an_atom_per_plane(self):
+        # two planes in R^3 sharing the e2 line, bases aligned on it: the
+        # atoms are the bases' rows, so each plane keeps its own e2 atom
         p1 = Subspace(3, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         p2 = Subspace(3, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        bundle = Bundle((p1, p2))
-        raw = extract_dictionary(bundle, dedup_tol=0.0)
-        merged = extract_dictionary(bundle, dedup_tol=1e-6)
-        assert len(raw) == 4
-        assert len(merged) == 3
-        assert merged.raw_atom_count == 4
-        # the shared atom spans e2 inside both groups
-        assert set(merged.atom_to_subspace[0]) & set(merged.atom_to_subspace[1])
+        d = extract_dictionary(Bundle((p1, p2)))
+        assert len(d) == 4
+        assert d.atom_to_subspace == ((0, 1), (2, 3))
+        assert d.atoms.tobytes() == np.vstack([p1.basis, p2.basis]).tobytes()
+        assert not d.atoms.flags.writeable
 
     def test_atoms_span_their_component(self):
         rng = np.random.default_rng(0)
