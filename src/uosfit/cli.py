@@ -321,9 +321,7 @@ def cmd_score(args):
         "objective": objective,
         "stored_objective": stored,
     }
-    text = to_json(out)
-    if args.out:
-        write_json(args.out, out)
+    text = write_json(args.out, out) if args.out else to_json(out)
     sys.stdout.write(text)
     return 0
 

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -212,43 +212,26 @@ class Ragged:
         return [self.values[a:b] for a, b in pairwise(bounds)]
 
 
-def _row_formats(values, lengths, types):
-    """``[%d, %.17g]`` per row of Python ints and floats (``types`` holds all
-    of them), the rows cut from ``values`` by ``lengths``."""
-    if len(types) == 1:
-        # One type: a row's format depends only on its length.
-        code = _NUMBER_CODES[next(iter(types))]
-        by_len = {k: "[" + ", ".join([code] * k) + "]" for k in set(lengths)}
-        return map(by_len.__getitem__, lengths)
-    codes = list(map(_NUMBER_CODES.__getitem__, map(type, values)))
-    bounds = accumulate(lengths, initial=0)
-    return ("[" + ", ".join(codes[a:b]) + "]" for a, b in pairwise(bounds))
+def _format_rows(values, lengths, sep):
+    """Rows ``[v, ...]`` of ``lengths[i]`` values each, cut from ``values``
+    and joined by ``sep``, in one format call.
 
-
-def _format_numbers(template, values):
-    """``template % values``, refusing non-finite floats as format_float does."""
-    text = template % values
+    Returns None unless every value is an exact int or every value an exact
+    float (bool and numpy scalars take the general path).  A non-finite
+    float raises as format_float does, the first one in order.
+    """
+    types = set(map(type, values))
+    code = _NUMBER_CODES.get(types.pop()) if len(types) == 1 else None
+    if code is None:
+        return None
+    # A row's format depends only on its length.
+    by_len = {k: "[" + ", ".join([code] * k) + "]" for k in set(lengths)}
+    text = sep.join(map(by_len.__getitem__, lengths)) % tuple(values)
     # Finite doubles print as digits, sign, '.', 'e' and '+'; nan and inf hold an 'n'.
     if "n" in text:
         for v in values:
-            if type(v) is float:
-                format_float(v)
+            format_float(v)
     return text
-
-
-def _write_rows(values, lengths, pad, out):
-    """One or more rows of Python numbers, one row a line, in one format call.
-
-    Returns False, writing nothing, when a value is not an exact int or float
-    (bool and numpy scalars take the general path) or there are no rows.
-    """
-    types = set(map(type, values))
-    if not lengths or not types <= _NUMBER_CODES.keys():
-        return False
-    sep = ",\n" + pad + "  "
-    rows = sep.join(_row_formats(values, lengths, types))
-    out.append(_format_numbers("[\n" + pad + "  " + rows + "\n" + pad + "]", tuple(values)))
-    return True
 
 
 def _serialize(obj, indent, out):
@@ -271,26 +254,24 @@ def _serialize(obj, indent, out):
             return
         out.append("{\n")
         for i, (key, val) in enumerate(obj.items()):
-            out.append(pad + "  " + f'"{key}": ')
+            out.append(pad + "  " + json.dumps(str(key)) + ": ")
             _serialize(val, indent + 2, out)
             out.append(",\n" if i + 1 < len(obj) else "\n")
         out.append(pad + "}")
     elif isinstance(obj, Ragged):
-        if not _write_rows(obj.values, obj.lengths, pad, out):
+        rows = _format_rows(obj.values, obj.lengths, ",\n" + pad + "  ")
+        if rows is None:
             _serialize(obj.rows(), indent, out)
+        else:
+            out.append("[\n" + pad + "  " + rows + "\n" + pad + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
             out.append("[]")
             return
-        # Lists of Python numbers, flat or one level deep, take one format
-        # call.  Exact types: bool and numpy scalars take the general path.
-        types = set(map(type, seq))
-        if types <= _NUMBER_CODES.keys():
-            out.append(_format_numbers(next(_row_formats(seq, [len(seq)], types)), tuple(seq)))
-            return
-        if types == {list} and _write_rows(tuple(chain.from_iterable(seq)),
-                                           list(map(len, seq)), pad, out):
+        row = _format_rows(seq, [len(seq)], "")
+        if row is not None:
+            out.append(row)
             return
         scalar = all(isinstance(v, (int, float, str, bool, np.integer, np.floating)) for v in seq)
         if scalar:

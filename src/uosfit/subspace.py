@@ -247,7 +247,7 @@ def best_fit_stack(blocks, n):
         counts.append(x.shape[0])
     covs = np.array(covs)
     if np.iscomplexobj(covs):
-        raise DimensionMismatch("best_fit_subspace expects real-valued data")
+        raise DimensionMismatch("subspace fits expect real-valued data")
     eig = sym_eigen(covs)
     dim = eig.eigenvalues.shape[1]
     spectrum, rank, error, degenerate = leading_cut(eig.eigenvalues[:, None, :], counts, n)

@@ -409,6 +409,16 @@ BAD_SETTINGS = {
     "sweep-l-descending": ["sweep", "--l", "3:1"],
     "generate-seed-negative": ["generate", "--seed", "-5"],
     "generate-ambient-dim-zero": ["generate", "--n", "0", "--ambient-dim", "0"],
+    "fit-l-zero": ["fit", "--l", "0"],
+    "fit-n-negative": ["fit", "--n", "-1"],
+    "fit-restarts-zero": ["fit", "--restarts", "0"],
+    "fit-sis-signal-len-zero": ["fit", "--mode", "sis", "--signal-len", "0", "--shift-step", "1"],
+    "sweep-n-negative": ["sweep", "--n", "-1"],
+    "sweep-restarts-zero": ["sweep", "--restarts", "0"],
+    "generate-l-zero": ["generate", "--l", "0"],
+    "generate-points-per-subspace-zero": ["generate", "--points-per-subspace", "0"],
+    # the base command's ambient dimension is 3
+    "generate-n-above-ambient-dim": ["generate", "--n", "4"],
     # a basis of 10**15 coordinates cannot be allocated on any machine
     "generate-ambient-dim-huge": ["generate", "--ambient-dim", str(10**15)],
 }

@@ -41,7 +41,8 @@ def golden_object():
     }
 
 
-# Written by the recursive per-scalar serialiser; every later one must match.
+# Written by the recursive per-scalar serialiser (``_reference_json`` below);
+# to_json must match it.
 GOLDEN_JSON = (
     '{\n  "empty_dict": {},\n  "empty_list": [],\n'
     '  "floats": [0.10000000000000001, -0, 1e-300, 2.5e+17, 1, -3, 4.9406564584124654e-324],\n'
@@ -57,9 +58,33 @@ GOLDEN_JSON = (
 )
 
 
-def _reference_row(seq):
-    """A list of Python numbers spelled one scalar at a time."""
-    return "[" + ", ".join(format_float(v) if type(v) is float else str(v) for v in seq) + "]"
+_SCALARS = (int, float, str, bool, np.integer, np.floating)
+
+
+def _reference_json(obj, indent=0):
+    """The report format written by recursion, one scalar at a time: a list
+    of scalars on one line, any other list or dict one member a line."""
+    pad = " " * indent
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, Ragged):
+        return _reference_json(obj.rows(), indent)
+    if isinstance(obj, dict):
+        members = [f"{pad}  {json.dumps(key)}: {_reference_json(val, indent + 2)}"
+                   for key, val in obj.items()]
+        return "{\n" + ",\n".join(members) + f"\n{pad}}}" if members else "{}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if all(isinstance(v, _SCALARS) for v in obj):
+            return "[" + ", ".join(map(_reference_json, obj)) + "]"
+        items = [f"{pad}  {_reference_json(val, indent + 2)}" for val in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 numbers = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
@@ -73,6 +98,7 @@ number_lists = st.one_of(
 class TestToJson:
     def test_golden_string(self):
         assert to_json(golden_object()) == GOLDEN_JSON
+        assert _reference_json(golden_object()) + "\n" == GOLDEN_JSON
 
     @pytest.mark.parametrize("bad", [
         [1.0, math.nan],
@@ -94,12 +120,12 @@ class TestToJson:
     @settings(max_examples=80, deadline=None)
     @given(seq=number_lists)
     def test_flat_lists_match_per_scalar_join(self, seq):
-        assert to_json({"v": seq}) == '{\n  "v": ' + _reference_row(seq) + "\n}\n"
+        assert to_json({"v": seq}) == '{\n  "v": ' + _reference_json(seq) + "\n}\n"
 
     @settings(max_examples=80, deadline=None)
     @given(rows=st.lists(number_lists, min_size=1, max_size=8))
     def test_nested_lists_match_per_scalar_join(self, rows):
-        block = "[\n    " + ",\n    ".join(map(_reference_row, rows)) + "\n  ]"
+        block = "[\n    " + ",\n    ".join(map(_reference_json, rows)) + "\n  ]"
         assert to_json({"v": rows}) == '{\n  "v": ' + block + "\n}\n"
 
 
@@ -134,7 +160,7 @@ class TestRagged:
         block = _ragged(rows)
         assert block.rows() == rows
         assert to_json(_nested(block, depth)) == to_json(_nested(rows, depth))
-        spelt = "[\n    " + ",\n    ".join(map(_reference_row, rows)) + "\n  ]" if rows else "[]"
+        spelt = "[\n    " + ",\n    ".join(map(_reference_json, rows)) + "\n  ]" if rows else "[]"
         assert to_json({"v": block}) == '{\n  "v": ' + spelt + "\n}\n"
 
     @settings(max_examples=80, deadline=None)
@@ -152,6 +178,51 @@ class TestRagged:
     def test_other_values_take_the_general_path(self):
         rows = [[np.float64(0.5), True], [], [np.int64(3)]]
         assert to_json({"v": _ragged(rows)}) == to_json({"v": rows})
+
+
+# Keys and strings hold quotes, backslashes, control characters and non-ASCII.
+awkward_text = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f a\u00e9\u2028\U0001f600')
+                       | st.characters(), max_size=4)
+any_float = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, math.nan, -math.inf])
+report_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), any_float, awkward_text,
+    st.integers(-2**63, 2**63 - 1).map(np.int64), any_float.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+report_leaves = st.one_of(
+    report_scalars,
+    st.lists(st.integers(), min_size=1, max_size=5),
+    st.lists(any_float, min_size=1, max_size=5),
+    st.lists(st.lists(st.integers() | any_float, max_size=4), max_size=4).map(_ragged),
+    st.lists(st.lists(report_scalars, max_size=3), max_size=3).map(_ragged),
+    st.binary(max_size=1),
+)
+report_documents = st.recursive(
+    report_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(awkward_text, inner, max_size=3),
+    max_leaves=16,
+)
+
+
+def _written(write, obj):
+    """The text ``write`` makes of ``obj``, or the type and message of its error."""
+    try:
+        return write(obj)
+    except (NonFinite, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=report_documents)
+@example(doc={'a"b': 1, "c\\d": [1.0], "e\nf": "\u00e9", "\u00e9": {}})
+@example(doc={"k": [[1.0, 2.5], [3.0]], "r": [{"x": [[1, 2], []]}]})
+def test_to_json_matches_the_reference_writer(doc):
+    reference = _written(_reference_json, doc)
+    if isinstance(reference, str):
+        reference += "\n"
+        json.loads(reference)
+    assert _written(to_json, doc) == reference
 
 
 json_values = st.recursive(
