@@ -13,6 +13,7 @@ both hold exactly, as the two sum the same distances over the same tree.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,19 @@ class Partition:
     num_cells: int
 
     def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.intp).copy()
+        given = np.asarray(self.assignment)
+        # A NaN or out-of-range float casts to some integer: the check below
+        # sees that it changed.
+        with np.errstate(invalid="ignore"):
+            a = given.astype(np.intp)
         if a.ndim != 1:
             raise DimensionMismatch("assignment must be a flat index vector")
+        if not np.array_equal(a, given):
+            raise IndexOutOfRange("assignment entries must be integers")
+        try:
+            operator.index(self.num_cells)
+        except TypeError:
+            raise IndexOutOfRange("num_cells must be an integer") from None
         if self.num_cells < 1:
             raise IndexOutOfRange("num_cells must be >= 1")
         if a.size and (a.min() < 0 or a.max() >= self.num_cells):

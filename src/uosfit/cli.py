@@ -137,12 +137,10 @@ def _sis_components(models):
 
 
 def _restart_stats(report):
-    return {
-        "per_restart_objectives": [float(v) for v in report.per_restart_objectives],
-        "iterations_per_restart": [int(v) for v in report.iterations_per_restart],
-        "objective_trace": [float(v) for v in report.objective_trace],
-        "degenerate_flags": [bool(v) for v in report.degenerate_flags],
-    }
+    # The report's tuples hold Python floats, ints and bools already.
+    names = ("per_restart_objectives", "iterations_per_restart", "objective_trace",
+             "degenerate_flags")
+    return {name: getattr(report, name) for name in names}
 
 
 def cmd_fit(args):

@@ -20,6 +20,7 @@ invariant spaces and their Parseval frame generators", ACHA 2007).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ class ShiftStructure:
     shift_step: int
 
     def __post_init__(self):
+        try:
+            operator.index(self.signal_len), operator.index(self.shift_step)
+        except TypeError:
+            raise StructureMismatch("signal_len and shift_step must be integers") from None
         if self.signal_len < 1 or self.shift_step < 1:
             raise StructureMismatch("signal_len and shift_step must be >= 1")
         if self.signal_len % self.shift_step != 0:

@@ -22,6 +22,7 @@ for small instances.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -61,14 +62,13 @@ class SolveConfig:
     init_strategy: str = "random_partition"
 
     def __post_init__(self):
-        if self.l < 1:
-            raise InvalidSpec("l must be >= 1")
-        if self.n < 0:
-            raise InvalidSpec("n must be >= 0")
-        if self.restarts < 1:
-            raise InvalidSpec("restarts must be >= 1")
-        if self.seed < 0:
-            raise InvalidSpec("seed must be >= 0")
+        for name, low in (("l", 1), ("n", 0), ("restarts", 1), ("seed", 0)):
+            try:
+                value = operator.index(getattr(self, name))
+            except TypeError:
+                raise InvalidSpec(f"{name} must be an integer") from None
+            if value < low:
+                raise InvalidSpec(f"{name} must be >= {low}")
         if self.init_strategy not in INIT_STRATEGIES:
             raise InvalidSpec(f"init_strategy must be one of {INIT_STRATEGIES}")
 
@@ -178,31 +178,27 @@ def _lockstep(starts, family, tol, max_iters):
     return chains
 
 
-def _farthest_point_assignment(m, l, rng, dists_of):
-    """Greedy seeding: first seed random, then argmax of min residual to the
-    models fitted to already-chosen seeds alone; finally nearest-seed
-    assignment.  ``dists_of(j)`` gives the (m,) distances to the fit of
-    point j alone.
-
-    Seeds are distinct points while any remain (so l >= m yields one cell
-    per point); once the residuals all vanish the tie goes to the lowest
-    unchosen index.  Past m seeds a repeated point adds a duplicate column,
-    which never wins the nearest-seed tie.
+def _farthest_point_starts(family, m, firsts):
+    """Greedy seeding of one start per entry of ``firsts``, its first seed, in
+    lockstep: each round fits every start's newest seed alone in one ``fit``
+    call and measures them in one ``distances`` call.  The next seed is the
+    argmax of the start's minimum distance to its seeds' models; each point
+    joins its nearest seed, the lowest on ties.  Seeds are distinct points
+    while any remain (so l >= m yields one cell per point); once the
+    residuals all vanish the tie goes to the lowest unchosen index.  Past m
+    seeds a repeated point adds a duplicate column, which never wins the tie.
     """
-    first = int(rng.integers(m))
-    chosen = np.zeros(m, dtype=bool)
-    chosen[first] = True
-    d = dists_of(first)
-    mins = d.copy()
-    seed_dists = [d]
-    for _ in range(1, l):
+    shape = (len(firsts), m)
+    chosen, mins = np.zeros(shape, dtype=bool), np.full(shape, np.inf)
+    labels, newest = np.zeros(shape, dtype=np.intp), np.asarray(firsts, dtype=np.intp)
+    for j in range(family.l):
+        chosen[np.arange(len(firsts)), newest] = True
+        dist = family.distances(family.fit(newest[:, None])[0])
+        labels[dist < mins] = j
+        np.minimum(mins, dist, out=mins)
         # Residuals are >= 0, so -1 rules out the chosen points.
-        nxt = int(np.argmax(np.where(chosen, -1.0, mins)))
-        chosen[nxt] = True
-        d = dists_of(nxt)
-        seed_dists.append(d)
-        np.minimum(mins, d, out=mins)
-    return nearest(np.stack(seed_dists).T)
+        newest = np.where(chosen, -1.0, mins).argmax(axis=1)
+    return list(labels)
 
 
 def _prescaled(dataset):
@@ -246,8 +242,9 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
       partition, with its gamma and per-cell degeneracy flags;
     * ``bundle_distances(bundle) -> (m, l)``: the distances to such a bundle.
 
-    Farthest-point seeding uses ``fit`` too: each chosen point is fitted
-    alone and its model's distances come from ``distances``.
+    Farthest-point seeding fits every cold restart's newest seed point alone
+    in one ``fit`` call per round and measures them in one ``distances`` call;
+    no restart's seeds depend on which restarts share the round.
 
     ``seeds(family)`` yields warm starting partitions, run after the
     ``cfg.restarts`` cold ones, all in one lockstep (``_lockstep``).  The
@@ -268,15 +265,12 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
     # Scaled before the sum: the energy can overflow while every norm is finite.
     tol = float((STOP_TOL * scaled.norms_sq()).sum())
 
-    def cold(ridx):
-        rng = np.random.default_rng((cfg.seed, ridx))
-        if cfg.init_strategy == "random_partition":
-            return rng.integers(0, cfg.l, size=scaled.m).astype(np.intp)
-        return _farthest_point_assignment(
-            scaled.m, cfg.l, rng, lambda j: family.distances(family.fit([np.array([j])])[0])[0])
-
-    starts = itertools.chain(map(cold, range(cfg.restarts)), seeds(family))
-    chains = _lockstep(starts, family, tol, MAX_ITERS)
+    rngs = [np.random.default_rng((cfg.seed, r)) for r in range(cfg.restarts)]
+    if cfg.init_strategy == "random_partition":
+        cold = [rng.integers(0, cfg.l, size=scaled.m).astype(np.intp) for rng in rngs]
+    else:
+        cold = _farthest_point_starts(family, scaled.m, [rng.integers(scaled.m) for rng in rngs])
+    chains = _lockstep([*cold, *seeds(family)], family, tol, MAX_ITERS)
     best, restarts = min(chains, key=lambda c: c.objective), chains[:cfg.restarts]
     bundle, refit_gamma, flags = family.refit(best.fitted)
     dmat = family.bundle_distances(bundle)

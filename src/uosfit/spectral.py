@@ -50,12 +50,9 @@ def _fix_phases(rows):
     stack = rows.reshape(-1, k, k)
     j = np.abs(stack).argmax(axis=2)
     pivot = stack[np.arange(len(stack))[:, None], np.arange(k), j][:, :, None]
-    if np.iscomplexobj(rows):
-        # Unit rows: the pivot's magnitude is at least 1/sqrt(k).
-        np.multiply(stack, np.conj(pivot) / np.abs(pivot), out=stack)
-    else:
-        # Times -1.0 or 1.0: the same bits as negating or keeping each row.
-        np.multiply(stack, np.where(pivot < 0.0, -1.0, 1.0), out=stack)
+    # Unit rows: the pivot's magnitude is at least 1/sqrt(k).  A real pivot
+    # gives exactly -1.0 or 1.0: the same bits as negating or keeping the row.
+    np.multiply(stack, np.conj(pivot) / np.abs(pivot), out=stack)
 
 
 def sym_eigen(mat):
@@ -82,9 +79,8 @@ def sym_eigen(mat):
     a = np.asarray(mat)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    herm = a.swapaxes(-1, -2)
-    if np.iscomplexobj(a):
-        herm = herm.conj()
+    # For a real array conj() returns the array itself.
+    herm = a.swapaxes(-1, -2).conj()
     # A real stack that is bitwise symmetric, with no entry above half the
     # float range, is its own exact hermitization: pass it on as it is.
     # Bits, not values: hermitizing turns a -0.0 mirrored by a 0.0 into 0.0.

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uosfit import Partition, RaggedRows, generate, ingest
+from uosfit import Partition, RaggedRows, SolveConfig, generate, ingest, sparsity_curve
 from uosfit import cli
 from uosfit.cli import main
 from uosfit.dataio import Ragged, write_dataset_csv, write_json
@@ -206,6 +206,35 @@ class TestCliCommands:
         assert doc["restarts"]["iterations_per_restart"] == [1, 1, 1, 1]
         assert abs(doc["objective"] - energy) <= 1e-12 * energy
         assert doc["converged"]
+
+    def test_farthest_point_sweep_matches_the_library_curve(self, tmp_path):
+        report = tmp_path / "sweep.json"
+        assert main(["sweep", "--input", str(FIXTURE), "--l", "1:4", "--n", "0:1",
+                     "--init", "farthest_point", "--restarts", "3", "--no-timings",
+                     "--report", str(report)]) == 0
+        rows = json.loads(report.read_text())["rows"]
+        cfg = SolveConfig(l=1, n=0, restarts=3, init_strategy="farthest_point")
+        want = sparsity_curve(ingest(FIXTURE), range(1, 5), [0, 1], cfg)
+        assert rows == [{"l": r.l, "n": r.n, "epsilon": r.epsilon} for r in want]
+        for n in (0, 1):
+            column = [r["epsilon"] for r in rows if r["n"] == n]
+            assert all(b <= a for a, b in zip(column, column[1:]))
+
+    @pytest.mark.parametrize("argv, defaults", [
+        (["fit", "--l", "2", "--n", "1"],
+         ["--mode", "euclidean", "--input-format", "rows", "--init", "random_partition",
+          "--restarts", "32", "--seed", "0"]),
+        (["fit", "--l", "2", "--n", "1", "--mode", "sis", "--signal-len", "3", "--shift-step", "1"],
+         ["--input-format", "rows"]),
+        (["sweep", "--l", "1:3", "--n", "0:1"],
+         ["--init", "random_partition", "--restarts", "32", "--seed", "0"]),
+    ])
+    def test_explicit_defaults_write_the_same_report(self, tmp_path, argv, defaults):
+        implicit, explicit = tmp_path / "implicit.json", tmp_path / "explicit.json"
+        argv = argv + ["--input", str(FIXTURE), "--no-timings"]
+        assert main(argv + ["--report", str(implicit)]) == 0
+        assert main(argv + defaults + ["--report", str(explicit)]) == 0
+        assert explicit.read_bytes() == implicit.read_bytes()
 
     def test_generate_command_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -66,6 +66,12 @@ ERRORS = {
                            "assignment must be a flat index vector"),
     "partition-no-cells": (lambda: Partition([0], 0), IndexOutOfRange,
                            "num_cells must be >= 1"),
+    "partition-fractional-entries": (lambda: Partition(np.array([0.5, 1.7]), 2), IndexOutOfRange,
+                                     "assignment entries must be integers"),
+    "partition-nan-entry": (lambda: Partition(np.array([0.0, math.nan]), 2), IndexOutOfRange,
+                            "assignment entries must be integers"),
+    "partition-fractional-cells": (lambda: Partition([0, 1], 2.5), IndexOutOfRange,
+                                   "num_cells must be an integer"),
     "gamma-cells-vs-bundle": (lambda: gamma(POINTS, Partition([0, 0, 0], 1), AXES),
                               DimensionMismatch, "partition has 1 cells, bundle has 2"),
     "fit-partition-length": (lambda: fit_partition(POINTS, Partition([0, 0], 1), 1),
@@ -82,9 +88,21 @@ ERRORS = {
                                  "cannot serialize set"),
     "shift-structure-zero": (lambda: ShiftStructure(0, 1), StructureMismatch,
                              "signal_len and shift_step must be >= 1"),
+    "shift-structure-float-length": (lambda: ShiftStructure(64.0, 4), StructureMismatch,
+                                     "signal_len and shift_step must be integers"),
+    "shift-structure-float-step": (lambda: ShiftStructure(64, 4.0), StructureMismatch,
+                                   "signal_len and shift_step must be integers"),
     "best-sis-n-negative": (lambda: best_sis(DataSet(np.ones((2, 4))), ShiftStructure(4, 2), -1),
                             ValueError, "n must be nonnegative"),
     "solve-config-l-zero": (lambda: SolveConfig(l=0, n=1), InvalidSpec, "l must be >= 1"),
+    "solve-config-l-fractional": (lambda: SolveConfig(l=2.5, n=1), InvalidSpec,
+                                  "l must be an integer"),
+    "solve-config-n-fractional": (lambda: SolveConfig(l=1, n=1.5), InvalidSpec,
+                                  "n must be an integer"),
+    "solve-config-restarts-fractional": (lambda: SolveConfig(l=1, n=1, restarts=2.5), InvalidSpec,
+                                         "restarts must be an integer"),
+    "solve-config-seed-fractional": (lambda: SolveConfig(l=1, n=1, seed=1.5), InvalidSpec,
+                                     "seed must be an integer"),
     "solve-config-n-negative": (lambda: SolveConfig(l=1, n=-1), InvalidSpec, "n must be >= 0"),
     "solve-config-restarts-zero": (lambda: SolveConfig(l=1, n=1, restarts=0), InvalidSpec,
                                    "restarts must be >= 1"),
@@ -152,3 +170,18 @@ def test_cli_module_runs_as_a_script(monkeypatch, capsys):
             runpy.run_module("uosfit.cli", run_name="__main__")
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == __version__
+
+
+@pytest.mark.parametrize("size", [2, np.int64(2), np.uint8(2), True])
+def test_integer_sizes_of_any_integer_type_pass(size):
+    # operator.index accepts ints, numpy integers and bools
+    assert SolveConfig(l=size, n=size, restarts=size, seed=size).l == size
+    assert ShiftStructure(4 * size, size).num_freqs == 4
+    assert Partition(np.zeros(3, dtype=type(size)), size).num_cells == size
+
+
+@pytest.mark.parametrize("assignment", [[], np.array([0.0, 1.0]), np.array([1, 0], dtype=np.uint8)])
+def test_partition_takes_entries_that_convert_exactly(assignment):
+    part = Partition(assignment, 2)
+    assert part.assignment.dtype == np.intp
+    assert part.assignment.tolist() == list(np.asarray(assignment))

@@ -22,12 +22,12 @@ from uosfit.bundles import nearest
 from uosfit.spectral import STOP_TOL
 from uosfit.sis import _ShiftInvariantCells
 from uosfit.solver import (
-    _farthest_point_assignment,
+    _farthest_point_starts,
     _lockstep,
     _Subspaces,
     search,
 )
-from helpers import lines_dataset, random_dataset
+from helpers import lines_dataset, random_dataset, sis_signals_from_generator
 
 
 class TestSolve:
@@ -248,18 +248,68 @@ def singleton_tables(draw):
     return m, l, table
 
 
+class _TableMaps:
+    """Stub family for seeding: the model of a cell is its point indices and
+    the distances to the model of point j are row j of ``table``."""
+
+    def __init__(self, l, table):
+        self.l, self.table = l, table
+
+    def fit(self, cells):
+        models = [int(c[0]) for c in cells]
+        return models, np.zeros(len(models))
+
+    def distances(self, models):
+        return self.table[models]
+
+
 @settings(max_examples=300, deadline=None)
-@given(singleton_tables(), st.integers(0, 2**32 - 1))
-def test_farthest_point_matches_set_based_reference(case, seed):
+@given(singleton_tables(), st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3))
+def test_farthest_point_matches_set_based_reference(case, seeds):
+    # three starts seeded at once, each against the reference on its own stream
     m, l, table = case
 
     def dists(j):
         return table[j].copy()
 
-    got = _farthest_point_assignment(m, l, np.random.default_rng(seed), dists)
-    want = reference_farthest_point(m, l, np.random.default_rng(seed), dists)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    firsts = [np.random.default_rng(seed).integers(m) for seed in seeds]
+    got = _farthest_point_starts(_TableMaps(l, table), m, firsts)
+    for seed, labels in zip(seeds, got):
+        want = reference_farthest_point(m, l, np.random.default_rng(seed), dists)
+        assert labels.dtype == want.dtype
+        assert np.array_equal(labels, want)
+
+
+class _CountingSubspaces(_Subspaces):
+    """``_Subspaces`` that counts its ``fit`` and ``distances`` calls."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls = {"fit": 0, "distances": 0}
+
+    def fit(self, cells):
+        self.calls["fit"] += 1
+        return super().fit(cells)
+
+    def distances(self, bases):
+        self.calls["distances"] += 1
+        return super().distances(bases)
+
+
+@pytest.mark.parametrize("restarts", [1, 7])
+def test_farthest_point_seeding_makes_l_calls_for_all_restarts(restarts):
+    # l seeding rounds, then one call of each per lockstep step
+    f = random_dataset(np.random.default_rng(11), 30, 4)
+    cfg = SolveConfig(l=4, n=1, restarts=restarts, seed=3, init_strategy="farthest_point")
+    families = []
+
+    def family_of(data):
+        families.append(_CountingSubspaces(data, cfg.l, cfg.n))
+        return families[-1]
+
+    rep = search(f, cfg, family_of)
+    calls = cfg.l + max(rep.iterations_per_restart)
+    assert families[0].calls == {"fit": calls, "distances": calls}
 
 
 class _ConstantMaps:
@@ -392,6 +442,44 @@ def test_lockstep_chains_match_one_start_searches(case):
         assert np.array_equal(chain.fitted, alone.fitted)
         assert chain.converged == alone.converged
         assert len(chain.trace) <= max_iters
+
+
+@st.composite
+def seeding_cases(draw):
+    """A family on planted data (points on two random lines or planes, or
+    signals from two shift-invariant generators) with some points repeated,
+    and the first seeds of a few starts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 10))
+    l, n = draw(st.integers(1, m + 3)), draw(st.integers(0, 2))
+    planted = rng.integers(2, size=m)
+    if draw(st.booleans()):
+        dim = draw(st.integers(2, 6))
+        bases = rng.standard_normal((2, min(2, dim), dim))
+        x = np.einsum("mk,mkd->md", rng.standard_normal((m, bases.shape[1])), bases[planted])
+        x += 0.01 * rng.standard_normal(x.shape)
+        family_of = lambda data: _Subspaces(data, l, n)
+    else:
+        structure = ShiftStructure(8, draw(st.sampled_from([2, 4, 8])))
+        gens = rng.standard_normal((2, 8))
+        x = np.array([sis_signals_from_generator(rng, gens[c], structure, 1)[0]
+                      for c in planted])
+        family_of = lambda data: _ShiftInvariantCells(data, structure, l, n)
+    for j in draw(st.lists(st.integers(1, m - 1), max_size=3) if m > 1 else st.just([])):
+        x[j] = x[j - 1]
+    firsts = rng.integers(m, size=draw(st.integers(2, 5)))
+    return family_of(DataSet(x)), m, firsts
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seeding_cases())
+def test_lockstep_seeding_matches_one_start_seeding(case):
+    # each start's seeds and labels must not depend on which starts share a round
+    family, m, firsts = case
+    together = _farthest_point_starts(family, m, firsts)
+    for first, labels in zip(firsts, together):
+        (alone,) = _farthest_point_starts(family, m, [first])
+        assert labels.tobytes() == alone.tobytes()
 
 
 def _seed_dists(family, j):
