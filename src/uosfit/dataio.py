@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpec, NonFinite, ParseError, RaggedRows
+from .errors import InvalidSpec, NonFinite, ParseError, RaggedRows, integer_sizes
 from .subspace import DataSet, Subspace
 
 
@@ -148,6 +148,8 @@ def generate(l, n, ambient_dim, points_per_subspace, noise_sigma=0.0, seed=0):
     generating subspace index; the data set labels are "s<k>" strings.
     Deterministic per seed: an int >= 0, or a sequence of them.
     """
+    l, n, ambient_dim, points_per_subspace = integer_sizes(
+        l=l, n=n, ambient_dim=ambient_dim, points_per_subspace=points_per_subspace)
     if l < 1 or points_per_subspace < 1:
         raise InvalidSpec("l and points_per_subspace must be >= 1")
     if ambient_dim < 1:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of sizes."""
+
+import operator
 
 
 class UosfitError(Exception):
@@ -47,3 +49,16 @@ class RaggedRows(ParseError):
 
 class InvalidSpec(UosfitError, ValueError):
     """Invalid generation or run configuration."""
+
+
+def integer_sizes(**sizes):
+    """The values of ``sizes`` as plain ints, in order: ``operator.index``
+    takes ints, numpy integers and bools.  Raises ``InvalidSpec`` naming the
+    first that is not an integer."""
+    values = []
+    for name, value in sizes.items():
+        try:
+            values.append(int(operator.index(value)))
+        except TypeError:
+            raise InvalidSpec(f"{name} must be an integer") from None
+    return values

@@ -22,16 +22,14 @@ for small instances.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bundles import (Bundle, Partition, distance_matrix, fit_partition, nearest,
-                      nearest_with_min)
-from .errors import EmptyDataSet, InvalidSpec, TooLarge
+from .bundles import Partition, distance_matrix, fit_partition, nearest_with_min
+from .errors import EmptyDataSet, InvalidSpec, TooLarge, integer_sizes
 from .spectral import STOP_TOL
-from .subspace import DataSet, Subspace, best_fit_stack, residual_rows
+from .subspace import DataSet, best_fit_stack, residual_rows
 
 INIT_STRATEGIES = ("random_partition", "farthest_point")
 
@@ -62,13 +60,13 @@ class SolveConfig:
     init_strategy: str = "random_partition"
 
     def __post_init__(self):
-        for name, low in (("l", 1), ("n", 0), ("restarts", 1), ("seed", 0)):
-            try:
-                value = operator.index(getattr(self, name))
-            except TypeError:
-                raise InvalidSpec(f"{name} must be an integer") from None
+        lows = {"l": 1, "n": 0, "restarts": 1, "seed": 0}
+        values = integer_sizes(**{name: getattr(self, name) for name in lows})
+        for (name, low), value in zip(lows.items(), values):
             if value < low:
                 raise InvalidSpec(f"{name} must be >= {low}")
+            # Plain ints: a bool slices as a mask, a numpy integer can overflow.
+            object.__setattr__(self, name, value)
         if self.init_strategy not in INIT_STRATEGIES:
             raise InvalidSpec(f"init_strategy must be one of {INIT_STRATEGIES}")
 
@@ -338,8 +336,8 @@ def brute_force(dataset: DataSet, l, n):
     """
     if dataset.m == 0:
         raise EmptyDataSet("brute_force requires at least one data vector")
-    if l < 1:
-        raise InvalidSpec("l must be >= 1")
+    cfg = SolveConfig(l, n)  # checks l and n, held as plain ints
+    l, n = cfg.l, cfg.n
     if l**dataset.m > BRUTE_FORCE_GUARD:
         raise TooLarge(f"{l}^{dataset.m} assignments exceed the enumeration guard")
 
@@ -358,45 +356,41 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
 
     Each row is one ``search``, so its winner is refitted and
     certificate-checked as a fit's is.  For each n, l is visited in
-    increasing order and the search is warm-started from the previous
-    row's certificate padded with zero subspaces, so the epsilon column
-    never increases along l.  Rows are ordered by (n, l).
+    increasing order.  Each row after the first is also seeded with the
+    previous winner's partition, its worst-fit point moved to the new cell.
+    A row whose search ends above the previous row's epsilon keeps the
+    previous certificate, so the epsilon column never increases along l.
+    Rows are ordered by (n, l).  Non-integer sizes raise ``InvalidSpec``.
     """
-    l_values = sorted(set(int(v) for v in l_values))
-    n_values = sorted(set(int(v) for v in n_values))
+    l_values, n_values = sorted(set(l_values)), sorted(set(n_values))
     if not l_values or not n_values:
         raise InvalidSpec("l and n ranges must be nonempty")
 
+    # Each row's config checks its l and n, before any search runs.
+    grid = [[replace(cfg, l=l, n=n) for l in l_values] for n in n_values]
     m = dataset.m
     rows = []
-    for n in n_values:
+    for configs in grid:
         prev = None  # the report of the previous row's certificate
-        for l in l_values:
+        for row in configs:
 
             def seeds(family):
                 # Plain alternation never repopulates an empty cell, so
-                # growing l needs explicit candidates: reassignment against
-                # the padded previous bundle, the previous partition with its
-                # worst-fit point given the new cell, and (once l >= m) one
-                # cell per point.
-                if l >= m:
+                # growing l needs explicit candidates: (once l >= m) one cell
+                # per point, and the previous winner's partition with its
+                # worst-fit point, the lowest on ties, moved to cell l - 1.
+                if row.l >= m:
                     yield np.arange(m, dtype=np.intp)
                 if prev is not None:
-                    # The previous certificate with zero subspaces appended:
-                    # the empty cells add exactly 0.0 to gamma, so its
-                    # objective is bitwise the previous epsilon.
-                    zeros = (Subspace.zero(dataset.ambient_dim),) * (l - len(prev.bundle))
-                    dmat = family.bundle_distances(Bundle(tuple(prev.bundle) + zeros))
-                    yield nearest(dmat)
                     split = prev.partition.assignment.copy()
-                    split[int(np.argmax(dmat[np.arange(m), split]))] = l - 1
+                    dmat = family.bundle_distances(prev.bundle)
+                    split[int(np.argmax(dmat[np.arange(m), split]))] = row.l - 1
                     yield split
 
-            report = search(dataset, replace(cfg, l=l, n=n),
-                            lambda data: _Subspaces(data, l, n), seeds)
+            report = search(dataset, row, lambda data: _Subspaces(data, row.l, row.n), seeds)
             # Floor: the epsilon column must never increase along l, even by
             # one ulp.
             if prev is None or report.objective < prev.objective:
                 prev = report
-            rows.append(SweepRow(l=l, n=n, epsilon=prev.objective))
+            rows.append(SweepRow(l=row.l, n=row.n, epsilon=prev.objective))
     return rows

@@ -23,7 +23,6 @@ SYMMETRY_TOL = 1e-12  # of the largest entry: the asymmetry sym_eigen accepts
 DEGENERACY_TOL = 1e-10  # of the top eigenvalue: the cut gap of a non-unique optimum
 ORTHONORMAL_TOL = 1e-10  # of 1: a basis Gram matrix's largest deviation from I
 _EPS = np.finfo(np.float64).eps
-_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,10 @@ def sym_eigen(mat):
     mat : (k, k) or (..., k, k) array_like
         Real symmetric or complex Hermitian matrix, or a stack of them; a
         stack is decomposed in one call, matrix by matrix.  Eigenvalues are
-        LAPACK's, round-off negatives of a PSD matrix included.
+        LAPACK's, round-off negatives of a PSD matrix included.  A real
+        stack that is bitwise symmetric goes to LAPACK as it is; any other
+        goes as ``mat / 2 + mat^H / 2``, which never overflows and has the
+        bits of ``(mat + mat^H) / 2`` wherever no half is subnormal.
 
     Returns
     -------
@@ -79,34 +81,25 @@ def sym_eigen(mat):
     a = np.asarray(mat)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFinite("matrix contains NaN or infinite entries")
     # For a real array conj() returns the array itself.
     herm = a.swapaxes(-1, -2).conj()
-    # A real stack that is bitwise symmetric, with no entry above half the
-    # float range, is its own exact hermitization: pass it on as it is.
-    # Bits, not values: hermitizing turns a -0.0 mirrored by a 0.0 into 0.0.
-    # NaN and inf fail the bound, so they still meet the finiteness check.
-    if not (a.dtype == np.float64 and np.abs(a).max(initial=0.0) <= _HALF_MAX
-            and a.tobytes() == herm.tobytes()):
-        if not np.isfinite(a).all():
-            raise NonFinite("matrix contains NaN or infinite entries")
+    # A real stack that is bitwise symmetric is its own exact hermitization,
+    # at any magnitude: pass it on as it is.  Bits, not values: hermitizing
+    # turns a -0.0 mirrored by a 0.0 into 0.0.
+    if not (a.dtype == np.float64 and a.tobytes() == herm.tobytes()):
         scale = np.abs(a).max(axis=(-2, -1))
-        # In halves, which differ by at most max|mat|: no overflow.
-        asym = np.abs(a * 0.5 - herm * 0.5).max(axis=(-2, -1))
+        # In halves, whose difference and sum are at most max|mat|: no overflow.
+        half, mirror = a * 0.5, herm * 0.5
+        asym = np.abs(half - mirror).max(axis=(-2, -1))
         if (asym > 0.5 * SYMMETRY_TOL * scale).any():
             raise NonSymmetric(f"half-asymmetry {float(np.max(asym)):.3e} exceeds tolerance")
         dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-        # Exact hermitization removes the (tolerated) asymmetry.
-        if scale.max(initial=0.0) <= _HALF_MAX:
-            a = ((a + herm) / 2.0).astype(dtype, copy=False)
-        else:
-            # Above half the float range a sum of entries can overflow; the
-            # sum of their halves cannot.  Only overflowed entries are redone,
-            # so every other entry keeps the bits of the halved sum.
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean = (a + herm) / 2.0
-            over = ~np.isfinite(mean)
-            mean[over] = a[over] * 0.5 + herm[over] * 0.5
-            a = mean.astype(dtype, copy=False)
+        # Hermitizing removes the (tolerated) asymmetry.  The sum of the
+        # halves equals the halved sum (a + herm) / 2 wherever no half is
+        # subnormal: then both round the same exact mean once.
+        a = (half + mirror).astype(dtype, copy=False)
     vals, vecs = np.linalg.eigh(a)
     # Eigenvectors as contiguous rows, descending: the pivot search runs
     # along rows, and a caller that wants basis rows gets them as a view.

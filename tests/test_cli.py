@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import compress
 from pathlib import Path
 
@@ -9,11 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uosfit import Partition, RaggedRows, SolveConfig, generate, ingest, sparsity_curve
+from uosfit import (DataSet, Partition, RaggedRows, ShiftStructure, SolveConfig, generate,
+                    ingest, sparsity_curve)
 from uosfit import cli
 from uosfit.cli import main
 from uosfit.dataio import Ragged, write_dataset_csv, write_json
 from uosfit.sparsity import encode, extract_dictionary
+
+from helpers import sis_signals_from_generator
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE = DATA_DIR / "fixture.csv"
@@ -739,3 +745,40 @@ def test_fuzzed_report_score_exits_cleanly(fuzz_reports, data):
     bad = where / "score.json"
     bad.write_bytes(data.draw(mutated(reports[data.draw(st.sampled_from(sorted(reports)))])))
     _assert_exits_cleanly(["score", "--input", str(FIXTURE), "--report", str(bad)])
+
+
+def test_reports_are_byte_identical_across_interpreters(tmp_path):
+    # Each command runs in two fresh interpreters, with different string
+    # hash seeds; their output files and standard output must agree.
+    rng = np.random.default_rng(4)
+    gens = rng.standard_normal((2, 16))
+    signals = np.vstack([sis_signals_from_generator(rng, g, ShiftStructure(16, 4), 5) for g in gens])
+    signals += 0.01 * rng.standard_normal(signals.shape)
+    write_dataset_csv(tmp_path / "signals.csv", DataSet(signals), with_labels=False)
+    commands = [
+        ["fit", "--input", str(FIXTURE), "--l", "2", "--n", "1", "--restarts", "4",
+         "--no-timings", "--report", "fit.json"],
+        ["fit", "--input", str(tmp_path / "signals.csv"), "--mode", "sis", "--signal-len", "16",
+         "--shift-step", "4", "--l", "2", "--n", "1", "--restarts", "4", "--no-timings",
+         "--report", "sis.json"],
+        ["sweep", "--input", str(FIXTURE), "--l", "1:3", "--n", "0:1", "--restarts", "2",
+         "--no-timings", "--report", "sweep.json", "--csv", "sweep.csv"],
+        ["score", "--input", str(FIXTURE), "--report", "fit.json", "--out", "score.json"],
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        where = tmp_path / f"hash-seed-{hash_seed}"
+        where.mkdir()
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        stdout = []
+        for argv in commands:
+            run = subprocess.run([sys.executable, "-m", "uosfit.cli", *argv], cwd=where, env=env,
+                                 capture_output=True)
+            assert run.returncode == 0, run.stderr.decode()
+            stdout.append(run.stdout)
+        files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+        outputs.append((stdout, files))
+    assert sorted(outputs[0][1]) == ["fit.json", "score.json", "sis.json", "sweep.csv", "sweep.json"]
+    assert outputs[0] == outputs[1]

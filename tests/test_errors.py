@@ -5,6 +5,7 @@ import re
 import runpy
 import sys
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -84,6 +85,12 @@ ERRORS = {
                             "need 0 <= n <= ambient_dim"),
     "generate-n-above-ambient-dim": (lambda: generate(1, 3, 2, 3), InvalidSpec,
                                      "need 0 <= n <= ambient_dim"),
+    "generate-l-fractional": (lambda: generate(2.0, 1, 3, 4), InvalidSpec, "l must be an integer"),
+    "generate-n-fractional": (lambda: generate(2, 1.5, 3, 4), InvalidSpec, "n must be an integer"),
+    "generate-ambient-dim-fractional": (lambda: generate(2, 1, 3.0, 4), InvalidSpec,
+                                        "ambient_dim must be an integer"),
+    "generate-points-fractional": (lambda: generate(2, 1, 3, 4.0), InvalidSpec,
+                                   "points_per_subspace must be an integer"),
     "to-json-unsupported-type": (lambda: to_json({"v": [1.0, {1, 2}]}), TypeError,
                                  "cannot serialize set"),
     "shift-structure-zero": (lambda: ShiftStructure(0, 1), StructureMismatch,
@@ -111,8 +118,17 @@ ERRORS = {
     "brute-force-empty": (lambda: brute_force(EMPTY, 1, 1), EmptyDataSet,
                           "brute_force requires at least one data vector"),
     "brute-force-l-zero": (lambda: brute_force(POINTS, 0, 1), InvalidSpec, "l must be >= 1"),
+    "brute-force-n-negative": (lambda: brute_force(POINTS, 1, -1), InvalidSpec, "n must be >= 0"),
+    "brute-force-l-fractional": (lambda: brute_force(POINTS, 2.0, 1), InvalidSpec,
+                                 "l must be an integer"),
+    "brute-force-n-fractional": (lambda: brute_force(POINTS, 1, 1.5), InvalidSpec,
+                                 "n must be an integer"),
     "sparsity-curve-empty-range": (lambda: sparsity_curve(POINTS, [], [1], SolveConfig(1, 1)),
                                    InvalidSpec, "l and n ranges must be nonempty"),
+    "sparsity-curve-fractional-sizes": (lambda: sparsity_curve(POINTS, [2.5], [1.7], SolveConfig(1, 1)),
+                                        InvalidSpec, "l must be an integer"),
+    "sparsity-curve-fractional-n": (lambda: sparsity_curve(POINTS, [2], [1.7], SolveConfig(1, 1)),
+                                    InvalidSpec, "n must be an integer"),
     "encode-data-length": (lambda: encode(POINTS, AXES, Partition([0, 1], 2),
                                           extract_dictionary(AXES)),
                            DimensionMismatch, "partition and data disagree in length"),
@@ -175,9 +191,16 @@ def test_cli_module_runs_as_a_script(monkeypatch, capsys):
 @pytest.mark.parametrize("size", [2, np.int64(2), np.uint8(2), True])
 def test_integer_sizes_of_any_integer_type_pass(size):
     # operator.index accepts ints, numpy integers and bools
-    assert SolveConfig(l=size, n=size, restarts=size, seed=size).l == size
+    cfg = SolveConfig(l=size, n=size, restarts=size, seed=size)
+    assert (cfg.l, cfg.n, cfg.restarts, cfg.seed) == (size,) * 4
+    assert {type(cfg.l), type(cfg.n), type(cfg.restarts), type(cfg.seed)} == {int}
     assert ShiftStructure(4 * size, size).num_freqs == 4
     assert Partition(np.zeros(3, dtype=type(size)), size).num_cells == size
+    assert generate(size, size, size, size)[0].m == size * size
+    assert brute_force(POINTS, size, size)[1].num_cells == size
+    assert solve(POINTS, replace(cfg, restarts=1)).partition.num_cells == size
+    rows = sparsity_curve(POINTS, [size], [size], SolveConfig(1, 1, restarts=1))
+    assert [(type(row.l), type(row.n)) for row in rows] == [(int, int)]
 
 
 @pytest.mark.parametrize("assignment", [[], np.array([0.0, 1.0]), np.array([1, 0], dtype=np.uint8)])

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from uosfit import (
     DataSet,
     EmptyDataSet,
+    InvalidSpec,
     SolveConfig,
     TooLarge,
     best_fit_subspace,
@@ -169,6 +172,56 @@ class TestSparsityCurve:
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataSet):
             sparsity_curve(DataSet(np.zeros((0, 2))), [1, 2], [1], SolveConfig(l=1, n=1))
+
+    def test_the_floor_alone_keeps_epsilon_non_increasing(self, monkeypatch):
+        # A row whose search ends above the previous epsilon keeps that epsilon.
+        objectives = {1: 5.0, 2: 7.0, 3: 3.0}
+        monkeypatch.setattr("uosfit.solver.search",
+                            lambda data, cfg, family_of, seeds: SimpleNamespace(objective=objectives[cfg.l]))
+        rows = sparsity_curve(random_dataset(np.random.default_rng(0), 5, 2), [1, 2, 3], [1],
+                              SolveConfig(l=1, n=1))
+        assert [r.epsilon.hex() for r in rows] == [(5.0).hex(), (5.0).hex(), (3.0).hex()]
+
+    def test_every_size_is_checked_before_any_search(self, monkeypatch):
+        monkeypatch.setattr("uosfit.solver.search", None)  # a search would raise TypeError
+        with pytest.raises(InvalidSpec, match="^n must be an integer$"):
+            sparsity_curve(random_dataset(np.random.default_rng(0), 5, 2), [1, 2], [1, 2.5],
+                           SolveConfig(l=1, n=1))
+
+    @pytest.mark.parametrize("init", ["random_partition", "farthest_point"])
+    def test_each_row_gets_the_split_of_the_previous_winner(self, monkeypatch, init):
+        # Recorded per row: the warm seeds search is given, and its report.
+        calls = []
+
+        def recording(data, cfg, family_of, seeds):
+            row = {"l": cfg.l}
+
+            def recorded(family):
+                row["seeds"] = [s.copy() for s in seeds(family)]
+                return row["seeds"]
+
+            row["report"] = search(data, cfg, family_of, recorded)
+            calls.append(row)
+            return row["report"]
+
+        monkeypatch.setattr("uosfit.solver.search", recording)
+        m = 6
+        data = random_dataset(np.random.default_rng(21), m, 3)
+        sparsity_curve(data, range(1, m + 3), [1], SolveConfig(l=1, n=1, restarts=2, init_strategy=init))
+        assert [row["l"] for row in calls] == list(range(1, m + 3))
+        assert calls[0]["seeds"] == []
+        prev = calls[0]["report"]
+        for row in calls[1:]:
+            l = row["l"]
+            split = prev.partition.assignment.copy()
+            # argmax: the largest residual, the lowest index on ties
+            split[int(np.argmax(prev.residuals_sq))] = l - 1
+            want = [split] if l < m else [np.arange(m), split]
+            assert len(row["seeds"]) == len(want)
+            for got, seed in zip(row["seeds"], want):
+                assert got.tolist() == seed.tolist()
+            if row["report"].objective < prev.objective:
+                prev = row["report"]
 
 
 def test_descend_raises_on_revisited_partition():

@@ -164,6 +164,19 @@ class TestSymEigenMatchesReference:
         # Small integer entries make repeated eigenvalues and pivot ties common.
         assert_same_as_reference(_symmetric(np.random.default_rng(seed), shape, k, complex_, entries))
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 5), shape=st.sampled_from([(), (1,), (4,), (2, 3)]),
+           complex_=st.booleans(), e=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1))
+    def test_hermitized_stacks_at_any_scale(self, k, shape, complex_, e, seed):
+        # Real stacks carry a tolerated asymmetry in one mirrored pair
+        # (relative 2^-42, exact on these integers) and complex ones are
+        # Hermitian, so nearly all take the hermitizing route.  Scaled by
+        # 2^e, every nonzero entry is at least 2^-1000: no half is subnormal.
+        a = _symmetric(np.random.default_rng(seed), shape, k, complex_, 1000)
+        if not complex_:
+            a[..., -1, 0] *= 1.0 + 2.0**-42
+        assert_same_as_reference(a * 2.0**e)
+
     @pytest.mark.parametrize("mat", [
         [[2.0, 1.0], [1.0, 2.0]],
         [[2.0, -1.0], [-1.0, 2.0]],
@@ -219,9 +232,9 @@ class TestSymEigenMatchesReference:
     ], ids=["diagonal", "off-diagonal", "below-half"])
     def test_finite_entries_near_the_top_of_the_range(self, mat, want):
         # Above max/2 (about 8.99e307) the reference's hermitization overflows
-        # to NaN; halving the terms of an overflowed sum keeps the spectrum,
-        # which is representable, finite.  The last case stays below max/2
-        # and is passed on as it is.
+        # to NaN.  These matrices are bitwise symmetric and go to LAPACK as
+        # they are, so the spectrum, which is representable, stays finite.
+        # The last case stays below max/2, where the reference agrees.
         if want is None:
             assert_same_as_reference(np.array(mat))
             return
@@ -245,15 +258,29 @@ class TestSymEigenMatchesReference:
             with pytest.raises(NonSymmetric, match=r"half-asymmetry 1\.700e\+308 "):
                 sym_eigen(np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]))
 
-    def test_overflowed_entries_alone_are_redone(self):
-        # One member of the stack overflows the halved sum, so the whole
-        # stack is hermitized.  The other member's subnormal entries would
-        # round if halved; it keeps the reference's bits.
+    def test_bitwise_symmetric_stacks_pass_at_any_scale(self):
+        # One member of the stack is above half the float range, where the
+        # reference's halved sum overflows.  The stack is bitwise symmetric,
+        # so it goes to LAPACK as it is: the other member's subnormal
+        # entries, which would round if halved, keep the reference's bits.
         tiny = np.array([[5e-324, 0.0], [0.0, 1.5e-323]])
         assert (tiny * 0.5 + tiny * 0.5).tolist() != tiny.tolist()
         big = np.array([[1.5e308, 0.0], [0.0, 1.0]])
         e = sym_eigen(np.stack([tiny, big]))
         assert e.eigenvalues[0].tobytes() == reference_sym_eigen(tiny)[0].tobytes()
+        assert e.eigenvalues[1].tolist() == [1.5e308, 1.0]
+
+    def test_hermitizing_in_halves_keeps_every_member_finite(self):
+        # The stack is not bitwise symmetric, so it is hermitized as the sum
+        # of its halves: the member above half the float range stays finite,
+        # and the other member, whose halves are normal, keeps the
+        # reference's bits.
+        other = np.array([[2.0, 1.0 + 2.0**-50], [1.0, 3.0]])
+        big = np.array([[1.5e308, 0.0], [0.0, 1.0]])
+        e = sym_eigen(np.stack([other, big]))
+        vals, vecs = reference_sym_eigen(other)
+        assert e.eigenvalues[0].tobytes() == vals.tobytes()
+        assert e.eigenvectors[0].tobytes() == vecs.tobytes()
         assert e.eigenvalues[1].tolist() == [1.5e308, 1.0]
 
     @pytest.mark.parametrize("k", [1, 3])
