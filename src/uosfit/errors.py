@@ -62,3 +62,12 @@ def integer_sizes(**sizes):
         except TypeError:
             raise InvalidSpec(f"{name} must be an integer") from None
     return values
+
+
+def model_dimension(n):
+    """The largest model dimension ``n`` as a plain int, checked as
+    ``integer_sizes`` checks a size; ``InvalidSpec`` if it is below 0."""
+    (n,) = integer_sizes(n=n)
+    if n < 0:
+        raise InvalidSpec("n must be >= 0")
+    return n

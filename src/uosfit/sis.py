@@ -15,10 +15,24 @@ C(w)_ts = sum_i fhat_i(w+Kt) conj(fhat_i(w+Ks)) has the same nonzero
 eigenvalues as G(w), and its orthonormal eigenvectors are the generator
 fibers themselves (Aldroubi, Cabrelli, Hardin, Molter, "Optimal shift
 invariant spaces and their Parseval frame generators", ACHA 2007).
+
+Real signals have conjugate-symmetric spectra, fhat(M - j) = conj fhat(j),
+so class K - w is class w conjugated with its aliases reversed (P: t ->
+L - 1 - t), and C(K - w) = P conj(C(w)) P^T.  For real data (a float64
+``DataSet``) the fits and distances therefore work on classes 0..K//2
+only: class K - w takes class w's eigenvalues and rank, its generator
+fibers are P conj of class w's, and its distance term is class w's doubled.
+The self-conjugate classes (class 0, and class K/2 when K is even) are
+solved as real symmetric problems in a unitary basis that makes their
+fibers real.  So real data get exactly conjugate-symmetric generator
+spectra, which means generators that are real in time.  Complex data
+(spectra input) run the same code with every class solved on its own and
+none mirrored.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import Partition
-from .errors import LengthMismatch, StructureMismatch
+from .errors import LengthMismatch, StructureMismatch, model_dimension
 from .solver import SolveConfig, SolveReport, search
 from .spectral import leading_cut, sym_eigen
 from .subspace import DataSet
@@ -106,12 +120,19 @@ class SISFit:
 
 
 def _unitary_spectra(vectors, structure):
+    """(m, M) unitary DFT spectra of the rows.  Real rows are transformed
+    by ``rfft`` and their upper bins set to the conjugates of the lower
+    ones, so their spectra are conjugate-symmetric bit for bit."""
     m, length = vectors.shape
     if length != structure.signal_len:
         raise LengthMismatch(
             f"signals of length {length} vs structure length {structure.signal_len}"
         )
-    return np.fft.fft(vectors, axis=1) / math.sqrt(structure.signal_len)
+    root = math.sqrt(length)
+    if np.iscomplexobj(vectors):
+        return np.fft.fft(vectors, axis=1) / root
+    half = np.fft.rfft(vectors, axis=1) / root
+    return np.concatenate([half, half[:, (length - 1) // 2:0:-1].conj()], axis=1)
 
 
 def _fibers_from_spectra(spectra, structure):
@@ -129,6 +150,87 @@ def _spectra_from_fibers(fibers):
 
 def _signal_fibers(dataset, structure):
     return _fibers_from_spectra(_unitary_spectra(dataset.vectors, structure), structure)
+
+
+def _is_real(dataset):
+    return not np.iscomplexobj(dataset.vectors)
+
+
+@dataclass(frozen=True)
+class _Classes:
+    """The frequency classes a fit solves, and how the others follow.
+
+    Classes ``0..solved-1`` are solved; class w takes the eigenvalues and
+    rank of class ``source[w]``, and ``weights[v]`` counts the classes that
+    solved class v stands for.  The classes of ``paired`` are solved as
+    complex Hermitian problems; those of ``selfconj`` (real signals only) as
+    real symmetric ones, on the coordinates ``U^H f`` in the real basis
+    ``U = basis[r]`` of the r-th of them, whose eigenvectors y give the
+    generator fibers ``U y``.  Complex signals solve every class as paired,
+    each standing for itself.
+    """
+
+    solved: int
+    source: np.ndarray
+    weights: np.ndarray
+    paired: np.ndarray
+    selfconj: np.ndarray
+    basis: np.ndarray
+
+
+def _real_basis(mirror):
+    """The unitary L x L basis in which the fibers of a self-conjugate class
+    are real: ``mirror`` is the class's alias involution pi (bin w + K t
+    mirrors to bin w + K pi(t)), so a fiber of real data has f = P conj f.
+    Column t is e_t where pi(t) = t; for each pair t < pi(t), column t is
+    (e_t + e_pi(t))/sqrt 2 and column pi(t) is i (e_t - e_pi(t))/sqrt 2.
+    Then U^H f is real, and for real y the fiber U y satisfies v = P conj v
+    exactly: its entries at t and pi(t) are built from the same two
+    products, y_t / sqrt 2 and y_pi(t) / sqrt 2, so they are conjugates bit
+    for bit."""
+    size = len(mirror)
+    t = np.arange(size)
+    first, fixed = t < mirror, t == mirror
+    r = math.sqrt(0.5)
+    u = np.zeros((size, size), dtype=np.complex128)
+    u[t[fixed], t[fixed]] = 1.0
+    a, b = t[first], mirror[first]
+    u[a, a] = u[b, a] = r
+    u[a, b], u[b, b] = 1j * r, -1j * r
+    return u
+
+
+@functools.lru_cache(maxsize=32)
+def _classes(structure, real):
+    """The class layout of ``structure`` for real or complex data."""
+    num_freqs, num_aliases = structure.num_freqs, structure.num_aliases
+    w = np.arange(num_freqs)
+    # For real data class K - w mirrors class w; class 0 and, for even K,
+    # class K/2 mirror themselves.
+    source = np.minimum(w, -w % num_freqs) if real else w
+    selfconj = w[-w % num_freqs == w] if real else w[:0]
+    solved = int(source.max()) + 1
+    # Bin j mirrors to bin (M - j) mod M; its alias is that bin // K.
+    bins = selfconj[:, None] + num_freqs * np.arange(num_aliases)
+    mirror = (-bins % structure.signal_len) // num_freqs
+    layout = _Classes(solved, source, np.bincount(source).astype(np.float64),
+                      np.delete(np.arange(solved), selfconj), selfconj,
+                      np.array([_real_basis(pi) for pi in mirror], dtype=np.complex128)
+                      .reshape(-1, num_aliases, num_aliases))
+    for arr in (layout.source, layout.weights, layout.paired, layout.selfconj, layout.basis):
+        arr.flags.writeable = False
+    return layout
+
+
+def _fit_fibers(fib, classes):
+    """The (m, S, L) fibers a fit reads from the (m, K, L) ones: the solved
+    classes, each self-conjugate one in its real basis (the coordinates
+    U^H f, real, held with zero imaginary parts)."""
+    out = np.array(fib[:, :classes.solved])
+    if len(classes.selfconj):
+        out[:, classes.selfconj] = np.einsum("ikt,kta->ika", fib[:, classes.selfconj],
+                                             classes.basis.conj()).real
+    return out
 
 
 def _fiber_gramian(fib, structure):
@@ -158,59 +260,103 @@ def _model_fibers(model):
     return _fibers_from_spectra(model.generators, model.structure)
 
 
-def _residuals_to_fibers(fib_all, gen_fibers):
-    """Squared distance of every signal (rows of fib_all) to the fiber span;
-    with no generators ``rec`` is all zeros and ``res`` is ``fib_all`` exactly."""
-    coeff = np.einsum("mkt,skt->msk", fib_all, gen_fibers.conj())
-    rec = np.einsum("msk,skt->mkt", coeff, gen_fibers)
-    res = fib_all - rec
-    return np.real(np.einsum("mkt,mkt->m", res, res.conj()))
-
-
-def _fiber_distances(fib_all, generators, structure):
+def _fiber_distances(fib_all, generators, structure, real):
     """(G, count) squared distances of the fibers to G models, each given by
-    its (s, M) generator spectra.  One model per call: einsum's complex sums
-    over a stack of models run slower than model by model."""
-    return np.stack([_residuals_to_fibers(fib_all, _fibers_from_spectra(g, structure))
-                     for g in generators])
+    its (s, M) generator spectra, over the solved classes of ``_classes``:
+    for real signals class K - w's term is class w's doubled, which is exact.
+
+    Models with the same number of generators are stacked, and per class
+    the projection is one pair of stacked matrix products; each model's
+    products have the shapes they have alone, so a model's distances do not
+    depend on the other models of the call.  The residual is explicit (a
+    signal in the span gets exact zeros), and |z|^2 is the sum of its
+    parts' squares, read off the residual viewed as floats.
+    """
+    classes = _classes(structure, real)
+    fib = np.ascontiguousarray(fib_all[:, :classes.solved].transpose(1, 0, 2))  # (S, m, L)
+    out = np.empty((len(generators), fib.shape[1]))
+    lengths = [g.shape[0] for g in generators]
+    for length in sorted(set(lengths)):
+        rows = [i for i, k in enumerate(lengths) if k == length]
+        gen = np.stack([_fibers_from_spectra(generators[i], structure)[:, :classes.solved]
+                        for i in rows]).transpose(0, 2, 1, 3)  # (G_s, S, s, L)
+        # Huge generator entries (from an edited report) give inf or nan
+        # distances without a warning, which the caller judges.
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = (fib - (fib @ gen.conj().swapaxes(-1, -2)) @ gen).view(np.float64)
+        out[rows] = np.einsum("gkmt,gkmt,k->gm", res, res, classes.weights)
+    return out
 
 
-def best_sis_stack(fibers, structure: ShiftStructure, n):
+def best_sis_stack(fibers, structure: ShiftStructure, n, real=False):
     """Optimal shift-invariant models of length <= n for G fiber blocks, in
-    one stacked eigensolve.
+    one eigensolve per kind of class.
 
-    ``fibers`` yields each block's (m_g, K, L) fibers.  Per block and frequency
-    class w the L x L fiber covariance
-    ``C(w)_ts = sum_i fhat_i(w + K t) conj(fhat_i(w + K s))`` is formed, and
-    all G * K covariances are eigendecomposed in one call.  Their eigenvalues
-    are the spectra of the m_g x m_g Gramians (cut or zero-padded), so
+    ``fibers`` yields each block's (m_g, S, L) fibers as ``_fit_fibers``
+    gives them for the classes of ``_classes(structure, real)``; ``real``
+    says they are those of real signals.  (For complex signals they are the
+    plain (m_g, K, L) fibers.)  Per block the L x L fiber covariance
+    ``C(w)_ts = sum_i fhat_i(w + K t) conj(fhat_i(w + K s))`` is formed for
+    each solved class w: all K classes of complex signals, classes 0..K//2
+    of real ones, the self-conjugate ones in their real basis.  The complex
+    Hermitian covariances of all blocks are eigendecomposed in one call,
+    the real symmetric ones of the self-conjugate classes in another.  Their
+    eigenvalues are the spectra of the m_g x m_g Gramians (cut or
+    zero-padded); class K - w of real signals takes class w's.  So
     ``spectral.leading_cut`` grouped by block reads each block's rank at
-    every w, its error and its ``degenerate`` flag.  The top ``rank[g, w]``
-    eigenvectors are the generator fibers, orthonormal per frequency.  A
-    block's results do not depend on the other blocks; an empty block gets
-    (0, M) generators and error 0, and is never degenerate.
+    every one of the K classes, its error and its ``degenerate`` flag.  The
+    top ``rank[g, w]`` eigenvectors are the generator fibers, orthonormal
+    per frequency.
+
+    Phases: the fiber of a class solved as a complex problem is the
+    eigenvector with its largest-magnitude entry real and positive
+    (``sym_eigen``'s convention).  A self-conjugate class's fiber is U y for
+    the real basis U of ``_real_basis``, with y the real eigenvector whose
+    largest-magnitude entry is positive.  The fiber of a mirrored class
+    K - w is P conj of class w's: the same entries reversed and conjugated,
+    so its pivot, at the reversed alias, is real and positive too.  Hence
+    real signals get exactly conjugate-symmetric generator spectra,
+    ``g[(M - j) % M] == conj(g[j])``.
+
+    A block's results do not depend on the other blocks; an empty block
+    gets (0, M) generators and error 0, and is never degenerate.
 
     Returns ``(generators, spectrum, rank, error, degenerate)``:
     ``generators[g]`` is a read-only (s_g, M) array of generator spectra;
     the rest is ``leading_cut``'s, with (G, K) ranks.
     """
-    num_freqs, num_aliases = structure.num_freqs, structure.num_aliases
+    num_aliases = structure.num_aliases
+    classes = _classes(structure, real)
     covs, counts = [], []
-    for fib in fibers:
-        covs.append(np.einsum("ikt,iks->kts", fib, fib.conj()))
-        counts.append(fib.shape[0])
-    eig = sym_eigen(np.stack(covs).reshape(-1, num_aliases, num_aliases))
-    vals = eig.eigenvalues.reshape(len(counts), num_freqs, num_aliases)
-    spectrum, rank, error, degenerate = leading_cut(vals, counts, n)
+    # An overflow gives inf entries, which sym_eigen refuses as NonFinite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fib in fibers:
+            covs.append(fib.transpose(1, 2, 0) @ fib.conj().transpose(1, 0, 2))
+            counts.append(fib.shape[0])
+    covs = np.stack(covs)
+    shape = (len(counts), classes.solved, num_aliases)
+    vals, vecs = np.empty(shape), np.empty(shape + (num_aliases,), dtype=np.complex128)
+    square = (-1, num_aliases, num_aliases)
+    if len(classes.paired):
+        eig = sym_eigen(covs[:, classes.paired].reshape(square))
+        vals[:, classes.paired] = eig.eigenvalues.reshape(len(counts), -1, num_aliases)
+        vecs[:, classes.paired] = eig.eigenvectors.reshape(len(counts), -1, *square[1:])
+    if len(classes.selfconj):
+        eig = sym_eigen(covs[:, classes.selfconj].real.reshape(square))
+        vals[:, classes.selfconj] = eig.eigenvalues.reshape(len(counts), -1, num_aliases)
+        vecs[:, classes.selfconj] = (classes.basis
+                                     @ eig.eigenvectors.reshape(len(counts), -1, *square[1:]))
+    spectrum, rank, error, degenerate = leading_cut(vals[:, classes.source], counts, n)
     rank.flags.writeable = False
-    vecs = eig.eigenvectors.reshape(len(counts), num_freqs, num_aliases, num_aliases)
     # Block g keeps its top max_w rank[g, w] eigenvectors as generators,
     # zeroed at the frequencies whose rank is lower: (G, keep, K, L) fibers.
     keep = rank.max(axis=1, initial=0)
     width = int(keep.max(initial=0))
+    gen_fibers = vecs[:, classes.source, :, :width]
+    # Classes past the solved ones are mirrors: P conj of their source.
+    gen_fibers[:, classes.solved:] = gen_fibers[:, classes.solved:, ::-1].conj()
     active = np.arange(width)[None, :, None] < rank[:, None, :]
-    spectra = _spectra_from_fibers(vecs[..., :width].transpose(0, 3, 1, 2)
-                                   * active[..., None])
+    spectra = _spectra_from_fibers(gen_fibers.transpose(0, 3, 1, 2) * active[..., None])
     spectra.flags.writeable = False
     generators = [spectra[g, :k] for g, k in enumerate(keep.tolist())]
     return generators, spectrum, rank, error, degenerate
@@ -219,16 +365,18 @@ def best_sis_stack(fibers, structure: ShiftStructure, n):
 def best_sis(dataset: DataSet, structure: ShiftStructure, n) -> SISFit:
     """Optimal shift-invariant model of length <= n with its exact error.
 
-    ``best_sis_stack`` on one block: per frequency class w the L x L fiber
-    covariance is eigendecomposed, all K classes in one stacked call, and
-    ``spectral.leading_cut`` reads the rank at each w, the error and the
-    ``degenerate`` flag off all K, as ``best_fit_subspace`` does off its one.
-    The generators form a Parseval frame.
+    ``best_sis_stack`` on one block: per solved frequency class the L x L
+    fiber covariance is eigendecomposed, and ``spectral.leading_cut`` reads
+    the rank at each of the K classes, the error and the ``degenerate``
+    flag off all of them, as ``best_fit_subspace`` does off its one.  The
+    generators form a Parseval frame; for real data their spectra are
+    exactly conjugate-symmetric, so the generators are real in time.
+    ``n`` must be an integer >= 0 (a bool counts as one), else
+    ``InvalidSpec``.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    generators, spectrum, rank, error, degenerate = best_sis_stack(
-        [_signal_fibers(dataset, structure)], structure, n)
+    n, real = model_dimension(n), _is_real(dataset)
+    fib = _fit_fibers(_signal_fibers(dataset, structure), _classes(structure, real))
+    generators, spectrum, rank, error, degenerate = best_sis_stack([fib], structure, n, real)
     model = SISModel(structure=structure, generators=generators[0], per_freq_rank=rank[0])
     return SISFit(model=model, error=float(error[0]), spectrum=spectrum[0],
                   degenerate=bool(degenerate[0]))
@@ -260,32 +408,42 @@ def project_sis(model: SISModel, f) -> np.ndarray:
 
 
 def sis_distance_matrix(dataset: DataSet, models, structure: ShiftStructure) -> np.ndarray:
-    """(m, l) squared distances of the signals to each shift-invariant model."""
-    return _fiber_distances(_signal_fibers(dataset, structure),
-                            [mo.generators for mo in models], structure).T
+    """(m, l) squared distances of the signals to each shift-invariant model.
+
+    Real signals are measured on classes 0..K//2, each mirrored class
+    counted twice, when every model's generator spectra are exactly
+    conjugate-symmetric (as those of real data are); otherwise, and for
+    complex signals, on all K classes.
+    """
+    generators = [mo.generators for mo in models]
+    mirror = -np.arange(structure.signal_len) % structure.signal_len
+    real = _is_real(dataset) and all(np.array_equal(g[:, mirror], g.conj()) for g in generators)
+    return _fiber_distances(_signal_fibers(dataset, structure), generators, structure, real).T
 
 
 class _ShiftInvariantCells:
     """The alternation maps for l shift-invariant models of length <= n.
 
-    The spectra are computed once; a step's cells take their rows and are
-    fitted by ``best_sis_stack``, and a model is its generator spectra.  The
-    winner's refit goes through ``best_sis``.
+    The fibers of the solved classes are computed once, as distances read
+    them and as fits read them (``_fit_fibers``); a step's cells take their
+    rows and are fitted by ``best_sis_stack``, and a model is its generator
+    spectra.  The winner's refit goes through ``best_sis``.
     """
 
     def __init__(self, dataset, structure, l, n):
         self.dataset, self.structure, self.l, self.n = dataset, structure, l, n
-        self.spectra = _unitary_spectra(dataset.vectors, structure)
-        self.fibers = _fibers_from_spectra(self.spectra, structure)
+        self.real = _is_real(dataset)
+        classes = _classes(structure, self.real)
+        self.fibers = np.ascontiguousarray(_signal_fibers(dataset, structure)[:, :classes.solved])
+        self.fit_fibers = _fit_fibers(self.fibers, classes)
 
     def fit(self, cells):
         generators, _, _, error, _ = best_sis_stack(
-            (_fibers_from_spectra(self.spectra.take(idx, axis=0), self.structure)
-             for idx in cells), self.structure, self.n)
+            (self.fit_fibers.take(idx, axis=0) for idx in cells), self.structure, self.n, self.real)
         return generators, error
 
     def distances(self, generators):
-        return _fiber_distances(self.fibers, generators, self.structure)
+        return _fiber_distances(self.fibers, generators, self.structure, self.real)
 
     def refit(self, assignment):
         fits = [best_sis(self.dataset.subset(idx), self.structure, self.n)

@@ -356,11 +356,16 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
 
     Each row is one ``search``, so its winner is refitted and
     certificate-checked as a fit's is.  For each n, l is visited in
-    increasing order.  Each row after the first is also seeded with the
-    previous winner's partition, its worst-fit point moved to the new cell.
-    A row whose search ends above the previous row's epsilon keeps the
-    previous certificate, so the epsilon column never increases along l.
-    Rows are ordered by (n, l).  Non-integer sizes raise ``InvalidSpec``.
+    increasing order.  Each row after the first of its n is also seeded
+    with the previous row's certificate partition, its worst-fit point
+    moved to the new cell, and each row after the first n with the
+    partition of the certificate kept for the same l at the previous n.
+    Two floors keep the kept certificates: a row whose search ends above
+    the previous row's epsilon keeps the previous certificate, and a row
+    that ends above the (l, previous n) epsilon keeps that one, since a
+    model of dimension <= n - 1 is also one of dimension <= n.  So the
+    epsilon column never increases along l or along n.  Rows are ordered
+    by (n, l).  Non-integer sizes raise ``InvalidSpec``.
     """
     l_values, n_values = sorted(set(l_values)), sorted(set(n_values))
     if not l_values or not n_values:
@@ -370,15 +375,17 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     grid = [[replace(cfg, l=l, n=n) for l in l_values] for n in n_values]
     m = dataset.m
     rows = []
+    below = [None] * len(l_values)  # per l, the certificate kept at the previous n
     for configs in grid:
         prev = None  # the report of the previous row's certificate
-        for row in configs:
+        for i, row in enumerate(configs):
 
             def seeds(family):
                 # Plain alternation never repopulates an empty cell, so
                 # growing l needs explicit candidates: (once l >= m) one cell
                 # per point, and the previous winner's partition with its
                 # worst-fit point, the lowest on ties, moved to cell l - 1.
+                # Growing n starts from the certificate one n below.
                 if row.l >= m:
                     yield np.arange(m, dtype=np.intp)
                 if prev is not None:
@@ -386,11 +393,16 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
                     dmat = family.bundle_distances(prev.bundle)
                     split[int(np.argmax(dmat[np.arange(m), split]))] = row.l - 1
                     yield split
+                if below[i] is not None:
+                    yield below[i].partition.assignment
 
             report = search(dataset, row, lambda data: _Subspaces(data, row.l, row.n), seeds)
-            # Floor: the epsilon column must never increase along l, even by
-            # one ulp.
+            # Floors: the epsilon column must never increase along l or n,
+            # even by one ulp.
             if prev is None or report.objective < prev.objective:
                 prev = report
+            if below[i] is not None and below[i].objective < prev.objective:
+                prev = below[i]
+            below[i] = prev
             rows.append(SweepRow(l=row.l, n=row.n, epsilon=prev.objective))
     return rows

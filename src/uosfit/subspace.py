@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, NonFinite, model_dimension
 from .spectral import ORTHONORMAL_TOL, leading_cut, sym_eigen
 
 
@@ -273,10 +273,10 @@ def best_fit_subspace(dataset: DataSet, n) -> SubspaceFit:
     ``degenerate`` flag (the optimum is not unique) come from
     ``spectral.leading_cut``, as in ``sis.best_sis``.
 
-    An empty data set yields the zero subspace with error 0.
+    An empty data set yields the zero subspace with error 0.  ``n`` must
+    be an integer >= 0 (a bool counts as one), else ``InvalidSpec``.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = model_dimension(n)
     if np.iscomplexobj(dataset.vectors):
         raise DimensionMismatch("best_fit_subspace expects real-valued data")
     if dataset.m == 0:

@@ -33,6 +33,21 @@ def lines_dataset(rng, directions, points_per_line, noise=0.0):
     return DataSet(np.vstack(blocks))
 
 
+def planted_union(seed, l, n, dim, points, sigma):
+    """``points`` vectors in R^dim from ``l`` random n-planes plus isotropic
+    noise, shuffled: the benchmark's generator (``bench/gen.py``), so a seed
+    names the same input in both."""
+    rng = np.random.default_rng(seed)
+    sizes = [points // l + (1 if k < points % l else 0) for k in range(l)]
+    blocks = []
+    for size in sizes:
+        basis, _ = np.linalg.qr(rng.standard_normal((dim, n)))
+        blocks.append(rng.standard_normal((size, n)) @ basis.T)
+    x = np.vstack(blocks)
+    x += sigma * rng.standard_normal(x.shape)
+    return x[rng.permutation(points)]
+
+
 def sis_signals_from_generator(rng, gen, structure, count):
     """Random combinations of circular shifts (by the structure step) of gen."""
     sigs = []

@@ -165,6 +165,25 @@ class TestCliCommands:
         stored = out["stored_objective"]
         assert abs(out["objective"] - stored) <= 1e-12 * (1.0 + stored)
 
+    def test_sis_reports_of_real_signals_have_conjugate_symmetric_generators(self, tmp_path):
+        # real rows get generators real in time; complex spectra fit every class
+        rng = np.random.default_rng(6)
+        rows, spectra = tmp_path / "rows.csv", tmp_path / "spectra.csv"
+        np.savetxt(rows, rng.standard_normal((6, 12)), delimiter=",")
+        spec = rng.standard_normal((6, 12)) + 1j * rng.standard_normal((6, 12))
+        np.savetxt(spectra, np.stack([spec.real, spec.imag], axis=-1).reshape(6, 24), delimiter=",")
+        report = tmp_path / "rep.json"
+        mirror = -np.arange(12) % 12
+        for path, form in ((rows, "rows"), (spectra, "spectra")):
+            assert main(["fit", "--input", str(path), "--mode", "sis", "--input-format", form,
+                         "--signal-len", "12", "--shift-step", "3", "--l", "2", "--n", "1",
+                         "--report", str(report), "--no-timings"]) == 0
+            for comp in json.loads(report.read_text())["components"]:
+                assert len(comp["per_freq_rank"]) == 4
+                gens = np.array([np.array(g["re"]) + 1j * np.array(g["im"])
+                                 for g in comp["generators"]])
+                assert np.array_equal(gens[:, mirror], gens.conj()) == (form == "rows")
+
     def test_sweep_csv_monotone(self, tmp_path):
         report, csv_out = tmp_path / "s.json", tmp_path / "s.csv"
         code = main(["sweep", "--input", str(FIXTURE), "--l", "1:4", "--n", "1",

@@ -100,7 +100,11 @@ ERRORS = {
     "shift-structure-float-step": (lambda: ShiftStructure(64, 4.0), StructureMismatch,
                                    "signal_len and shift_step must be integers"),
     "best-sis-n-negative": (lambda: best_sis(DataSet(np.ones((2, 4))), ShiftStructure(4, 2), -1),
-                            ValueError, "n must be nonnegative"),
+                            InvalidSpec, "n must be >= 0"),
+    "best-sis-n-fractional": (lambda: best_sis(DataSet(np.ones((2, 4))), ShiftStructure(4, 2), 1.5),
+                              InvalidSpec, "n must be an integer"),
+    "best-sis-overflow": (lambda: best_sis(DataSet(np.full((2, 4), 1e200)), ShiftStructure(4, 2), 1),
+                          NonFinite, "matrix contains NaN or infinite entries"),
     "solve-config-l-zero": (lambda: SolveConfig(l=0, n=1), InvalidSpec, "l must be >= 1"),
     "solve-config-l-fractional": (lambda: SolveConfig(l=2.5, n=1), InvalidSpec,
                                   "l must be an integer"),
@@ -152,8 +156,10 @@ ERRORS = {
                                  "basis rows are not orthonormal"),
     "residuals-sq-dims": (lambda: subspace.residuals_sq(POINTS, Subspace.zero(3)),
                           DimensionMismatch, "data dim 2 vs subspace dim 3"),
-    "best-fit-n-negative": (lambda: best_fit_subspace(POINTS, -1), ValueError,
-                            "n must be nonnegative"),
+    "best-fit-n-negative": (lambda: best_fit_subspace(POINTS, -1), InvalidSpec,
+                            "n must be >= 0"),
+    "best-fit-n-fractional": (lambda: best_fit_subspace(POINTS, 1.5), InvalidSpec,
+                              "n must be an integer"),
     "best-fit-complex": (lambda: best_fit_subspace(DataSet(POINTS.vectors * 1j), 1),
                          DimensionMismatch, "best_fit_subspace expects real-valued data"),
     "solve-complex": (lambda: solve(DataSet(POINTS.vectors * 1j), SolveConfig(1, 1, restarts=1)),
@@ -201,6 +207,14 @@ def test_integer_sizes_of_any_integer_type_pass(size):
     assert solve(POINTS, replace(cfg, restarts=1)).partition.num_cells == size
     rows = sparsity_curve(POINTS, [size], [size], SolveConfig(1, 1, restarts=1))
     assert [(type(row.l), type(row.n)) for row in rows] == [(int, int)]
+    # single fits take n as SolveConfig does: a bool counts as one
+    want = best_fit_subspace(POINTS, int(size))
+    got = best_fit_subspace(POINTS, size)
+    assert (got.error, got.subspace.dim) == (want.error, want.subspace.dim)
+    signals = DataSet(np.arange(12.0).reshape(3, 4) % 5)
+    want = best_sis(signals, ShiftStructure(4, 2), int(size))
+    got = best_sis(signals, ShiftStructure(4, 2), size)
+    assert (got.error, got.model.length) == (want.error, want.model.length)
 
 
 @pytest.mark.parametrize("assignment", [[], np.array([0.0, 1.0]), np.array([1, 0], dtype=np.uint8)])

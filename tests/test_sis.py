@@ -18,7 +18,7 @@ from uosfit import (
     sis_distance_matrix,
     solve_sis_bundle,
 )
-from uosfit.sis import _signal_fibers, best_sis_stack
+from uosfit.sis import _classes, _fit_fibers, _signal_fibers, best_sis_stack
 from helpers import close_rel, sis_signals_from_generator
 
 
@@ -312,3 +312,135 @@ class TestSolveSisBundle:
         cfg = SolveConfig(l=2, n=1, restarts=4, seed=0, init_strategy="farthest_point")
         rep = solve_sis_bundle(DataSet(sigs), s, cfg)
         assert rep.objective <= 1e-10
+
+
+# Real signals against their complex copies: the copy solves every class on
+# its own, the real signals only classes 0..K//2 (the half path).
+ULPS = 16 * np.finfo(np.float64).eps
+
+# (signal_len M, shift_step L, signals m, n)
+REAL_CASES = {
+    "K3-odd": (15, 5, 4, 2),
+    "K3-odd-L-even": (12, 4, 5, 1),
+    "K4-even": (16, 4, 6, 2),
+    "K16-even": (64, 4, 8, 1),
+    "K6-even-L-odd": (18, 3, 5, 2),
+    "K1": (8, 8, 5, 3),
+    "K1-L-odd": (7, 7, 3, 1),
+    "L1-K-even": (8, 1, 4, 1),
+    "L1-K-odd": (7, 1, 4, 1),
+    "m-below-L": (20, 5, 2, 1),
+    "n-at-least-L": (16, 4, 6, 5),
+    "no-signals": (12, 3, 0, 1),
+}
+
+
+def _conjugate_symmetric(spectra):
+    length = spectra.shape[-1]
+    return np.array_equal(spectra[..., -np.arange(length) % length], spectra.conj())
+
+
+def _parseval_gap(model):
+    lam = generator_gramian(model).eigenvalues
+    return float(np.max(np.minimum(np.abs(lam), np.abs(lam - 1.0)), initial=0.0))
+
+
+@pytest.mark.parametrize("case", REAL_CASES)
+def test_best_sis_of_real_signals_matches_their_complex_copy(case):
+    m_len, step, count, n = REAL_CASES[case]
+    s = ShiftStructure(m_len, step)
+    x = np.random.default_rng(m_len * 100 + step * 10 + count).standard_normal((count, m_len))
+    real, copy = DataSet(x), DataSet(x.astype(np.complex128))
+    half, full = best_sis(real, s, n), best_sis(copy, s, n)
+    energy = float(np.sum(x * x))
+    bound = ULPS * energy
+    assert abs(half.error - full.error) <= bound
+    assert half.spectrum.shape == full.spectrum.shape == (s.num_freqs, count)
+    assert np.max(np.abs(half.spectrum - full.spectrum), initial=0.0) <= bound
+    assert np.array_equal(half.model.per_freq_rank, full.model.per_freq_rank)
+    assert half.model.length == full.model.length
+    assert _conjugate_symmetric(half.model.generators)
+    assert not np.iscomplexobj(np.fft.irfft(half.model.generators, m_len))
+    assert _parseval_gap(half.model) <= 1e-8
+    # either model, measured on the real signals or on their copy
+    for model in (half.model, full.model):
+        want = sis_distance_matrix(copy, [model], s)
+        got = sis_distance_matrix(real, [model], s)
+        assert np.max(np.abs(got - want), initial=0.0) <= bound
+    direct = float(sis_distance_matrix(real, [half.model], s).sum())
+    assert abs(direct - half.error) <= 1e-9 * energy
+
+
+# (M, L, l, n, signals): planted signals of two generators
+REAL_SOLVES = {
+    "K4-even": (16, 4, 2, 1, 10),
+    "K3-odd": (15, 5, 2, 2, 8),
+    "K1": (8, 8, 2, 1, 6),
+    "L1": (8, 1, 2, 1, 6),
+    "m-below-L": (20, 5, 2, 1, 3),
+    "n-at-least-L": (12, 3, 2, 4, 8),
+    "empty-cells": (12, 4, 4, 1, 3),
+    "sis-fit-shape": (64, 4, 2, 1, 32),
+}
+
+
+@pytest.mark.parametrize("case", REAL_SOLVES)
+@pytest.mark.parametrize("init", ["random_partition", "farthest_point"])
+def test_solve_of_real_signals_matches_their_complex_copy(case, init):
+    m_len, step, l, n, count = REAL_SOLVES[case]
+    s = ShiftStructure(m_len, step)
+    rng = np.random.default_rng(m_len + 7 * count)
+    gens = rng.standard_normal((2, m_len))
+    x = np.vstack([sis_signals_from_generator(rng, gens[k % 2], s, 1) for k in range(count)])
+    x += 0.01 * rng.standard_normal(x.shape)
+    cfg = SolveConfig(l=l, n=n, restarts=4, seed=3, init_strategy=init)
+    half = solve_sis_bundle(DataSet(x), s, cfg)
+    full = solve_sis_bundle(DataSet(x.astype(np.complex128)), s, cfg)
+    bound = ULPS * float(np.sum(x * x))
+    # planted classes: no near-ties, so the same chains to round-off
+    assert half.partition.assignment.tolist() == full.partition.assignment.tolist()
+    assert half.iterations_per_restart == full.iterations_per_restart
+    assert abs(half.objective - full.objective) <= bound
+    assert np.max(np.abs(np.subtract(half.per_restart_objectives,
+                                     full.per_restart_objectives))) <= bound
+    assert np.max(np.abs(np.subtract(half.residuals_sq, full.residuals_sq))) <= bound
+    assert half.converged and full.converged
+    for a, b in zip(half.bundle, full.bundle):
+        assert np.array_equal(a.per_freq_rank, b.per_freq_rank)
+        assert _conjugate_symmetric(a.generators)
+        assert _parseval_gap(a) <= 1e-8
+
+
+@pytest.mark.parametrize("sizes", [(0, 3, 0, 5, 1), (2, 0), (0, 4)])
+@pytest.mark.parametrize("shape", [(12, 3), (16, 4), (8, 8), (8, 1)])
+def test_best_sis_stack_of_real_blocks_is_blockwise(sizes, shape):
+    # on the half path too, a block gets the bits of its own one-block fit,
+    # and an empty block no generators and error 0
+    s = ShiftStructure(*shape)
+    x = np.random.default_rng(sum(sizes)).standard_normal((sum(sizes), s.signal_len))
+    fib = _fit_fibers(_signal_fibers(DataSet(x), s), _classes(s, True))
+    bounds = np.cumsum((0,) + sizes)
+    blocks = [fib[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    generators, _, rank, error, _ = best_sis_stack(blocks, s, 2, real=True)
+    for g, block in enumerate(blocks):
+        gen1, _, rank1, error1, _ = best_sis_stack([block], s, 2, real=True)
+        assert generators[g].tobytes() == gen1[0].tobytes()
+        assert np.array_equal(rank[g], rank1[0])
+        assert error[g].hex() == error1[0].hex()
+        assert (len(block) > 0) == (generators[g].shape[0] > 0)
+        assert _conjugate_symmetric(generators[g])
+
+
+def test_distances_to_a_model_that_is_not_conjugate_symmetric_use_every_class():
+    # real signals against a complex model: no class mirrors another
+    rng = np.random.default_rng(30)
+    s = ShiftStructure(12, 3)
+    x = rng.standard_normal((5, 12))
+    model = best_sis(DataSet(rng.standard_normal((3, 12)) + 1j * rng.standard_normal((3, 12))),
+                     s, 1).model
+    assert not _conjugate_symmetric(model.generators)
+    want = sis_distance_matrix(DataSet(x.astype(np.complex128)), [model], s)
+    got = sis_distance_matrix(DataSet(x), [model], s)
+    assert np.max(np.abs(got - want)) <= ULPS * float(np.sum(x * x))
+    projected = np.array([project_sis(model, row) for row in x])
+    assert np.allclose(got[:, 0], np.sum(np.abs(x - projected) ** 2, axis=1), rtol=1e-9)

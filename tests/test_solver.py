@@ -30,7 +30,7 @@ from uosfit.solver import (
     _Subspaces,
     search,
 )
-from helpers import lines_dataset, random_dataset, sis_signals_from_generator
+from helpers import lines_dataset, planted_union, random_dataset, sis_signals_from_generator
 
 
 class TestSolve:
@@ -182,6 +182,30 @@ class TestSparsityCurve:
                               SolveConfig(l=1, n=1))
         assert [r.epsilon.hex() for r in rows] == [(5.0).hex(), (5.0).hex(), (3.0).hex()]
 
+    def test_the_floor_along_n_alone_keeps_epsilon_non_increasing(self, monkeypatch):
+        # A row whose search ends above the (l, previous n) epsilon keeps that
+        # epsilon; the floor along l then applies to what it kept.
+        objectives = {(1, 0): 9.0, (2, 0): 6.0, (1, 2): 8.0, (2, 2): 7.0, (1, 3): 2.0, (2, 3): 4.0}
+        monkeypatch.setattr(
+            "uosfit.solver.search",
+            lambda data, cfg, family_of, seeds: SimpleNamespace(objective=objectives[cfg.l, cfg.n]))
+        rows = sparsity_curve(random_dataset(np.random.default_rng(0), 5, 4), [1, 2], [0, 2, 3],
+                              SolveConfig(l=1, n=1))
+        assert [(r.l, r.n) for r in rows] == [(1, 0), (2, 0), (1, 2), (2, 2), (1, 3), (2, 3)]
+        assert [r.epsilon.hex() for r in rows] == [v.hex() for v in (9.0, 6.0, 8.0, 6.0, 2.0, 2.0)]
+
+    @pytest.mark.parametrize("seed", range(2001, 2011))
+    def test_epsilon_never_rises_along_l_or_n(self, seed):
+        # seeds fixed before the first run; at seed 2008 the sweep without a
+        # floor along n read 1.84 at (l, n) = (4, 3) and 5.21 at (4, 4)
+        x = planted_union(seed, l=4, n=3, dim=16, points=64, sigma=0.05)
+        rows = sparsity_curve(DataSet(x), range(1, 7), range(0, 6), SolveConfig(l=1, n=0, restarts=4))
+        eps = {(r.l, r.n): r.epsilon for r in rows}
+        for l in range(1, 7):
+            for n in range(0, 6):
+                assert l == 1 or eps[l, n] <= eps[l - 1, n]
+                assert n == 0 or eps[l, n] <= eps[l, n - 1]
+
     def test_every_size_is_checked_before_any_search(self, monkeypatch):
         monkeypatch.setattr("uosfit.solver.search", None)  # a search would raise TypeError
         with pytest.raises(InvalidSpec, match="^n must be an integer$"):
@@ -222,6 +246,41 @@ class TestSparsityCurve:
                 assert got.tolist() == seed.tolist()
             if row["report"].objective < prev.objective:
                 prev = row["report"]
+
+
+    def test_each_row_gets_the_certificate_one_n_below(self, monkeypatch):
+        # Row (l, n) is also seeded, after the split of the previous row, with
+        # the partition of the certificate kept for l at the previous n.
+        calls = []
+
+        def recording(data, cfg, family_of, seeds):
+            row = {"key": (cfg.l, cfg.n)}
+
+            def recorded(family):
+                row["seeds"] = [s.copy() for s in seeds(family)]
+                return row["seeds"]
+
+            row["report"] = search(data, cfg, family_of, recorded)
+            calls.append(row)
+            return row["report"]
+
+        monkeypatch.setattr("uosfit.solver.search", recording)
+        n_values = [0, 1, 3]
+        data = random_dataset(np.random.default_rng(22), 9, 4)
+        rows = sparsity_curve(data, [1, 2, 3], n_values, SolveConfig(l=1, n=0, restarts=2))
+        kept = {}
+        for row in calls:
+            (l, n), best = row["key"], row["report"]
+            below = kept.get((l, n_values[n_values.index(n) - 1])) if n > n_values[0] else None
+            assert len(row["seeds"]) == (l > 1) + (below is not None)
+            if below is not None:
+                assert row["seeds"][-1].tolist() == below.partition.assignment.tolist()
+            if l > 1 and not best.objective < kept[l - 1, n].objective:
+                best = kept[l - 1, n]
+            if below is not None and below.objective < best.objective:
+                best = below
+            kept[l, n] = best
+        assert [r.epsilon for r in rows] == [kept[row["key"]].objective for row in calls]
 
 
 def test_descend_raises_on_revisited_partition():
