@@ -162,18 +162,17 @@ class _Classes:
 
     Classes ``0..solved-1`` are solved; class w takes the eigenvalues and
     rank of class ``source[w]``, and ``weights[v]`` counts the classes that
-    solved class v stands for.  The classes of ``paired`` are solved as
-    complex Hermitian problems; those of ``selfconj`` (real signals only) as
-    real symmetric ones, on the coordinates ``U^H f`` in the real basis
-    ``U = basis[r]`` of the r-th of them, whose eigenvectors y give the
-    generator fibers ``U y``.  Complex signals solve every class as paired,
-    each standing for itself.
+    solved class v stands for.  The classes of ``selfconj`` (real signals
+    only) are solved as real symmetric problems, the covariance ``U^H C U``
+    of the real coordinates ``U^H f`` in the real basis ``U = basis[r]`` of
+    the r-th of them, whose eigenvectors y give the generator fibers
+    ``U y``.  Complex signals solve every class as a complex Hermitian
+    problem, each standing for itself.
     """
 
     solved: int
     source: np.ndarray
     weights: np.ndarray
-    paired: np.ndarray
     selfconj: np.ndarray
     basis: np.ndarray
 
@@ -213,24 +212,12 @@ def _classes(structure, real):
     # Bin j mirrors to bin (M - j) mod M; its alias is that bin // K.
     bins = selfconj[:, None] + num_freqs * np.arange(num_aliases)
     mirror = (-bins % structure.signal_len) // num_freqs
-    layout = _Classes(solved, source, np.bincount(source).astype(np.float64),
-                      np.delete(np.arange(solved), selfconj), selfconj,
+    layout = _Classes(solved, source, np.bincount(source).astype(np.float64), selfconj,
                       np.array([_real_basis(pi) for pi in mirror], dtype=np.complex128)
                       .reshape(-1, num_aliases, num_aliases))
-    for arr in (layout.source, layout.weights, layout.paired, layout.selfconj, layout.basis):
+    for arr in (layout.source, layout.weights, layout.selfconj, layout.basis):
         arr.flags.writeable = False
     return layout
-
-
-def _fit_fibers(fib, classes):
-    """The (m, S, L) fibers a fit reads from the (m, K, L) ones: the solved
-    classes, each self-conjugate one in its real basis (the coordinates
-    U^H f, real, held with zero imaginary parts)."""
-    out = np.array(fib[:, :classes.solved])
-    if len(classes.selfconj):
-        out[:, classes.selfconj] = np.einsum("ikt,kta->ika", fib[:, classes.selfconj],
-                                             classes.basis.conj()).real
-    return out
 
 
 def _fiber_gramian(fib, structure):
@@ -260,53 +247,51 @@ def _model_fibers(model):
     return _fibers_from_spectra(model.generators, model.structure)
 
 
+def _residuals_to_fibers(fib_all, gen_fibers, weights):
+    """Squared distance of every signal (rows of fib_all) to the fiber span,
+    each class's term counted ``weights[k]`` times; with no generators
+    ``rec`` is all zeros and ``res`` is ``fib_all`` exactly."""
+    coeff = np.einsum("mkt,skt->msk", fib_all, gen_fibers.conj())
+    rec = np.einsum("msk,skt->mkt", coeff, gen_fibers)
+    res = fib_all - rec
+    return np.real(np.einsum("mkt,mkt,k->m", res, res.conj(), weights))
+
+
 def _fiber_distances(fib_all, generators, structure, real):
     """(G, count) squared distances of the fibers to G models, each given by
     its (s, M) generator spectra, over the solved classes of ``_classes``:
     for real signals class K - w's term is class w's doubled, which is exact.
-
-    Models with the same number of generators are stacked, and per class
-    the projection is one pair of stacked matrix products; each model's
-    products have the shapes they have alone, so a model's distances do not
-    depend on the other models of the call.  The residual is explicit (a
-    signal in the span gets exact zeros), and |z|^2 is the sum of its
-    parts' squares, read off the residual viewed as floats.
-    """
+    One model per call: einsum's complex sums over a stack of models run
+    slower than model by model, and memory stays that of one model.  The
+    fibers are made contiguous (as the search family holds them), since the
+    bits of einsum's sums depend on the layout."""
     classes = _classes(structure, real)
-    fib = np.ascontiguousarray(fib_all[:, :classes.solved].transpose(1, 0, 2))  # (S, m, L)
-    out = np.empty((len(generators), fib.shape[1]))
-    lengths = [g.shape[0] for g in generators]
-    for length in sorted(set(lengths)):
-        rows = [i for i, k in enumerate(lengths) if k == length]
-        gen = np.stack([_fibers_from_spectra(generators[i], structure)[:, :classes.solved]
-                        for i in rows]).transpose(0, 2, 1, 3)  # (G_s, S, s, L)
-        # Huge generator entries (from an edited report) give inf or nan
-        # distances without a warning, which the caller judges.
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = (fib - (fib @ gen.conj().swapaxes(-1, -2)) @ gen).view(np.float64)
-        out[rows] = np.einsum("gkmt,gkmt,k->gm", res, res, classes.weights)
-    return out
+    fib = np.ascontiguousarray(fib_all[:, :classes.solved])
+    return np.stack([_residuals_to_fibers(
+        fib, _fibers_from_spectra(g, structure)[:, :classes.solved], classes.weights)
+        for g in generators])
 
 
-def best_sis_stack(fibers, structure: ShiftStructure, n, real=False):
+def best_sis_stack(fibers, structure: ShiftStructure, n, *, real):
     """Optimal shift-invariant models of length <= n for G fiber blocks, in
-    one eigensolve per kind of class.
+    one stacked eigensolve.
 
-    ``fibers`` yields each block's (m_g, S, L) fibers as ``_fit_fibers``
-    gives them for the classes of ``_classes(structure, real)``; ``real``
-    says they are those of real signals.  (For complex signals they are the
-    plain (m_g, K, L) fibers.)  Per block the L x L fiber covariance
+    ``fibers`` yields each block's (m_g, K, L) fibers (``_signal_fibers``);
+    ``real`` says they are those of real signals, as for a float64
+    ``DataSet``.  Per block the L x L fiber covariance
     ``C(w)_ts = sum_i fhat_i(w + K t) conj(fhat_i(w + K s))`` is formed for
-    each solved class w: all K classes of complex signals, classes 0..K//2
-    of real ones, the self-conjugate ones in their real basis.  The complex
-    Hermitian covariances of all blocks are eigendecomposed in one call,
-    the real symmetric ones of the self-conjugate classes in another.  Their
-    eigenvalues are the spectra of the m_g x m_g Gramians (cut or
-    zero-padded); class K - w of real signals takes class w's.  So
-    ``spectral.leading_cut`` grouped by block reads each block's rank at
-    every one of the K classes, its error and its ``degenerate`` flag.  The
-    top ``rank[g, w]`` eigenvectors are the generator fibers, orthonormal
-    per frequency.
+    each solved class w of ``_classes(structure, real)``: all K classes of
+    complex signals, classes 0..K//2 of real ones.  A self-conjugate class
+    takes its covariance in its real basis U, the real part of
+    ``U^H C(w) U``, which is that of the real coordinates U^H f.  The
+    covariances of all blocks and classes are eigendecomposed in one call,
+    the real symmetric ones held as complex with zero imaginary parts; their
+    eigenvectors y are taken real.  Their eigenvalues are the spectra of the
+    m_g x m_g Gramians (cut or zero-padded); class K - w of real signals
+    takes class w's.  So ``spectral.leading_cut`` grouped by block reads
+    each block's rank at every one of the K classes, its error and its
+    ``degenerate`` flag.  The top ``rank[g, w]`` eigenvectors are the
+    generator fibers, orthonormal per frequency.
 
     Phases: the fiber of a class solved as a complex problem is the
     eigenvector with its largest-magnitude entry real and positive
@@ -328,24 +313,19 @@ def best_sis_stack(fibers, structure: ShiftStructure, n, real=False):
     num_aliases = structure.num_aliases
     classes = _classes(structure, real)
     covs, counts = [], []
-    # An overflow gives inf entries, which sym_eigen refuses as NonFinite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for fib in fibers:
-            covs.append(fib.transpose(1, 2, 0) @ fib.conj().transpose(1, 0, 2))
-            counts.append(fib.shape[0])
+    for fib in fibers:
+        fib = fib[:, :classes.solved]
+        covs.append(np.einsum("ikt,iks->kts", fib, fib.conj()))
+        counts.append(fib.shape[0])
     covs = np.stack(covs)
-    shape = (len(counts), classes.solved, num_aliases)
-    vals, vecs = np.empty(shape), np.empty(shape + (num_aliases,), dtype=np.complex128)
-    square = (-1, num_aliases, num_aliases)
-    if len(classes.paired):
-        eig = sym_eigen(covs[:, classes.paired].reshape(square))
-        vals[:, classes.paired] = eig.eigenvalues.reshape(len(counts), -1, num_aliases)
-        vecs[:, classes.paired] = eig.eigenvectors.reshape(len(counts), -1, *square[1:])
     if len(classes.selfconj):
-        eig = sym_eigen(covs[:, classes.selfconj].real.reshape(square))
-        vals[:, classes.selfconj] = eig.eigenvalues.reshape(len(counts), -1, num_aliases)
-        vecs[:, classes.selfconj] = (classes.basis
-                                     @ eig.eigenvectors.reshape(len(counts), -1, *square[1:]))
+        basis = classes.basis
+        covs[:, classes.selfconj] = np.einsum(
+            "gkas,ksb->gkab", np.einsum("kta,gkts->gkas", basis.conj(), covs[:, classes.selfconj]),
+            basis).real
+    eig = sym_eigen(covs.reshape(-1, num_aliases, num_aliases))
+    vals = eig.eigenvalues.reshape(covs.shape[:-1])
+    vecs = eig.eigenvectors.reshape(covs.shape)
     spectrum, rank, error, degenerate = leading_cut(vals[:, classes.source], counts, n)
     rank.flags.writeable = False
     # Block g keeps its top max_w rank[g, w] eigenvectors as generators,
@@ -353,6 +333,8 @@ def best_sis_stack(fibers, structure: ShiftStructure, n, real=False):
     keep = rank.max(axis=1, initial=0)
     width = int(keep.max(initial=0))
     gen_fibers = vecs[:, classes.source, :, :width]
+    if len(classes.selfconj):
+        gen_fibers[:, classes.selfconj] = basis @ gen_fibers[:, classes.selfconj].real
     # Classes past the solved ones are mirrors: P conj of their source.
     gen_fibers[:, classes.solved:] = gen_fibers[:, classes.solved:, ::-1].conj()
     active = np.arange(width)[None, :, None] < rank[:, None, :]
@@ -374,9 +356,9 @@ def best_sis(dataset: DataSet, structure: ShiftStructure, n) -> SISFit:
     ``n`` must be an integer >= 0 (a bool counts as one), else
     ``InvalidSpec``.
     """
-    n, real = model_dimension(n), _is_real(dataset)
-    fib = _fit_fibers(_signal_fibers(dataset, structure), _classes(structure, real))
-    generators, spectrum, rank, error, degenerate = best_sis_stack([fib], structure, n, real)
+    generators, spectrum, rank, error, degenerate = best_sis_stack(
+        [_signal_fibers(dataset, structure)], structure, model_dimension(n),
+        real=_is_real(dataset))
     model = SISModel(structure=structure, generators=generators[0], per_freq_rank=rank[0])
     return SISFit(model=model, error=float(error[0]), spectrum=spectrum[0],
                   degenerate=bool(degenerate[0]))
@@ -424,10 +406,9 @@ def sis_distance_matrix(dataset: DataSet, models, structure: ShiftStructure) -> 
 class _ShiftInvariantCells:
     """The alternation maps for l shift-invariant models of length <= n.
 
-    The fibers of the solved classes are computed once, as distances read
-    them and as fits read them (``_fit_fibers``); a step's cells take their
-    rows and are fitted by ``best_sis_stack``, and a model is its generator
-    spectra.  The winner's refit goes through ``best_sis``.
+    The fibers of the solved classes are computed once; a step's cells take
+    their rows and are fitted by ``best_sis_stack``, and a model is its
+    generator spectra.  The winner's refit goes through ``best_sis``.
     """
 
     def __init__(self, dataset, structure, l, n):
@@ -435,11 +416,11 @@ class _ShiftInvariantCells:
         self.real = _is_real(dataset)
         classes = _classes(structure, self.real)
         self.fibers = np.ascontiguousarray(_signal_fibers(dataset, structure)[:, :classes.solved])
-        self.fit_fibers = _fit_fibers(self.fibers, classes)
 
     def fit(self, cells):
         generators, _, _, error, _ = best_sis_stack(
-            (self.fit_fibers.take(idx, axis=0) for idx in cells), self.structure, self.n, self.real)
+            (self.fibers.take(idx, axis=0) for idx in cells), self.structure, self.n,
+            real=self.real)
         return generators, error
 
     def distances(self, generators):

@@ -354,18 +354,23 @@ def brute_force(dataset: DataSet, l, n):
 def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     """Sweep (l, n) pairs; each row reports the achieved error epsilon.
 
-    Each row is one ``search``, so its winner is refitted and
-    certificate-checked as a fit's is.  For each n, l is visited in
-    increasing order.  Each row after the first of its n is also seeded
+    Each row runs ``search`` (twice after the first n), so its winners are
+    refitted and certificate-checked as a fit's are.  For each n, l is
+    visited in increasing order, and each row after the first is seeded
     with the previous row's certificate partition, its worst-fit point
-    moved to the new cell, and each row after the first n with the
-    partition of the certificate kept for the same l at the previous n.
-    Two floors keep the kept certificates: a row whose search ends above
-    the previous row's epsilon keeps the previous certificate, and a row
-    that ends above the (l, previous n) epsilon keeps that one, since a
-    model of dimension <= n - 1 is also one of dimension <= n.  So the
-    epsilon column never increases along l or along n.  Rows are ordered
-    by (n, l).  Non-integer sizes raise ``InvalidSpec``.
+    moved to the new cell: the chain of certificates that the floor along l
+    keeps from this n's own searches, so these searches are those of a
+    sweep over this one n.  Certificates kept from elsewhere warm-start a
+    second search of the row, with one cold restart: the partition of the
+    certificate kept for the same l at the previous n, and the split of the
+    previous row's certificate when that is not its own n's.  Two floors
+    keep the kept certificates: a row whose searches end above the previous
+    row's epsilon keeps the previous certificate, and a row that ends above
+    the (l, previous n) epsilon keeps that one, since a model of dimension
+    <= n - 1 is also one of dimension <= n.  So the epsilon column never
+    increases along l or along n, and no row ends above the same row of a
+    sweep over its one n.  Rows are ordered by (n, l).  Non-integer sizes
+    raise ``InvalidSpec``.
     """
     l_values, n_values = sorted(set(l_values)), sorted(set(n_values))
     if not l_values or not n_values:
@@ -377,32 +382,48 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     rows = []
     below = [None] * len(l_values)  # per l, the certificate kept at the previous n
     for configs in grid:
-        prev = None  # the report of the previous row's certificate
+        # The previous row's certificate, and the one the floor along l
+        # alone kept from this n's own searches.
+        prev = chain = None
         for i, row in enumerate(configs):
 
-            def seeds(family):
+            def family_of(data):
+                return _Subspaces(data, row.l, row.n)
+
+            def split(family, kept):
                 # Plain alternation never repopulates an empty cell, so
-                # growing l needs explicit candidates: (once l >= m) one cell
-                # per point, and the previous winner's partition with its
-                # worst-fit point, the lowest on ties, moved to cell l - 1.
-                # Growing n starts from the certificate one n below.
+                # growing l needs explicit candidates: the kept partition
+                # with its worst-fit point, the lowest on ties, moved to
+                # cell l - 1.
+                moved = kept.partition.assignment.copy()
+                dmat = family.bundle_distances(kept.bundle)
+                moved[int(np.argmax(dmat[np.arange(m), moved]))] = row.l - 1
+                return moved
+
+            def seeds(family):
+                # Once l >= m, one cell per point comes first.
                 if row.l >= m:
                     yield np.arange(m, dtype=np.intp)
-                if prev is not None:
-                    split = prev.partition.assignment.copy()
-                    dmat = family.bundle_distances(prev.bundle)
-                    split[int(np.argmax(dmat[np.arange(m), split]))] = row.l - 1
-                    yield split
-                if below[i] is not None:
-                    yield below[i].partition.assignment
+                if chain is not None:
+                    yield split(family, chain)
 
-            report = search(dataset, row, lambda data: _Subspaces(data, row.l, row.n), seeds)
+            def warm(family):
+                if prev is not chain:
+                    yield split(family, prev)
+                yield below[i].partition.assignment
+
+            reports = [search(dataset, row, family_of, seeds)]
+            # The warm search runs the one cold restart a search must have;
+            # the row's own search has already run it.
+            if below[i] is not None:
+                reports += [search(dataset, replace(row, restarts=1), family_of, warm), below[i]]
+            if chain is None or reports[0].objective < chain.objective:
+                chain = reports[0]
             # Floors: the epsilon column must never increase along l or n,
             # even by one ulp.
-            if prev is None or report.objective < prev.objective:
-                prev = report
-            if below[i] is not None and below[i].objective < prev.objective:
-                prev = below[i]
+            for report in reports:
+                if prev is None or report.objective < prev.objective:
+                    prev = report
             below[i] = prev
             rows.append(SweepRow(l=row.l, n=row.n, epsilon=prev.objective))
     return rows
