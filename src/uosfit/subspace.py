@@ -155,55 +155,84 @@ def dist_sq(sub: Subspace, f) -> float:
     return float(res @ res)
 
 
-# The distance kernel walks the points in blocks of about this many bytes,
-# so a block's columns and residual stay in cache and its buffers stay small.
+# The distance kernels walk the points in blocks of about this many bytes,
+# so a block's columns and products stay in cache and their buffers stay small.
 _BLOCK_BYTES = 1 << 18
 
 
-def residual_rows(x, bases) -> np.ndarray:
-    """(l, m) squared distances of the m rows of ``x`` to l subspaces.
+def _stacked_rows(x, mats, complement):
+    """The driver of both distance kernels: (l, m) rows, one per matrix.
 
-    ``bases`` holds one (dim, N) orthonormal basis per subspace.  Each block
-    of points is copied once as contiguous columns, and each subspace's row
-    comes from the explicit residual ``x - P x`` (exact zeros for points in
-    the subspace, unlike ``|x|^2 - |Bx|^2``).  Bases of equal dimension are
-    stacked, and per block a chunk of them, as many as keep the (chunk, N,
-    block) residual within the block budget, takes one product pair and one
-    row sum.  Each basis's products keep the shapes they have alone, so a
-    row's bits do not depend on the other bases of the call.
+    Each block of points is copied once as contiguous columns.  Matrices
+    with equal row counts are stacked, and per block a chunk of them, as
+    many as keep the chunk's products within its budget, takes the kernel's
+    products and one row sum.  Each matrix's products keep the shapes they
+    have alone, so a row's bits do not depend on the other matrices of the
+    call.  A complement block holds half the points of a residual block and
+    its chunks' products may fill twice the budget: with one product per
+    chunk, fewer and larger calls pay (CHANGES.md has the kernel table).
     """
     m, dim = x.shape
-    step = max(1, _BLOCK_BYTES // (x.itemsize * max(dim, 1)))
+    split = 2 if complement else 1
+    step = max(1, _BLOCK_BYTES // (split * x.itemsize * max(dim, 1)))
     width = min(step, m)
-    chunk = max(1, _BLOCK_BYTES // (x.itemsize * max(dim * width, 1)))
-    # Rows in order of basis dimension: each run of equal dimension is one
-    # stack, cut into chunks that know their first row of the sorted result.
-    dims = [basis.shape[0] for basis in bases]
-    order = sorted(range(len(bases)), key=dims.__getitem__)
-    pieces, first = [], 0
-    for _, run in itertools.groupby(order, key=dims.__getitem__):
-        stack = np.array([bases[i] for i in run])
-        pieces += [(first + k, stack[k:k + chunk]) for k in range(0, len(stack), chunk)]
+    # Rows in order of row count: each run of equal count is one stack, cut
+    # into chunks that know their first row of the sorted result.  A
+    # residual lives in R^N, whatever its basis's dimension.
+    counts = [mat.shape[0] for mat in mats]
+    order = sorted(range(len(mats)), key=counts.__getitem__)
+    pieces, first, size = [], 0, 0
+    for count, run in itertools.groupby(order, key=counts.__getitem__):
+        stack = np.array([mats[i] for i in run])
+        rows = count if complement else dim
+        chunk = max(1, split * _BLOCK_BYTES // (x.itemsize * max(rows * width, 1)))
+        pieces += [(first + k, stack[k:k + chunk], rows) for k in range(0, len(stack), chunk)]
+        size = max(size, min(chunk, len(stack)) * rows * width)
         first += len(stack)
-    out = np.empty((len(bases), m), dtype=x.dtype)
-    # One flat buffer for the block's columns and a chunk's residuals, so a
+    out = np.empty((len(mats), m), dtype=x.dtype)
+    # One flat buffer for the block's columns and a chunk's products, so a
     # short last block is contiguous as well.
-    buf = np.empty((1 + min(chunk, len(bases))) * dim * width, dtype=x.dtype)
+    buf = np.empty(dim * width + size, dtype=x.dtype)
     xt, res = buf[:dim * width], buf[dim * width:]
     for start in range(0, m, step):
         stop = min(start + step, m)
         xb = xt[:dim * (stop - start)].reshape(dim, stop - start)
         np.copyto(xb, x[start:stop].T)
-        for row, stack in pieces:
-            rb = res[:len(stack) * xb.size].reshape((len(stack),) + xb.shape)
-            np.matmul(stack.swapaxes(1, 2), stack @ xb, out=rb)
-            np.subtract(xb, rb, out=rb)
+        for row, stack, rows in pieces:
+            rb = res[:len(stack) * rows * xb.shape[1]].reshape(len(stack), rows, xb.shape[1])
+            if complement:
+                np.matmul(stack, xb, out=rb)
+            else:
+                np.matmul(stack.swapaxes(1, 2), stack @ xb, out=rb)
+                np.subtract(xb, rb, out=rb)
             np.einsum("ckm,ckm->cm", rb, rb, out=out[row:row + len(stack), start:stop])
     if order == list(range(len(order))):
         return out
     unsorted = np.empty_like(out)
     unsorted[order] = out
     return unsorted
+
+
+def residual_rows(x, bases) -> np.ndarray:
+    """(l, m) squared distances of the m rows of ``x`` to l subspaces.
+
+    ``bases`` holds one (dim, N) orthonormal basis per subspace.  Each row
+    comes from the explicit residual ``x - P x`` (exact zeros for points in
+    the subspace, unlike ``|x|^2 - |Bx|^2``): about ``(2 dim + 2) N``
+    multiply-adds per point.
+    """
+    return _stacked_rows(x, bases, complement=False)
+
+
+def complement_rows(x, complements) -> np.ndarray:
+    """(l, m) squared norms of the m rows of ``x`` along l sets of rows.
+
+    ``complements`` holds one (k, N) array of orthonormal rows per model,
+    the rows that complete its basis to one of R^N, so each row is the
+    squared distance to the model: ``N k`` multiply-adds per point.  A
+    (0, N) array gives exact zeros.
+    """
+    return _stacked_rows(x, complements, complement=True)
 
 
 def residuals_sq(dataset: DataSet, sub: Subspace) -> np.ndarray:
@@ -227,18 +256,22 @@ def best_fit_stack(blocks, n):
     stacked eigensolve.
 
     ``blocks`` yields G real (m_g, N) arrays whose rows are data points; each
-    is let go once its covariance is formed.  An empty block gets a (0, N)
-    basis and error 0, and is never degenerate.  A block's N x N
-    covariance ``x.T @ x`` has the left singular vectors of the data matrix
-    A = x.T as eigenvectors and the nonzero eigenvalues of its m_g x m_g
-    Gram A^T A, so rank, error and degeneracy come from
-    ``spectral.leading_cut`` grouped by block, each group with its own point
-    count.  All G eigenvector sets are checked orthonormal in one batched
-    product, past each rank too.  A block's results do not depend on the
-    other blocks.
+    is let go once its covariance is formed.  A block's N x N covariance
+    ``x.T @ x`` has the left singular vectors of the data matrix A = x.T as
+    eigenvectors and the nonzero eigenvalues of its m_g x m_g Gram A^T A,
+    so rank, error and degeneracy come from ``spectral.leading_cut`` grouped
+    by block, each group with its own point count.  Block g's subspace is
+    spanned by ``rows[g, :rank[g]]``, its top eigenvectors, and the trailing
+    rows ``rows[g, rank[g]:]`` complete them to an orthonormal basis of R^N:
+    a point's squared norm along them is its squared distance to the
+    subspace (see ``complement_rows``).  An empty block has rank 0 and error
+    0, and is never degenerate.  All G eigenvector sets are checked
+    orthonormal in one batched product.  A block's results do not depend on
+    the other blocks.
 
-    Returns ``(bases, spectrum, error, degenerate)``: ``bases[g]`` is a
-    (rank_g, N) array of orthonormal rows; ``spectrum`` (G, 1, max m_g),
+    Returns ``(rows, rank, spectrum, error, degenerate)``: ``rows`` is a
+    read-only (G, N, N) stack of orthonormal rows, descending by
+    eigenvalue; ``rank`` is a list of G ints; ``spectrum`` (G, 1, max m_g),
     ``error`` (G,) and ``degenerate`` (G,) are ``leading_cut``'s.
     """
     covs, counts = [], []
@@ -251,16 +284,14 @@ def best_fit_stack(blocks, n):
     eig = sym_eigen(covs)
     dim = eig.eigenvalues.shape[1]
     spectrum, rank, error, degenerate = leading_cut(eig.eigenvalues[:, None, :], counts, n)
-    rank = rank[:, 0]
-    # sym_eigen's eigenvectors are a view of contiguous rows: no copy here.
-    rows = np.ascontiguousarray(eig.eigenvectors.swapaxes(1, 2))
+    # sym_eigen's eigenvectors are a read-only view of contiguous rows.
+    rows = eig.eigenvectors.swapaxes(1, 2)
     dev = np.abs(rows @ rows.swapaxes(1, 2) - np.eye(dim)).max(initial=0.0)
     if not dev <= ORTHONORMAL_TOL:
         if not np.isfinite(dev):
             raise NonFinite("basis contains NaN or infinite entries")
         raise DimensionMismatch("basis rows are not orthonormal")
-    bases = [rows[g, :r] for g, r in enumerate(rank.tolist())]
-    return bases, spectrum, error, degenerate
+    return rows, rank[:, 0].tolist(), spectrum, error, degenerate
 
 
 def best_fit_subspace(dataset: DataSet, n) -> SubspaceFit:
@@ -281,10 +312,10 @@ def best_fit_subspace(dataset: DataSet, n) -> SubspaceFit:
         raise DimensionMismatch("best_fit_subspace expects real-valued data")
     if dataset.m == 0:
         return SubspaceFit(Subspace.zero(dataset.ambient_dim), 0.0, np.zeros(0), False)
-    bases, spectrum, error, degenerate = best_fit_stack([dataset.vectors], n)
+    rows, rank, spectrum, error, degenerate = best_fit_stack([dataset.vectors], n)
     # The basis passed the stack's checks: it needs no second construction pass.
     sub = object.__new__(Subspace)
     object.__setattr__(sub, "ambient_dim", dataset.ambient_dim)
-    object.__setattr__(sub, "basis", bases[0].copy())
+    object.__setattr__(sub, "basis", rows[0, :rank[0]].copy())
     sub.basis.flags.writeable = False
     return SubspaceFit(sub, float(error[0]), spectrum[0, 0], bool(degenerate[0]))

@@ -218,19 +218,32 @@ class TestCliCommands:
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out == out.read_text()
 
-    def test_farthest_point_fit_at_n_0_starts_and_stays_in_cell_0(self, tmp_path):
-        # every seed's fit is the zero subspace, so each point ties at its
-        # own energy and goes to cell 0; the objective is the data energy
-        report = tmp_path / "r.json"
-        assert main(["fit", "--input", str(FIXTURE), "--l", "3", "--n", "0",
+    @staticmethod
+    def _n_0_fit_stays_in_cell_0(data, report):
+        assert main(["fit", "--input", str(data), "--l", "3", "--n", "0",
                      "--init", "farthest_point", "--restarts", "4", "--no-timings",
                      "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
-        energy = float(np.sum(ingest(FIXTURE).vectors ** 2))
+        energy = float(np.sum(ingest(data).vectors ** 2))
         assert doc["assignment"] == [0] * len(doc["assignment"])
         assert doc["restarts"]["iterations_per_restart"] == [1, 1, 1, 1]
         assert abs(doc["objective"] - energy) <= 1e-12 * energy
         assert doc["converged"]
+
+    def test_farthest_point_fit_at_n_0_starts_and_stays_in_cell_0(self, tmp_path):
+        # every seed's fit is the zero subspace, so each point ties at its
+        # own energy and goes to cell 0; the objective is the data energy
+        self._n_0_fit_stays_in_cell_0(FIXTURE, tmp_path / "r.json")
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_farthest_point_fit_at_n_0_on_the_complement_route(self, tmp_path, columns):
+        # at N <= 2 = 3n + 2 the search measures along each model's trailing
+        # eigenvectors; every rank-0 model is measured along the identity,
+        # so the ties are exact and every point still goes to cell 0
+        data = tmp_path / "d.csv"
+        rows = [line.split(",")[:1 + columns] for line in FIXTURE.read_text().splitlines()]
+        data.write_text("".join(",".join(row) + "\n" for row in rows))
+        self._n_0_fit_stays_in_cell_0(data, tmp_path / "r.json")
 
     def test_farthest_point_sweep_matches_the_library_curve(self, tmp_path):
         report = tmp_path / "sweep.json"

@@ -1,9 +1,11 @@
 """The alternation step's kernels: distances, nearest subspace, cell rows.
 
 ``distance_matrix`` is checked against the per-subspace loop it replaced,
-the blocked residual kernel against the one-pass kernel on each block,
-``nearest`` against ``argmin``, and both distances and best-fit errors
-against rotation, permutation and power-of-two scaling of the data.
+both blocked distance kernels (the residual and the complement kernel)
+against their one-pass formulas on each block and against each other on
+the same fits, ``nearest`` against ``argmin``, and both distances and
+best-fit errors against rotation, permutation and power-of-two scaling of
+the data.
 """
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis.extra.numpy import arrays
 from uosfit import Bundle, DataSet, DimensionMismatch, Subspace, best_fit_subspace, distance_matrix
 from uosfit import subspace
 from uosfit.bundles import nearest, nearest_with_min
-from uosfit.subspace import residual_rows, residuals_sq
+from uosfit.solver import _Subspaces
+from uosfit.subspace import best_fit_stack, complement_rows, residual_rows, residuals_sq
 
 EPS = np.finfo(np.float64).eps
 
@@ -79,7 +82,8 @@ def test_distance_matrix_rejects_dimension_mismatch():
 
 
 def one_pass(x, bases):
-    """The unblocked kernel: every point in one block of contiguous columns."""
+    """The unblocked residual kernel: every point in one block of contiguous
+    columns."""
     xt = np.ascontiguousarray(x.T)
     out = np.empty((len(bases), x.shape[0]))
     for row, basis in zip(out, bases):
@@ -89,48 +93,81 @@ def one_pass(x, bases):
     return out
 
 
-def block_of(monkeypatch, points, dim):
-    """Set the kernel's byte budget so that each block holds ``points`` points."""
-    monkeypatch.setattr(subspace, "_BLOCK_BYTES", points * 8 * dim)
+def one_pass_complement(x, complements):
+    """The unblocked complement kernel: squared norms along each set of rows."""
+    xt = np.ascontiguousarray(x.T)
+    out = np.empty((len(complements), x.shape[0]))
+    for row, rows in zip(out, complements):
+        p = rows @ xt
+        np.einsum("km,km->m", p, p, out=row)
+    return out
+
+
+# Per kernel: the function, its one-pass formula, and how many times fewer
+# points its blocks hold than a residual block (its docstring's split).
+KERNELS = {
+    "residual": (residual_rows, one_pass, 1),
+    "complement": (complement_rows, one_pass_complement, 2),
+}
+
+
+def block_of(monkeypatch, points, dim, kernel="residual"):
+    """Set the byte budget so that each of the kernel's blocks holds
+    ``points`` points."""
+    monkeypatch.setattr(subspace, "_BLOCK_BYTES", points * 8 * dim * KERNELS[kernel][2])
 
 
 def _bases(rng, dim):
     return [sub.basis for sub in random_bundle(rng, 3, dim)] + [np.zeros((0, dim))]
 
 
+def _complements(rng, dim):
+    """Trailing rows of random rotations, all N of them and none included."""
+    splits = [0, dim] + [int(d) for d in rng.integers(0, dim + 1, 3)]
+    return [np.ascontiguousarray(rotation(rng, dim)[:, d:].T) for d in splits]
+
+
+_MODELS = {"residual": _bases, "complement": _complements}
+
+
 @pytest.mark.parametrize("points", [1, 2, 3])
 @pytest.mark.parametrize("blocks", [0, 1 / 3, 1, 2, 5])
 @pytest.mark.parametrize("edge", [-1, 0, 1])
-def test_each_block_takes_the_one_pass_formula(monkeypatch, points, blocks, edge):
+def test_each_block_takes_the_one_pass_formula(points, blocks, edge):
     # m = 0, m = 1, one block boundary +-1, and m spanning several blocks.
     m = max(0, round(blocks * points) + edge)
     rng = np.random.default_rng(m * 10 + points)
     x = rng.standard_normal((m, 5)) * rng.uniform(0.1, 10.0, size=(m, 1))
-    bases = _bases(rng, 5)
-    default = residual_rows(x, bases)
-    block_of(monkeypatch, points, 5)
-    got = residual_rows(x, bases)
-    want = [one_pass(x[a:a + points], bases) for a in range(0, m, points)]
-    assert got.shape == (len(bases), m) and got.flags.c_contiguous
-    assert got.tobytes() == np.concatenate(want or [np.empty((len(bases), 0))], axis=1).tobytes()
-    # BLAS may round a block of another width differently, within round-off.
-    assert np.all(np.abs(got - default) <= 16 * EPS * np.einsum("ij,ij->i", x, x))
+    for kernel, (rows_of, formula, _) in KERNELS.items():
+        mats = _MODELS[kernel](rng, 5)
+        default = rows_of(x, mats)
+        with pytest.MonkeyPatch.context() as patch:
+            block_of(patch, points, 5, kernel)
+            got = rows_of(x, mats)
+        want = [formula(x[a:a + points], mats) for a in range(0, m, points)]
+        assert got.shape == (len(mats), m) and got.flags.c_contiguous
+        assert got.tobytes() == np.concatenate(want or [np.empty((len(mats), 0))], axis=1).tobytes()
+        # BLAS may round a block of another width differently, within round-off.
+        assert np.all(np.abs(got - default) <= 16 * EPS * np.einsum("ij,ij->i", x, x))
 
 
 def test_default_block_spans_thousands_of_points_in_one_pass():
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((subspace._BLOCK_BYTES // (8 * 6), 6))
-    bases = _bases(rng, 6)
-    assert residual_rows(x, bases).tobytes() == one_pass(x, bases).tobytes()
+    for kernel, (rows_of, formula, split) in KERNELS.items():
+        x = rng.standard_normal((subspace._BLOCK_BYTES // (8 * 6 * split), 6))
+        mats = _MODELS[kernel](rng, 6)
+        assert rows_of(x, mats).tobytes() == formula(x, mats).tobytes()
 
 
 @pytest.mark.parametrize("points", [1, 2, 3, None])
 def test_exact_arithmetic_gives_the_same_bits_in_any_block(monkeypatch, points):
     # Integer coordinates and coordinate-axis subspaces: every product and sum
-    # is exact, so any order of summation gives the exact squared distances.
+    # is exact, so any order of summation, and either kernel, gives the
+    # exact squared distances.
     rng = np.random.default_rng(9)
     x = rng.integers(-50, 50, size=(23, 4)).astype(np.float64)
     axes = Bundle((Subspace.zero(4), Subspace(4, [[1.0, 0, 0, 0]]), Subspace(4, np.eye(4)[1:3])))
+    complements = [np.eye(4), np.eye(4)[1:], np.eye(4)[[0, 3]]]
     if points is not None:
         block_of(monkeypatch, points, 4)
     dmat = distance_matrix(DataSet(x), axes)
@@ -138,28 +175,35 @@ def test_exact_arithmetic_gives_the_same_bits_in_any_block(monkeypatch, points):
                      x[:, 0] ** 2 + x[:, 3] ** 2], axis=1)
     assert dmat.tobytes() == want.tobytes()
     assert residuals_sq(DataSet(x), axes[0]).tobytes() == want[:, 0].tobytes()
+    assert complement_rows(x, complements).tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
-def per_basis_rows(x, bases):
-    """The kernel before bases were stacked: per block of points, one product
-    pair and one row sum for each basis on its own."""
+def per_model_rows(x, mats, kernel):
+    """Per block of points, each model's product and row sum on its own;
+    for the residual kernel, its arithmetic before bases were stacked."""
     m, dim = x.shape
-    step = max(1, subspace._BLOCK_BYTES // (8 * max(dim, 1)))
-    out = np.empty((len(bases), m))
+    formula, split = KERNELS[kernel][1:]
+    step = max(1, subspace._BLOCK_BYTES // (8 * split * max(dim, 1)))
+    out = np.empty((len(mats), m))
     for start in range(0, m, step):
-        xb = np.ascontiguousarray(x[start:start + step].T)
-        for row, basis in zip(out, bases):
-            r = basis.T @ (basis @ xb)
-            np.subtract(xb, r, out=r)
-            np.einsum("km,km->m", r, r, out=row[start:start + step])
+        out[:, start:start + step] = formula(x[start:start + step], mats)
     return out
 
 
-def _mixed_bases(rng, dim, count):
-    """``count`` orthonormal bases, their dimensions the first ``count`` of
-    0, 1, 1, dim and ``count`` random values in 0..dim, shuffled together."""
+def _mixed_splits(rng, dim, count):
+    """``count`` random rotations, each with a split point, their bases'
+    dimensions the first ``count`` of 0, 1, 1, dim and ``count`` random
+    values in 0..dim, shuffled together."""
     dims = [int(d) for d in rng.permutation([0, 1, dim, 1] + list(rng.integers(0, dim + 1, count)))]
-    return [np.ascontiguousarray(rotation(rng, dim)[:, :d].T) for d in dims[:count]]
+    return [(rotation(rng, dim), d) for d in dims[:count]]
+
+
+def _split(splits, kernel):
+    """Each rotation's leading columns (a basis) or trailing ones (its
+    complement), as rows."""
+    if kernel == "residual":
+        return [np.ascontiguousarray(q[:, :d].T) for q, d in splits]
+    return [np.ascontiguousarray(q[:, d:].T) for q, d in splits]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -168,38 +212,93 @@ def _mixed_bases(rng, dim, count):
 @example(m=9, dim=3, count=14, points="2m", seed=0)  # 14 bases in chunks of 2
 @example(m=40, dim=4, count=6, points=3, seed=1)     # 14 blocks of 3 points
 def test_stacked_bases_give_each_basis_its_own_bits(m, dim, count, points, seed):
-    # A block of p >= m points holds p // m bases per chunk; p < m gives
-    # several blocks of one basis per chunk.
+    # A block of p >= m points holds p // m residual bases per chunk; p < m
+    # gives several blocks of one basis per chunk.  Each kernel's models are
+    # the bases or the complements of the same rotations; a model's row has
+    # the bits it has alone.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0, size=(m, 1))
-    bases = _mixed_bases(rng, dim, count)
-    with pytest.MonkeyPatch.context() as patch:
-        if points is not None:
-            p = {"m": m, "2m": 2 * m, "3m": 3 * m}.get(points, points)
-            block_of(patch, max(p, 1), dim)
-        got = residual_rows(x, bases)
-        want = per_basis_rows(x, bases)
-    assert got.shape == (count, m) and got.flags.c_contiguous
-    assert got.tobytes() == want.tobytes()
+    splits = _mixed_splits(rng, dim, count)
+    for kernel, (rows_of, _, _) in KERNELS.items():
+        mats = _split(splits, kernel)
+        with pytest.MonkeyPatch.context() as patch:
+            if points is not None:
+                p = {"m": m, "2m": 2 * m, "3m": 3 * m}.get(points, points)
+                block_of(patch, max(p, 1), dim, kernel)
+            got = rows_of(x, mats)
+            alone = np.array([rows_of(x, [mat])[0] for mat in mats]).reshape(count, m)
+            want = per_model_rows(x, mats, kernel)
+        assert got.shape == (count, m) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("points", [1, 4, 25, None])
-def test_points_inside_a_stacked_subspace_are_at_exactly_zero(monkeypatch, points):
+def test_points_inside_a_stacked_subspace_are_at_exactly_zero(points):
     # Coordinate-axis subspaces, several of each dimension, and points on
-    # them: every residual is an exact zero, whatever the chunk.
+    # them: every residual, and every norm along a complement, is an exact
+    # zero, whatever the chunk.
     rng = np.random.default_rng(4)
     dim = 5
-    axes = [np.eye(dim)[rng.permutation(dim)[:d]] for d in (2, 3, 2, 0, 2, 3, 1, 2)]
+    splits = [(np.eye(dim)[rng.permutation(dim)].T, d) for d in (2, 3, 2, 0, 2, 3, 1, 2)]
+    splits += [(np.eye(dim).T, 3)] * 2
     x = rng.integers(-9, 10, size=(25, dim)).astype(np.float64)
     x[:, 3:] = 0.0  # every point lies in the span of the first three axes
-    inside = np.eye(dim)[:3]
-    if points is not None:
-        block_of(monkeypatch, points, dim)
-    got = residual_rows(x, axes + [inside, inside])
-    assert got.tobytes() == per_basis_rows(x, axes + [inside, inside]).tobytes()
-    assert not got[-2:].any()
-    want = [(x * x).sum(axis=1) - (x @ b.T * (x @ b.T)).sum(axis=1) for b in axes]
-    assert got[:-2].tobytes() == np.array(want).tobytes()
+    bases = _split(splits[:-2], "residual")
+    want = [(x * x).sum(axis=1) - (x @ b.T * (x @ b.T)).sum(axis=1) for b in bases]
+    for kernel, (rows_of, _, _) in KERNELS.items():
+        mats = _split(splits, kernel)
+        with pytest.MonkeyPatch.context() as patch:
+            if points is not None:
+                block_of(patch, points, dim, kernel)
+            got = rows_of(x, mats)
+            assert got.tobytes() == per_model_rows(x, mats, kernel).tobytes()
+        assert not got[-2:].any()
+        assert got[:-2].tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(0, 40), dim=st.integers(1, 8), points=st.sampled_from([1, 2, 5, None]),
+       seed=st.integers(0, 2**32 - 1))
+def test_complement_agrees_with_residual_on_the_same_fits(m, dim, points, seed):
+    # Each fit's leading rows span the model, its trailing rows complete
+    # them: at every split 0..N the two kernels measure the same distance.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0, size=(m, 1))
+    cells = rng.integers(0, 3, size=m)
+    rows = best_fit_stack([x[cells == c] for c in range(3)], dim)[0]
+    bound = 16 * EPS * np.einsum("ij,ij->i", x, x)
+    with pytest.MonkeyPatch.context() as patch:
+        if points is not None:
+            block_of(patch, points, dim)
+        for r in range(dim + 1):
+            residual = residual_rows(x, [fit[:r] for fit in rows])
+            complement = complement_rows(x, [fit[r:] for fit in rows])
+            assert np.all(np.abs(complement - residual) <= bound)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 0), (2, 0), (3, 1), (5, 1), (6, 2), (4, 4)])
+def test_rank_0_rows_tie_exactly_and_rank_n_rows_are_0(dim, n):
+    # On the complement route an empty cell, a cell of zero points and, at
+    # n = 0, every cell has rank 0: each is measured along the identity,
+    # with the bits of the zero subspace's residual row.  A cell that spans
+    # R^N has no complement rows and distance exactly 0.
+    rng = np.random.default_rng(dim + 10 * n)
+    x = rng.standard_normal((30, dim))
+    x[:4] = 0.0
+    family = _Subspaces(DataSet(x), 4, n)
+    assert family.complement
+    cells = [np.arange(0), np.arange(4), np.arange(4, 30), np.arange(4, 30, 2)]
+    models, _ = family.fit(cells)
+    dist = family.distances(models)
+    zero = residual_rows(x, [np.zeros((0, dim))])[0]
+    rank = models[1]
+    assert rank[:2] == [0, 0] and (rank[2] == 0) == (n == 0)
+    for g, r in enumerate(rank):
+        if r == 0:
+            assert dist[g].tobytes() == zero.tobytes()
+        elif r == dim:
+            assert not dist[g].any()
+    assert (n == dim) == (rank[2] == dim)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

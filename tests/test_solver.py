@@ -21,6 +21,7 @@ from uosfit import (
     solve,
     sparsity_curve,
 )
+from uosfit import solver
 from uosfit.bundles import nearest
 from uosfit.spectral import STOP_TOL
 from uosfit.sis import _ShiftInvariantCells
@@ -541,11 +542,37 @@ def test_best_descent_takes_strictly_better_warm_seed():
     assert np.array_equal(rep.partition.assignment, warm)
 
 
+def _route(family):
+    """The name of a family's distance route."""
+    if isinstance(family, _Subspaces):
+        return "complement" if family.complement else "residual"
+    return "shift-invariant"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 6, 8, 9, 11, 12, 16, 17, 18])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_subspaces_measure_along_complements_exactly_when_n_at_most_3n_plus_2(
+        monkeypatch, dim, n):
+    # N (N - n) multiply-adds per point along the complement, against about
+    # (2n + 2) N for the residual: the complement is cheaper up to 3n + 2.
+    calls = []
+    for name in ("complement_rows", "residual_rows"):
+        kernel = getattr(solver, name)
+        monkeypatch.setattr(solver, name, lambda x, mats, kernel=kernel, name=name:
+                            calls.append(name) or kernel(x, mats))
+    rng = np.random.default_rng(dim + 20 * n)
+    family = _Subspaces(DataSet(rng.standard_normal((12, dim))), 2, n)
+    dist = family.distances(family.fit([np.arange(6), np.arange(6, 12)])[0])
+    assert dist.shape == (2, 12)
+    assert calls == ["complement_rows" if dim <= 3 * n + 2 else "residual_rows"]
+
+
 @st.composite
 def engine_cases(draw):
-    """A family on random data and k starting partitions.  Many points in
-    few cells make chains stop at different steps; few points give empty
-    cells and l >= m; a step cap cuts some chains."""
+    """A family on random data and k starting partitions, after the name of
+    its distance route (a failure names the kernel).  Many points in few
+    cells make chains stop at different steps; few points give empty cells
+    and l >= m; a step cap cuts some chains."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
@@ -554,7 +581,7 @@ def engine_cases(draw):
         m = draw(st.integers(1, 6))
         l, n = draw(st.integers(1, m + 2)), draw(st.integers(0, 2))
     if draw(st.booleans()):
-        dim = draw(st.integers(3, 6))
+        dim = draw(st.integers(1, 6))
         data = DataSet(rng.standard_normal((m, dim)))
         family = _Subspaces(data, l, n)
     else:
@@ -565,14 +592,15 @@ def engine_cases(draw):
         family = _ShiftInvariantCells(data, ShiftStructure(8, draw(st.sampled_from([4, 8, 2]))),
                                       l, n)
     starts = [rng.integers(0, l, size=m).astype(np.intp) for _ in range(draw(st.integers(2, 5)))]
-    return family, float((STOP_TOL * data.norms_sq()).sum()), starts, draw(st.sampled_from([100, 3, 2, 1]))
+    tol = float((STOP_TOL * data.norms_sq()).sum())
+    return _route(family), family, tol, starts, draw(st.sampled_from([100, 3, 2, 1]))
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(engine_cases())
 def test_lockstep_chains_match_one_start_searches(case):
     # each chain's arithmetic must not depend on which chains share its steps
-    family, tol, starts, max_iters = case
+    _, family, tol, starts, max_iters = case
     together = _lockstep(starts, family, tol, max_iters)
     for start, chain in zip(starts, together):
         (alone,) = _lockstep([start], family, tol, max_iters)
@@ -586,13 +614,14 @@ def test_lockstep_chains_match_one_start_searches(case):
 def seeding_cases(draw):
     """A family on planted data (points on two random lines or planes, or
     signals from two shift-invariant generators) with some points repeated,
-    and the first seeds of a few starts."""
+    and the first seeds of a few starts, after the name of its distance
+    route."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 10))
     l, n = draw(st.integers(1, m + 3)), draw(st.integers(0, 2))
     planted = rng.integers(2, size=m)
     if draw(st.booleans()):
-        dim = draw(st.integers(2, 6))
+        dim = draw(st.integers(1, 6))
         bases = rng.standard_normal((2, min(2, dim), dim))
         x = np.einsum("mk,mkd->md", rng.standard_normal((m, bases.shape[1])), bases[planted])
         x += 0.01 * rng.standard_normal(x.shape)
@@ -606,14 +635,15 @@ def seeding_cases(draw):
     for j in draw(st.lists(st.integers(1, m - 1), max_size=3) if m > 1 else st.just([])):
         x[j] = x[j - 1]
     firsts = rng.integers(m, size=draw(st.integers(2, 5)))
-    return family_of(DataSet(x)), m, firsts
+    family = family_of(DataSet(x))
+    return _route(family), family, m, firsts
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(seeding_cases())
 def test_lockstep_seeding_matches_one_start_seeding(case):
     # each start's seeds and labels must not depend on which starts share a round
-    family, m, firsts = case
+    _, family, m, firsts = case
     together = _farthest_point_starts(family, m, firsts)
     for first, labels in zip(firsts, together):
         (alone,) = _farthest_point_starts(family, m, [first])

@@ -125,21 +125,23 @@ class TestBestFit:
     @pytest.mark.parametrize("sizes", [(0, 3, 0, 5, 1), (2, 0), (0, 4), (0, 0, 6)])
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_stack_empty_blocks_fit_nothing(self, sizes, n):
-        # an empty block gets the zero subspace and error 0; a nonempty one
-        # gets the bits of its own one-block fit
+        # an empty block gets rank 0 and error 0; a nonempty one gets the
+        # bits of its own one-block fit, trailing rows included
         rng = np.random.default_rng(sum(sizes) + n)
         x = rng.standard_normal((sum(sizes), 4))
         bounds = np.cumsum((0,) + sizes)
         blocks = [x[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-        bases, _, error, degenerate = best_fit_stack(blocks, n)
+        rows, rank, _, error, degenerate = best_fit_stack(blocks, n)
+        assert rows.shape == (len(blocks), 4, 4) and len(rank) == len(blocks)
         for g, block in enumerate(blocks):
             if block.shape[0]:
-                bases1, _, error1, degenerate1 = best_fit_stack([block], n)
-                assert bases[g].tobytes() == bases1[0].tobytes()
+                rows1, rank1, _, error1, degenerate1 = best_fit_stack([block], n)
+                assert rank[g] == rank1[0]
+                assert rows[g].tobytes() == rows1[0].tobytes()
                 assert error[g].hex() == error1[0].hex()
                 assert degenerate[g] == degenerate1[0]
             else:
-                assert bases[g].shape == (0, 4)
+                assert rank[g] == 0
                 assert error[g] == 0.0
                 assert not degenerate[g]
 
