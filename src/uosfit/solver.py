@@ -29,7 +29,7 @@ import numpy as np
 from .bundles import Partition, distance_matrix, fit_partition, nearest_with_min
 from .errors import EmptyDataSet, InvalidSpec, TooLarge, integer_sizes
 from .spectral import STOP_TOL
-from .subspace import DataSet, best_fit_stack, complement_rows, residual_rows
+from .subspace import DataSet, best_fit_stack, complement_rows
 
 INIT_STRATEGIES = ("random_partition", "farthest_point")
 
@@ -238,7 +238,7 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
     * ``distances(models) -> (G, m)``: squared point-model distances, each
       row from its model alone; they need only agree with
       ``bundle_distances`` to round-off (``_Subspaces`` measures along each
-      fit's trailing eigenvectors or by residuals to its basis);
+      fit's trailing eigenvectors, not by residuals to its basis);
     * ``refit(assignment) -> (bundle, gamma, flags)``: the public fit of one
       partition, with its gamma and per-cell degeneracy flags;
     * ``bundle_distances(bundle) -> (m, l)``: the distances to such a bundle.
@@ -295,15 +295,12 @@ class _Subspaces:
     """The alternation maps for subspaces of dimension <= n in l cells.
 
     A step's cells are fitted by ``subspace.best_fit_stack``; a model is
-    its block's eigenvector rows and rank.  Its distances come from one call
-    of the kernel picked once from N and n.  When N <= 3n + 2 that is
-    ``complement_rows`` along each model's trailing rows, ``N (N - n)``
-    multiply-adds per point and model, at most the ``(2n + 2) N`` of the
-    residual ``x - B^T B x`` that ``residual_rows`` takes otherwise.  A
-    rank-0 model is measured along the identity, not along its own
-    eigenvectors, so all of them tie exactly (with the zero subspace's
-    residual bits) and the tie goes to the lowest cell.  A rank-N model has
-    no trailing rows and distance exactly 0.  ``fit_partition`` and
+    its block's eigenvector rows and rank.  Its distances come from one
+    ``complement_rows`` call along each model's trailing rows.  A rank-0
+    model is measured along the identity, not along its own eigenvectors,
+    so all of them tie exactly (with the zero subspace's residual bits) and
+    the tie goes to the lowest cell.  A rank-N model has no trailing rows
+    and distance exactly 0.  ``fit_partition`` and
     ``distance_matrix`` (the winner's refit and check) are looked up by
     their module names at each call, so wrappers installed on them see it.
     """
@@ -311,7 +308,6 @@ class _Subspaces:
     def __init__(self, dataset, l, n):
         self.dataset, self.l, self.n = dataset, l, n
         self.x = dataset.vectors
-        self.complement = dataset.ambient_dim <= 3 * n + 2
         self.identity = np.eye(dataset.ambient_dim)
 
     def fit(self, cells):
@@ -321,10 +317,8 @@ class _Subspaces:
 
     def distances(self, models):
         rows, rank = models
-        if self.complement:
-            return complement_rows(self.x, [rows[g, r:] if r else self.identity
-                                            for g, r in enumerate(rank)])
-        return residual_rows(self.x, [rows[g, :r] for g, r in enumerate(rank)])
+        return complement_rows(self.x, [rows[g, r:] if r else self.identity
+                                        for g, r in enumerate(rank)])
 
     def refit(self, assignment):
         bundle, errors, flags = fit_partition(self.dataset, Partition(assignment, self.l), self.n)

@@ -155,57 +155,34 @@ def dist_sq(sub: Subspace, f) -> float:
     return float(res @ res)
 
 
-# The distance kernels walk the points in blocks of about this many bytes,
-# so a block's columns and products stay in cache and their buffers stay small.
+# The residual kernel walks the points in blocks of about this many bytes,
+# so a block's columns and residual stay in cache and its buffers stay small.
+# The complement kernel's blocks hold half as many points, and a chunk's
+# products may fill twice this many bytes: it takes one product per chunk,
+# so fewer and larger products pay (CHANGES.md has the measurements).
 _BLOCK_BYTES = 1 << 18
 
 
-def _stacked_rows(x, mats, complement):
-    """The driver of both distance kernels: (l, m) rows, one per matrix.
+def _stacks(mats, chunk_of):
+    """The matrices stacked by row count and cut into chunks.
 
-    Each block of points is copied once as contiguous columns.  Matrices
-    with equal row counts are stacked, and per block a chunk of them, as
-    many as keep the chunk's products within its budget, takes the kernel's
-    products and one row sum.  Each matrix's products keep the shapes they
-    have alone, so a row's bits do not depend on the other matrices of the
-    call.  A complement block holds half the points of a residual block and
-    its chunks' products may fill twice the budget: with one product per
-    chunk, fewer and larger calls pay (CHANGES.md has the kernel table).
+    Returns ``(order, pieces)``: ``order`` lists the matrices by row count,
+    and each piece is the first row of its chunk in that order and the
+    chunk, at most ``chunk_of(count)`` stacked (count, N) matrices.
     """
-    m, dim = x.shape
-    split = 2 if complement else 1
-    step = max(1, _BLOCK_BYTES // (split * x.itemsize * max(dim, 1)))
-    width = min(step, m)
-    # Rows in order of row count: each run of equal count is one stack, cut
-    # into chunks that know their first row of the sorted result.  A
-    # residual lives in R^N, whatever its basis's dimension.
     counts = [mat.shape[0] for mat in mats]
     order = sorted(range(len(mats)), key=counts.__getitem__)
-    pieces, first, size = [], 0, 0
+    pieces, first = [], 0
     for count, run in itertools.groupby(order, key=counts.__getitem__):
         stack = np.array([mats[i] for i in run])
-        rows = count if complement else dim
-        chunk = max(1, split * _BLOCK_BYTES // (x.itemsize * max(rows * width, 1)))
-        pieces += [(first + k, stack[k:k + chunk], rows) for k in range(0, len(stack), chunk)]
-        size = max(size, min(chunk, len(stack)) * rows * width)
+        chunk = chunk_of(count)
+        pieces += [(first + k, stack[k:k + chunk]) for k in range(0, len(stack), chunk)]
         first += len(stack)
-    out = np.empty((len(mats), m), dtype=x.dtype)
-    # One flat buffer for the block's columns and a chunk's products, so a
-    # short last block is contiguous as well.
-    buf = np.empty(dim * width + size, dtype=x.dtype)
-    xt, res = buf[:dim * width], buf[dim * width:]
-    for start in range(0, m, step):
-        stop = min(start + step, m)
-        xb = xt[:dim * (stop - start)].reshape(dim, stop - start)
-        np.copyto(xb, x[start:stop].T)
-        for row, stack, rows in pieces:
-            rb = res[:len(stack) * rows * xb.shape[1]].reshape(len(stack), rows, xb.shape[1])
-            if complement:
-                np.matmul(stack, xb, out=rb)
-            else:
-                np.matmul(stack.swapaxes(1, 2), stack @ xb, out=rb)
-                np.subtract(xb, rb, out=rb)
-            np.einsum("ckm,ckm->cm", rb, rb, out=out[row:row + len(stack), start:stop])
+    return order, pieces
+
+
+def _unsorted(out, order):
+    """The rows of ``out``, which are in ``order``, back in call order."""
     if order == list(range(len(order))):
         return out
     unsorted = np.empty_like(out)
@@ -216,12 +193,35 @@ def _stacked_rows(x, mats, complement):
 def residual_rows(x, bases) -> np.ndarray:
     """(l, m) squared distances of the m rows of ``x`` to l subspaces.
 
-    ``bases`` holds one (dim, N) orthonormal basis per subspace.  Each row
+    ``bases`` holds one (dim, N) orthonormal basis per subspace.  Each block
+    of points is copied once as contiguous columns, and each subspace's row
     comes from the explicit residual ``x - P x`` (exact zeros for points in
-    the subspace, unlike ``|x|^2 - |Bx|^2``): about ``(2 dim + 2) N``
-    multiply-adds per point.
+    the subspace, unlike ``|x|^2 - |Bx|^2``).  Bases of equal dimension are
+    stacked, and per block a chunk of them, as many as keep the (chunk, N,
+    block) residual within the block budget, takes one product pair and one
+    row sum.  Each basis's products keep the shapes they have alone, so a
+    row's bits do not depend on the other bases of the call.
     """
-    return _stacked_rows(x, bases, complement=False)
+    m, dim = x.shape
+    step = max(1, _BLOCK_BYTES // (x.itemsize * max(dim, 1)))
+    width = min(step, m)
+    chunk = max(1, _BLOCK_BYTES // (x.itemsize * max(dim * width, 1)))
+    order, pieces = _stacks(bases, lambda _: chunk)
+    out = np.empty((len(bases), m), dtype=x.dtype)
+    # One flat buffer for the block's columns and a chunk's residuals, so a
+    # short last block is contiguous as well.
+    buf = np.empty((1 + min(chunk, len(bases))) * dim * width, dtype=x.dtype)
+    xt, res = buf[:dim * width], buf[dim * width:]
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        xb = xt[:dim * (stop - start)].reshape(dim, stop - start)
+        np.copyto(xb, x[start:stop].T)
+        for row, stack in pieces:
+            rb = res[:len(stack) * xb.size].reshape((len(stack),) + xb.shape)
+            np.matmul(stack.swapaxes(1, 2), stack @ xb, out=rb)
+            np.subtract(xb, rb, out=rb)
+            np.einsum("ckm,ckm->cm", rb, rb, out=out[row:row + len(stack), start:stop])
+    return _unsorted(out, order)
 
 
 def complement_rows(x, complements) -> np.ndarray:
@@ -229,10 +229,33 @@ def complement_rows(x, complements) -> np.ndarray:
 
     ``complements`` holds one (k, N) array of orthonormal rows per model,
     the rows that complete its basis to one of R^N, so each row is the
-    squared distance to the model: ``N k`` multiply-adds per point.  A
-    (0, N) array gives exact zeros.
+    squared distance to the model; a (0, N) array gives exact zeros.  Each
+    block of points is copied once as contiguous columns.  Arrays of equal
+    k are stacked, and per block a chunk of them, as many as keep the
+    (chunk, k, block) products within twice the block budget, takes one
+    product and one row sum: ``N k`` multiply-adds per point.  Each model's
+    product keeps the shape it has alone, so a row's bits do not depend on
+    the other models of the call.
     """
-    return _stacked_rows(x, complements, complement=True)
+    m, dim = x.shape
+    step = max(1, _BLOCK_BYTES // (2 * x.itemsize * max(dim, 1)))
+    width = min(step, m)
+    order, pieces = _stacks(
+        complements, lambda k: max(1, 2 * _BLOCK_BYTES // (x.itemsize * max(k * width, 1))))
+    out = np.empty((len(complements), m), dtype=x.dtype)
+    xt = np.empty(dim * width, dtype=x.dtype)
+    prods = np.empty(max((len(stack) * stack.shape[1] * width for _, stack in pieces), default=0),
+                     dtype=x.dtype)
+    for start in range(0, m, step):
+        stop = min(start + step, m)
+        xb = xt[:dim * (stop - start)].reshape(dim, stop - start)
+        np.copyto(xb, x[start:stop].T)
+        for row, stack in pieces:
+            pb = prods[:len(stack) * stack.shape[1] * xb.shape[1]].reshape(
+                len(stack), stack.shape[1], xb.shape[1])
+            np.matmul(stack, xb, out=pb)
+            np.einsum("ckm,ckm->cm", pb, pb, out=out[row:row + len(stack), start:stop])
+    return _unsorted(out, order)
 
 
 def residuals_sq(dataset: DataSet, sub: Subspace) -> np.ndarray:

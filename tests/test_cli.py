@@ -236,10 +236,10 @@ class TestCliCommands:
         self._n_0_fit_stays_in_cell_0(FIXTURE, tmp_path / "r.json")
 
     @pytest.mark.parametrize("columns", [1, 2])
-    def test_farthest_point_fit_at_n_0_on_the_complement_route(self, tmp_path, columns):
-        # at N <= 2 = 3n + 2 the search measures along each model's trailing
-        # eigenvectors; every rank-0 model is measured along the identity,
-        # so the ties are exact and every point still goes to cell 0
+    def test_farthest_point_fit_at_n_0_in_one_and_two_dimensions(self, tmp_path, columns):
+        # the search measures along each model's trailing eigenvectors, and
+        # every rank-0 model along the identity, so the ties stay exact at
+        # every N and every point still goes to cell 0
         data = tmp_path / "d.csv"
         rows = [line.split(",")[:1 + columns] for line in FIXTURE.read_text().splitlines()]
         data.write_text("".join(",".join(row) + "\n" for row in rows))

@@ -104,7 +104,7 @@ def one_pass_complement(x, complements):
 
 
 # Per kernel: the function, its one-pass formula, and how many times fewer
-# points its blocks hold than a residual block (its docstring's split).
+# points its blocks hold than a residual block (see ``_BLOCK_BYTES``).
 KERNELS = {
     "residual": (residual_rows, one_pass, 1),
     "complement": (complement_rows, one_pass_complement, 2),
@@ -278,15 +278,14 @@ def test_complement_agrees_with_residual_on_the_same_fits(m, dim, points, seed):
 
 @pytest.mark.parametrize("dim, n", [(1, 0), (2, 0), (3, 1), (5, 1), (6, 2), (4, 4)])
 def test_rank_0_rows_tie_exactly_and_rank_n_rows_are_0(dim, n):
-    # On the complement route an empty cell, a cell of zero points and, at
-    # n = 0, every cell has rank 0: each is measured along the identity,
-    # with the bits of the zero subspace's residual row.  A cell that spans
-    # R^N has no complement rows and distance exactly 0.
+    # In a search an empty cell, a cell of zero points and, at n = 0, every
+    # cell has rank 0: each is measured along the identity, with the bits of
+    # the zero subspace's residual row.  A cell that spans R^N has no
+    # complement rows and distance exactly 0.
     rng = np.random.default_rng(dim + 10 * n)
     x = rng.standard_normal((30, dim))
     x[:4] = 0.0
     family = _Subspaces(DataSet(x), 4, n)
-    assert family.complement
     cells = [np.arange(0), np.arange(4), np.arange(4, 30), np.arange(4, 30, 2)]
     models, _ = family.fit(cells)
     dist = family.distances(models)

@@ -21,7 +21,6 @@ from uosfit import (
     solve,
     sparsity_curve,
 )
-from uosfit import solver
 from uosfit.bundles import nearest
 from uosfit.spectral import STOP_TOL
 from uosfit.sis import _ShiftInvariantCells
@@ -543,28 +542,8 @@ def test_best_descent_takes_strictly_better_warm_seed():
 
 
 def _route(family):
-    """The name of a family's distance route."""
-    if isinstance(family, _Subspaces):
-        return "complement" if family.complement else "residual"
-    return "shift-invariant"
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 6, 8, 9, 11, 12, 16, 17, 18])
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
-def test_subspaces_measure_along_complements_exactly_when_n_at_most_3n_plus_2(
-        monkeypatch, dim, n):
-    # N (N - n) multiply-adds per point along the complement, against about
-    # (2n + 2) N for the residual: the complement is cheaper up to 3n + 2.
-    calls = []
-    for name in ("complement_rows", "residual_rows"):
-        kernel = getattr(solver, name)
-        monkeypatch.setattr(solver, name, lambda x, mats, kernel=kernel, name=name:
-                            calls.append(name) or kernel(x, mats))
-    rng = np.random.default_rng(dim + 20 * n)
-    family = _Subspaces(DataSet(rng.standard_normal((12, dim))), 2, n)
-    dist = family.distances(family.fit([np.arange(6), np.arange(6, 12)])[0])
-    assert dist.shape == (2, 12)
-    assert calls == ["complement_rows" if dim <= 3 * n + 2 else "residual_rows"]
+    """The name of a family's distance kernel."""
+    return "complement" if isinstance(family, _Subspaces) else "shift-invariant"
 
 
 @st.composite
