@@ -292,21 +292,23 @@ _SCORED_MEMBERS = frozenset({"mode", "config", "ambient_dim", "components", "obj
 def cmd_score(args):
     # Everything read from the report is checked here: a document that is
     # not UTF-8 JSON of the fit schema is a ParseError, never a traceback.
+    # A report of another mode, such as a sweep's, is not malformed.
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             doc = load_members(fh, _SCORED_MEMBERS)
         mode = doc["mode"]
+        scorable = mode in ("euclidean", "sis")
         complex_pairs = False
         if mode == "euclidean":
             bundle = _rebuild_euclidean(doc)
-        elif mode == "sis":
+        elif scorable:
             structure, models = _rebuild_sis(doc)
             complex_pairs = doc["config"].get("input_format") == "spectra"
-        else:
-            raise InvalidSpec(f"cannot score a report of mode {mode!r}")
-        stored = float(doc["objective"])
+        stored = float(doc["objective"]) if scorable else None
     except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
         raise ParseError(f"malformed report {args.report}: {type(exc).__name__}: {exc}") from None
+    if not scorable:
+        raise InvalidSpec(f"cannot score a report of mode {mode!r}")
 
     dataset = _ingest_numeric(args.input, complex_pairs)
     if mode == "euclidean":

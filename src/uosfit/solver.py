@@ -48,7 +48,7 @@ class SolveConfig:
     restarts : independent seeded starts; the best final objective wins
     seed : base seed (>= 0); restart r uses the stream seeded by (seed, r)
     init_strategy : 'random_partition' (uniform iid cell labels) or
-        'farthest_point' (greedy residual-based seeding)
+        'farthest_point' (greedy seeding by the family's distances)
 
     Every chain stops after at most ``MAX_ITERS`` alternation steps.
     """
@@ -294,21 +294,21 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
 class _Subspaces:
     """The alternation maps for subspaces of dimension <= n in l cells.
 
-    A step's cells are fitted by ``subspace.best_fit_stack``; a model is
-    its block's eigenvector rows and rank.  Its distances come from one
-    ``complement_rows`` call along each model's trailing rows.  A rank-0
-    model is measured along the identity, not along its own eigenvectors,
-    so all of them tie exactly (with the zero subspace's residual bits) and
-    the tie goes to the lowest cell.  A rank-N model has no trailing rows
-    and distance exactly 0.  ``fit_partition`` and
-    ``distance_matrix`` (the winner's refit and check) are looked up by
-    their module names at each call, so wrappers installed on them see it.
+    A step's cells are fitted by ``subspace.best_fit_stack``, and its
+    models are the eigenvector stack and ranks that returns.  Their
+    distances come from one ``complement_rows`` call along each model's
+    trailing rows.  A rank-0 model gets each point's squared norm, not its
+    norm along its own eigenvectors, so all of them tie exactly (with the
+    zero subspace's residual bits) and the tie goes to the lowest cell.  A
+    rank-N model has no trailing rows and distance exactly 0.
+    ``fit_partition`` and ``distance_matrix`` (the winner's refit and check)
+    are looked up by their module names at each call, so wrappers installed
+    on them see it.
     """
 
     def __init__(self, dataset, l, n):
         self.dataset, self.l, self.n = dataset, l, n
         self.x = dataset.vectors
-        self.identity = np.eye(dataset.ambient_dim)
 
     def fit(self, cells):
         rows, rank, _, error, _ = best_fit_stack((self.x.take(idx, axis=0) for idx in cells),
@@ -316,9 +316,7 @@ class _Subspaces:
         return (rows, rank), error
 
     def distances(self, models):
-        rows, rank = models
-        return complement_rows(self.x, [rows[g, r:] if r else self.identity
-                                        for g, r in enumerate(rank)])
+        return complement_rows(self.x, *models)
 
     def refit(self, assignment):
         bundle, errors, flags = fit_partition(self.dataset, Partition(assignment, self.l), self.n)

@@ -8,7 +8,6 @@ trailing eigenvalues of the Gram matrix.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,107 +154,95 @@ def dist_sq(sub: Subspace, f) -> float:
     return float(res @ res)
 
 
-# The residual kernel walks the points in blocks of about this many bytes,
-# so a block's columns and residual stay in cache and its buffers stay small.
-# The complement kernel's blocks hold half as many points, and a chunk's
-# products may fill twice this many bytes: it takes one product per chunk,
-# so fewer and larger products pay (CHANGES.md has the measurements).
+# The residual kernel walks the points in blocks of about this many bytes of
+# coordinates, with one residual of the same size beside them, so a block's
+# buffers stay small and in cache.  The complement kernel's blocks hold half
+# as many points, and a chunk's products may fill twice this many bytes: it
+# takes one product per chunk, so fewer and larger products pay (CHANGES.md
+# has the measurements).
 _BLOCK_BYTES = 1 << 18
-
-
-def _stacks(mats, chunk_of):
-    """The matrices stacked by row count and cut into chunks.
-
-    Returns ``(order, pieces)``: ``order`` lists the matrices by row count,
-    and each piece is the first row of its chunk in that order and the
-    chunk, at most ``chunk_of(count)`` stacked (count, N) matrices.
-    """
-    counts = [mat.shape[0] for mat in mats]
-    order = sorted(range(len(mats)), key=counts.__getitem__)
-    pieces, first = [], 0
-    for count, run in itertools.groupby(order, key=counts.__getitem__):
-        stack = np.array([mats[i] for i in run])
-        chunk = chunk_of(count)
-        pieces += [(first + k, stack[k:k + chunk]) for k in range(0, len(stack), chunk)]
-        first += len(stack)
-    return order, pieces
-
-
-def _unsorted(out, order):
-    """The rows of ``out``, which are in ``order``, back in call order."""
-    if order == list(range(len(order))):
-        return out
-    unsorted = np.empty_like(out)
-    unsorted[order] = out
-    return unsorted
 
 
 def residual_rows(x, bases) -> np.ndarray:
     """(l, m) squared distances of the m rows of ``x`` to l subspaces.
 
     ``bases`` holds one (dim, N) orthonormal basis per subspace.  Each block
-    of points is copied once as contiguous columns, and each subspace's row
-    comes from the explicit residual ``x - P x`` (exact zeros for points in
-    the subspace, unlike ``|x|^2 - |Bx|^2``).  Bases of equal dimension are
-    stacked, and per block a chunk of them, as many as keep the (chunk, N,
-    block) residual within the block budget, takes one product pair and one
-    row sum.  Each basis's products keep the shapes they have alone, so a
-    row's bits do not depend on the other bases of the call.
+    of points is copied once as contiguous columns, and each basis in turn
+    gives its row from the explicit residual ``x - P x`` (exact zeros for
+    points in the subspace, unlike ``|x|^2 - |Bx|^2``), so a row's bits do
+    not depend on the other bases of the call.
     """
     m, dim = x.shape
     step = max(1, _BLOCK_BYTES // (x.itemsize * max(dim, 1)))
     width = min(step, m)
-    chunk = max(1, _BLOCK_BYTES // (x.itemsize * max(dim * width, 1)))
-    order, pieces = _stacks(bases, lambda _: chunk)
     out = np.empty((len(bases), m), dtype=x.dtype)
-    # One flat buffer for the block's columns and a chunk's residuals, so a
-    # short last block is contiguous as well.
-    buf = np.empty((1 + min(chunk, len(bases))) * dim * width, dtype=x.dtype)
+    # One flat buffer for the block's columns and a residual, so a short
+    # last block is contiguous as well.
+    buf = np.empty(2 * dim * width, dtype=x.dtype)
     xt, res = buf[:dim * width], buf[dim * width:]
     for start in range(0, m, step):
         stop = min(start + step, m)
         xb = xt[:dim * (stop - start)].reshape(dim, stop - start)
+        rb = res[:xb.size].reshape(xb.shape)
         np.copyto(xb, x[start:stop].T)
-        for row, stack in pieces:
-            rb = res[:len(stack) * xb.size].reshape((len(stack),) + xb.shape)
-            np.matmul(stack.swapaxes(1, 2), stack @ xb, out=rb)
+        for row, basis in zip(out, bases):
+            np.matmul(basis.T, basis @ xb, out=rb)
             np.subtract(xb, rb, out=rb)
-            np.einsum("ckm,ckm->cm", rb, rb, out=out[row:row + len(stack), start:stop])
-    return _unsorted(out, order)
+            np.einsum("km,km->m", rb, rb, out=row[start:stop])
+    return out
 
 
-def complement_rows(x, complements) -> np.ndarray:
-    """(l, m) squared norms of the m rows of ``x`` along l sets of rows.
+def complement_rows(x, rows, rank) -> np.ndarray:
+    """(G, m) squared distances of the m rows of ``x`` to G fits.
 
-    ``complements`` holds one (k, N) array of orthonormal rows per model,
-    the rows that complete its basis to one of R^N, so each row is the
-    squared distance to the model; a (0, N) array gives exact zeros.  Each
-    block of points is copied once as contiguous columns.  Arrays of equal
-    k are stacked, and per block a chunk of them, as many as keep the
-    (chunk, k, block) products within twice the block budget, takes one
-    product and one row sum: ``N k`` multiply-adds per point.  Each model's
-    product keeps the shape it has alone, so a row's bits do not depend on
-    the other models of the call.
+    ``rows`` and ``rank`` are a (G, N, N) stack of orthonormal rows and a
+    list of G ranks, as ``best_fit_stack`` returns them: fit g is spanned by
+    ``rows[g, :rank[g]]``, and a point's squared norm along the trailing
+    rows ``rows[g, rank[g]:]`` is its squared distance to the fit, ``N (N -
+    rank)`` multiply-adds.  A rank-0 fit gets each point's squared norm,
+    taken once per block, with the zero subspace's residual bits.  Each
+    block of points is copied once as contiguous columns.  Fits of equal
+    rank are grouped in call order, and per block a chunk of a group, as
+    many as keep the (chunk, N - rank, block) products within twice the
+    block budget, takes one product and one row sum, written in place when
+    the chunk is one run of the call order.  Each fit's product keeps the
+    shape it has alone, so a row's bits do not depend on the other fits of
+    the call.
     """
     m, dim = x.shape
     step = max(1, _BLOCK_BYTES // (2 * x.itemsize * max(dim, 1)))
     width = min(step, m)
-    order, pieces = _stacks(
-        complements, lambda k: max(1, 2 * _BLOCK_BYTES // (x.itemsize * max(k * width, 1))))
-    out = np.empty((len(complements), m), dtype=x.dtype)
-    xt = np.empty(dim * width, dtype=x.dtype)
+    out = np.empty((len(rank), m), dtype=x.dtype)
+    groups = {}
+    for g, r in enumerate(rank):
+        groups.setdefault(r, []).append(g)
+    zero, pieces = groups.pop(0, []), []
+    for r, group in groups.items():
+        chunk = max(1, 2 * _BLOCK_BYTES // (x.itemsize * max((dim - r) * width, 1)))
+        for k in range(0, len(group), chunk):
+            idx = group[k:k + chunk]
+            if idx[-1] - idx[0] == len(idx) - 1:
+                idx = slice(idx[0], idx[-1] + 1)
+            pieces.append((idx, rows[idx, r:]))
     prods = np.empty(max((len(stack) * stack.shape[1] * width for _, stack in pieces), default=0),
                      dtype=x.dtype)
+    xt = np.empty(dim * width, dtype=x.dtype)
     for start in range(0, m, step):
         stop = min(start + step, m)
         xb = xt[:dim * (stop - start)].reshape(dim, stop - start)
         np.copyto(xb, x[start:stop].T)
-        for row, stack in pieces:
-            pb = prods[:len(stack) * stack.shape[1] * xb.shape[1]].reshape(
-                len(stack), stack.shape[1], xb.shape[1])
+        if zero:
+            np.einsum("km,km->m", xb, xb, out=out[zero[0], start:stop])
+            out[zero[1:], start:stop] = out[zero[0], start:stop]
+        for idx, stack in pieces:
+            c, k = stack.shape[:2]
+            pb = prods[:c * k * xb.shape[1]].reshape(c, k, xb.shape[1])
             np.matmul(stack, xb, out=pb)
-            np.einsum("ckm,ckm->cm", pb, pb, out=out[row:row + len(stack), start:stop])
-    return _unsorted(out, order)
+            if type(idx) is slice:
+                np.einsum("ckm,ckm->cm", pb, pb, out=out[idx, start:stop])
+            else:
+                out[idx, start:stop] = np.einsum("ckm,ckm->cm", pb, pb)
+    return out
 
 
 def residuals_sq(dataset: DataSet, sub: Subspace) -> np.ndarray:

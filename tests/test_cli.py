@@ -465,6 +465,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if case == "report-of-a-sweep":  # well-formed, but of a mode score cannot read
+        assert err == "error: cannot score a report of mode 'sweep'\n"
 
 
 BAD_SETTINGS = {

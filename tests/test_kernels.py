@@ -93,21 +93,29 @@ def one_pass(x, bases):
     return out
 
 
-def one_pass_complement(x, complements):
-    """The unblocked complement kernel: squared norms along each set of rows."""
+def one_pass_complement(x, fits):
+    """The unblocked complement kernel: each point's squared norm along each
+    fit's trailing rows, or its squared norm for a rank-0 fit."""
     xt = np.ascontiguousarray(x.T)
-    out = np.empty((len(complements), x.shape[0]))
-    for row, rows in zip(out, complements):
-        p = rows @ xt
+    out = np.empty((len(fits), x.shape[0]))
+    for row, (rows, rank) in zip(out, fits):
+        p = rows[rank:] @ xt if rank else xt
         np.einsum("km,km->m", p, p, out=row)
     return out
 
 
+def complement_of(x, fits):
+    """``complement_rows`` on a list of (rows, rank) fits, stacked."""
+    return complement_rows(x, np.array([rows for rows, _ in fits]), [rank for _, rank in fits])
+
+
 # Per kernel: the function, its one-pass formula, and how many times fewer
-# points its blocks hold than a residual block (see ``_BLOCK_BYTES``).
+# points its blocks hold than a residual block (see ``_BLOCK_BYTES``).  The
+# residual kernel's models are bases, the complement kernel's (rows, rank)
+# fits.
 KERNELS = {
     "residual": (residual_rows, one_pass, 1),
-    "complement": (complement_rows, one_pass_complement, 2),
+    "complement": (complement_of, one_pass_complement, 2),
 }
 
 
@@ -122,9 +130,9 @@ def _bases(rng, dim):
 
 
 def _complements(rng, dim):
-    """Trailing rows of random rotations, all N of them and none included."""
+    """Fits of random rotations, ranks 0 and N included."""
     splits = [0, dim] + [int(d) for d in rng.integers(0, dim + 1, 3)]
-    return [np.ascontiguousarray(rotation(rng, dim)[:, d:].T) for d in splits]
+    return [(np.ascontiguousarray(rotation(rng, dim).T), d) for d in splits]
 
 
 _MODELS = {"residual": _bases, "complement": _complements}
@@ -167,7 +175,7 @@ def test_exact_arithmetic_gives_the_same_bits_in_any_block(monkeypatch, points):
     rng = np.random.default_rng(9)
     x = rng.integers(-50, 50, size=(23, 4)).astype(np.float64)
     axes = Bundle((Subspace.zero(4), Subspace(4, [[1.0, 0, 0, 0]]), Subspace(4, np.eye(4)[1:3])))
-    complements = [np.eye(4), np.eye(4)[1:], np.eye(4)[[0, 3]]]
+    fits = [(np.eye(4), 0), (np.eye(4), 1), (np.eye(4)[[1, 2, 0, 3]], 2)]
     if points is not None:
         block_of(monkeypatch, points, 4)
     dmat = distance_matrix(DataSet(x), axes)
@@ -175,12 +183,11 @@ def test_exact_arithmetic_gives_the_same_bits_in_any_block(monkeypatch, points):
                      x[:, 0] ** 2 + x[:, 3] ** 2], axis=1)
     assert dmat.tobytes() == want.tobytes()
     assert residuals_sq(DataSet(x), axes[0]).tobytes() == want[:, 0].tobytes()
-    assert complement_rows(x, complements).tobytes() == np.ascontiguousarray(want.T).tobytes()
+    assert complement_of(x, fits).tobytes() == np.ascontiguousarray(want.T).tobytes()
 
 
 def per_model_rows(x, mats, kernel):
-    """Per block of points, each model's product and row sum on its own;
-    for the residual kernel, its arithmetic before bases were stacked."""
+    """Per block of points, each model's products and row sum on its own."""
     m, dim = x.shape
     formula, split = KERNELS[kernel][1:]
     step = max(1, subspace._BLOCK_BYTES // (8 * split * max(dim, 1)))
@@ -199,23 +206,26 @@ def _mixed_splits(rng, dim, count):
 
 
 def _split(splits, kernel):
-    """Each rotation's leading columns (a basis) or trailing ones (its
-    complement), as rows."""
+    """Each rotation's leading columns as rows (a basis), or its columns as
+    rows with the split as rank (a fit)."""
     if kernel == "residual":
         return [np.ascontiguousarray(q[:, :d].T) for q, d in splits]
-    return [np.ascontiguousarray(q[:, d:].T) for q, d in splits]
+    return [(np.ascontiguousarray(q.T), d) for q, d in splits]
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(m=st.integers(0, 40), dim=st.integers(1, 7), count=st.integers(1, 14),
        points=st.sampled_from([1, 2, 5, "m", "2m", "3m", None]), seed=st.integers(0, 2**32 - 1))
-@example(m=9, dim=3, count=14, points="2m", seed=0)  # 14 bases in chunks of 2
+@example(m=9, dim=3, count=14, points="2m", seed=0)  # 14 models, one block
 @example(m=40, dim=4, count=6, points=3, seed=1)     # 14 blocks of 3 points
+@example(m=20, dim=4, count=10, points=3, seed=13)   # ranks 0 3 4 1 3 2 2 0 4 3
 def test_stacked_bases_give_each_basis_its_own_bits(m, dim, count, points, seed):
-    # A block of p >= m points holds p // m residual bases per chunk; p < m
-    # gives several blocks of one basis per chunk.  Each kernel's models are
-    # the bases or the complements of the same rotations; a model's row has
-    # the bits it has alone.
+    # The residual kernel takes one basis at a time.  The complement kernel
+    # groups fits by rank in call order: a chunk that is one run of the call
+    # order is written in place, any other is scattered, and a rank-0 fit
+    # gets the block's squared norms.  Each kernel's models are the bases or
+    # the fits of the same rotations; a model's row has the bits it has
+    # alone.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0, size=(m, 1))
     splits = _mixed_splits(rng, dim, count)
@@ -272,14 +282,14 @@ def test_complement_agrees_with_residual_on_the_same_fits(m, dim, points, seed):
             block_of(patch, points, dim)
         for r in range(dim + 1):
             residual = residual_rows(x, [fit[:r] for fit in rows])
-            complement = complement_rows(x, [fit[r:] for fit in rows])
+            complement = complement_rows(x, rows, [r] * len(rows))
             assert np.all(np.abs(complement - residual) <= bound)
 
 
 @pytest.mark.parametrize("dim, n", [(1, 0), (2, 0), (3, 1), (5, 1), (6, 2), (4, 4)])
 def test_rank_0_rows_tie_exactly_and_rank_n_rows_are_0(dim, n):
     # In a search an empty cell, a cell of zero points and, at n = 0, every
-    # cell has rank 0: each is measured along the identity, with the bits of
+    # cell has rank 0: each gets the points' squared norms, with the bits of
     # the zero subspace's residual row.  A cell that spans R^N has no
     # complement rows and distance exactly 0.
     rng = np.random.default_rng(dim + 10 * n)
