@@ -297,17 +297,18 @@ def cmd_score(args):
         with open(args.report, "r", encoding="utf-8") as fh:
             doc = load_members(fh, _SCORED_MEMBERS)
         mode = doc["mode"]
-        scorable = mode in ("euclidean", "sis")
         complex_pairs = False
+        stored = None
         if mode == "euclidean":
             bundle = _rebuild_euclidean(doc)
-        elif scorable:
+        elif mode == "sis":
             structure, models = _rebuild_sis(doc)
             complex_pairs = doc["config"].get("input_format") == "spectra"
-        stored = float(doc["objective"]) if scorable else None
+        if mode in ("euclidean", "sis"):
+            stored = float(doc["objective"])
     except (ValueError, TypeError, KeyError, IndexError, AttributeError) as exc:
         raise ParseError(f"malformed report {args.report}: {type(exc).__name__}: {exc}") from None
-    if not scorable:
+    if stored is None:
         raise InvalidSpec(f"cannot score a report of mode {mode!r}")
 
     dataset = _ingest_numeric(args.input, complex_pairs)

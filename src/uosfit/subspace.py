@@ -8,6 +8,7 @@ trailing eigenvalues of the Gram matrix.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,30 +202,28 @@ def complement_rows(x, rows, rank) -> np.ndarray:
     rows ``rows[g, rank[g]:]`` is its squared distance to the fit, ``N (N -
     rank)`` multiply-adds.  A rank-0 fit gets each point's squared norm,
     taken once per block, with the zero subspace's residual bits.  Each
-    block of points is copied once as contiguous columns.  Fits of equal
-    rank are grouped in call order, and per block a chunk of a group, as
-    many as keep the (chunk, N - rank, block) products within twice the
-    block budget, takes one product and one row sum, written in place when
-    the chunk is one run of the call order.  Each fit's product keeps the
-    shape it has alone, so a row's bits do not depend on the other fits of
-    the call.
+    block of points is copied once as contiguous columns.  The call order
+    is cut into runs of equal non-zero rank, and per block a chunk of a run,
+    as many fits as keep the (chunk, N - rank, block) products within twice
+    the block budget, takes one product and one row sum, written in place.
+    Each fit's product keeps the shape it has alone, so a row's bits do not
+    depend on the other fits of the call.
     """
     m, dim = x.shape
     step = max(1, _BLOCK_BYTES // (2 * x.itemsize * max(dim, 1)))
     width = min(step, m)
     out = np.empty((len(rank), m), dtype=x.dtype)
-    groups = {}
-    for g, r in enumerate(rank):
-        groups.setdefault(r, []).append(g)
-    zero, pieces = groups.pop(0, []), []
-    for r, group in groups.items():
+    zero, pieces = [], []
+    for r, run in itertools.groupby(enumerate(rank), key=lambda gr: gr[1]):
+        run = [g for g, _ in run]
+        if r == 0:
+            zero += run
+            continue
         chunk = max(1, 2 * _BLOCK_BYTES // (x.itemsize * max((dim - r) * width, 1)))
-        for k in range(0, len(group), chunk):
-            idx = group[k:k + chunk]
-            if idx[-1] - idx[0] == len(idx) - 1:
-                idx = slice(idx[0], idx[-1] + 1)
-            pieces.append((idx, rows[idx, r:]))
-    prods = np.empty(max((len(stack) * stack.shape[1] * width for _, stack in pieces), default=0),
+        for a in range(run[0], run[-1] + 1, chunk):
+            b = min(a + chunk, run[-1] + 1)
+            pieces.append((a, b, rows[a:b, r:]))
+    prods = np.empty(max((len(stack) * stack.shape[1] * width for *_, stack in pieces), default=0),
                      dtype=x.dtype)
     xt = np.empty(dim * width, dtype=x.dtype)
     for start in range(0, m, step):
@@ -234,14 +233,11 @@ def complement_rows(x, rows, rank) -> np.ndarray:
         if zero:
             np.einsum("km,km->m", xb, xb, out=out[zero[0], start:stop])
             out[zero[1:], start:stop] = out[zero[0], start:stop]
-        for idx, stack in pieces:
+        for a, b, stack in pieces:
             c, k = stack.shape[:2]
             pb = prods[:c * k * xb.shape[1]].reshape(c, k, xb.shape[1])
             np.matmul(stack, xb, out=pb)
-            if type(idx) is slice:
-                np.einsum("ckm,ckm->cm", pb, pb, out=out[idx, start:stop])
-            else:
-                out[idx, start:stop] = np.einsum("ckm,ckm->cm", pb, pb)
+            np.einsum("ckm,ckm->cm", pb, pb, out=out[a:b, start:stop])
     return out
 
 

@@ -221,11 +221,10 @@ def _split(splits, kernel):
 @example(m=20, dim=4, count=10, points=3, seed=13)   # ranks 0 3 4 1 3 2 2 0 4 3
 def test_stacked_bases_give_each_basis_its_own_bits(m, dim, count, points, seed):
     # The residual kernel takes one basis at a time.  The complement kernel
-    # groups fits by rank in call order: a chunk that is one run of the call
-    # order is written in place, any other is scattered, and a rank-0 fit
-    # gets the block's squared norms.  Each kernel's models are the bases or
-    # the fits of the same rotations; a model's row has the bits it has
-    # alone.
+    # cuts the call order into runs of equal non-zero rank and writes each
+    # chunk of a run in place, and a rank-0 fit gets the block's squared
+    # norms.  Each kernel's models are the bases or the fits of the same
+    # rotations; a model's row has the bits it has alone.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((m, dim)) * rng.uniform(0.1, 10.0, size=(m, 1))
     splits = _mixed_splits(rng, dim, count)
