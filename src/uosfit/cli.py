@@ -328,9 +328,9 @@ def cmd_score(args):
 
 
 def _add_common_solver_flags(p):
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init", default="random_partition", choices=INIT_STRATEGIES)
+    p.add_argument("--restarts", type=int, default=SolveConfig.restarts)
+    p.add_argument("--seed", type=int, default=SolveConfig.seed)
+    p.add_argument("--init", default=SolveConfig.init_strategy, choices=INIT_STRATEGIES)
     p.add_argument("--no-timings", action="store_true",
                    help="omit the timings section for byte-identical reports")
 

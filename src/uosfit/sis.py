@@ -408,7 +408,8 @@ class _ShiftInvariantCells:
 
     The fibers of the solved classes are computed once; a step's cells take
     their rows and are fitted by ``best_sis_stack``, and a model is its
-    generator spectra.  The winner's refit goes through ``best_sis``.
+    generator spectra.  The winner's refit goes through ``best_sis``, one
+    cell at a time, and its distances through the step's own ``distances``.
     """
 
     def __init__(self, dataset, structure, l, n):
@@ -429,11 +430,8 @@ class _ShiftInvariantCells:
     def refit(self, assignment):
         fits = [best_sis(self.dataset.subset(idx), self.structure, self.n)
                 for idx in Partition(assignment, self.l).cells()]
-        return (tuple(f.model for f in fits), float(np.sum([f.error for f in fits])),
-                [f.degenerate for f in fits])
-
-    def bundle_distances(self, models):
-        return self.distances([mo.generators for mo in models]).T
+        return (tuple(f.model for f in fits), [f.degenerate for f in fits],
+                self.distances([f.model.generators for f in fits]).T)
 
 
 def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure,
@@ -446,4 +444,4 @@ def solve_sis_bundle(dataset: DataSet, structure: ShiftStructure,
     projections as the distance.  The report's ``bundle`` holds a tuple of
     SISModel components.
     """
-    return search(dataset, cfg, lambda data: _ShiftInvariantCells(data, structure, cfg.l, cfg.n))
+    return search(dataset, cfg, lambda data, l, n: _ShiftInvariantCells(data, structure, l, n))

@@ -75,12 +75,14 @@ class SolveConfig:
 class SolveReport:
     """Result of a multi-start solve: the winning certificate plus accounting.
 
-    ``objective`` is the converged gamma value of the winning restart (at a
-    fixed point, the nearest-subspace error up to ``STOP_TOL`` times the data
-    energy) and is the minimum of ``per_restart_objectives``.
-    ``objective_trace`` holds the winning restart's gamma per iteration,
-    strictly decreasing except possibly its final entry.  ``residuals_sq``
-    holds each point's squared distance to its member of ``bundle``.
+    ``objective`` is the final gamma of the winning chain (at a fixed point,
+    the nearest-subspace error up to ``STOP_TOL`` times the data energy).
+    The winner is a cold restart or a warm seed, so ``objective`` is at most
+    the minimum of ``per_restart_objectives`` (the cold restarts only), and
+    below it when a warm seed wins.  ``objective_trace`` holds the winning
+    chain's gamma per iteration, strictly decreasing except possibly its
+    final entry.  ``residuals_sq`` holds each point's squared distance to
+    its member of ``bundle``.
     """
 
     bundle: Bundle
@@ -225,44 +227,45 @@ def _unscaled(values, e):
         return np.ldexp(np.asarray(values, dtype=np.float64), 2 * e).tolist()
 
 
-def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> SolveReport:
+def search(dataset, cfg: SolveConfig, family_of, seeds=()) -> SolveReport:
     """Multi-start alternating search over any model family.
 
-    ``family_of(data)`` returns the five maps of the family on ``data``,
-    which is ``dataset`` divided by a power of two (see ``_prescaled``):
+    ``family_of(data, l, n)`` returns the four maps of the family of l
+    models of dimension <= n on ``data``, which is ``dataset`` divided by a
+    power of two (see ``_prescaled``; data whose largest entry lies in
+    [1, 2) are left as they are):
 
     * ``l``, the number of cells;
     * ``fit(cells) -> (models, errors)``: the optimal model of each index
       array and its exact error (a length-G array); an empty cell's model
       fits nothing and has error 0;
     * ``distances(models) -> (G, m)``: squared point-model distances, each
-      row from its model alone; they need only agree with
-      ``bundle_distances`` to round-off (``_Subspaces`` measures along each
-      fit's trailing eigenvectors, not by residuals to its basis);
-    * ``refit(assignment) -> (bundle, gamma, flags)``: the public fit of one
-      partition, with its gamma and per-cell degeneracy flags;
-    * ``bundle_distances(bundle) -> (m, l)``: the distances to such a bundle.
+      row from its model alone; they need only agree with ``refit``'s to
+      round-off (``_Subspaces`` measures along each fit's trailing
+      eigenvectors, not by residuals to its basis);
+    * ``refit(assignment) -> (bundle, flags, distances)``: the public fit of
+      one partition, its per-cell degeneracy flags and the (m, l) squared
+      distances of the points to its members.
 
     Farthest-point seeding fits every cold restart's newest seed point alone
     in one ``fit`` call per round and measures them in one ``distances`` call;
     no restart's seeds depend on which restarts share the round.
 
-    ``seeds(family)`` yields warm starting partitions, run after the
-    ``cfg.restarts`` cold ones, all in one lockstep (``_lockstep``).  The
-    lowest objective wins, the earliest chain on ties, so a cold restart
-    beats a warm seed; ``per_restart_objectives`` holds the cold restarts
-    only.  Only the winner is refitted into a bundle, and its pair is
-    re-verified post hoc: its gamma must match the nearest-model error of
-    that bundle, and the refit must not go below it.  This check and each
-    chain's stop test allow ``STOP_TOL`` times the energy of the data (its
-    total squared norm, the zero model's error).  Its distances give
-    ``residuals_sq``.  Objectives, trace and residuals are at the data's own
-    scale.
+    ``seeds`` holds warm starting partitions, run after the ``cfg.restarts``
+    cold ones, all in one lockstep (``_lockstep``).  The lowest objective
+    wins, the earliest chain on ties, so a cold restart beats a warm seed;
+    ``per_restart_objectives`` holds the cold restarts only.  Only the
+    winner is refitted into a bundle, and its pair is re-verified post hoc:
+    its gamma must match the nearest-model error of that bundle.  This check
+    and each chain's stop test allow ``STOP_TOL`` times the energy of the
+    data (its total squared norm, the zero model's error).  The refit's
+    distances give ``residuals_sq``.  Objectives, trace and residuals are at
+    the data's own scale.
     """
     if dataset.m == 0:
         raise EmptyDataSet("a search requires at least one data vector")
     scaled, e = _prescaled(dataset)
-    family = family_of(scaled)
+    family = family_of(scaled, cfg.l, cfg.n)
     # Scaled before the sum: the energy can overflow while every norm is finite.
     tol = float((STOP_TOL * scaled.norms_sq()).sum())
 
@@ -271,13 +274,10 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=lambda family: ()) -> Sol
         cold = [rng.integers(0, cfg.l, size=scaled.m).astype(np.intp) for rng in rngs]
     else:
         cold = _farthest_point_starts(family, scaled.m, [rng.integers(scaled.m) for rng in rngs])
-    chains = _lockstep([*cold, *seeds(family)], family, tol, MAX_ITERS)
+    chains = _lockstep([*cold, *seeds], family, tol, MAX_ITERS)
     best, restarts = min(chains, key=lambda c: c.objective), chains[:cfg.restarts]
-    bundle, refit_gamma, flags = family.refit(best.fitted)
-    dmat = family.bundle_distances(bundle)
-    err = float(dmat.min(axis=1).sum())
-    converged = (best.converged and abs(best.objective - err) <= tol
-                 and refit_gamma >= best.objective - tol)
+    bundle, flags, dmat = family.refit(best.fitted)
+    converged = best.converged and abs(best.objective - float(dmat.min(axis=1).sum())) <= tol
     return SolveReport(
         bundle=bundle,
         partition=Partition(best.fitted, cfg.l),
@@ -300,8 +300,9 @@ class _Subspaces:
     trailing rows.  A rank-0 model gets each point's squared norm, not its
     norm along its own eigenvectors, so all of them tie exactly (with the
     zero subspace's residual bits) and the tie goes to the lowest cell.  A
-    rank-N model has no trailing rows and distance exactly 0.
-    ``fit_partition`` and ``distance_matrix`` (the winner's refit and check)
+    rank-N model has no trailing rows and distance exactly 0.  The winner's
+    refit goes through ``fit_partition`` and its distances through
+    ``distance_matrix``, so reports keep the residual kernel's bits; both
     are looked up by their module names at each call, so wrappers installed
     on them see it.
     """
@@ -319,11 +320,8 @@ class _Subspaces:
         return complement_rows(self.x, *models)
 
     def refit(self, assignment):
-        bundle, errors, flags = fit_partition(self.dataset, Partition(assignment, self.l), self.n)
-        return bundle, float(errors.sum()), flags
-
-    def bundle_distances(self, bundle):
-        return distance_matrix(self.dataset, bundle)
+        bundle, _, flags = fit_partition(self.dataset, Partition(assignment, self.l), self.n)
+        return bundle, flags, distance_matrix(self.dataset, bundle)
 
 
 def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
@@ -335,7 +333,7 @@ def solve(dataset: DataSet, cfg: SolveConfig) -> SolveReport:
     certificate pair of the winning restart is re-verified post hoc with one
     extra fit/assignment evaluation.
     """
-    return search(dataset, cfg, lambda data: _Subspaces(data, cfg.l, cfg.n))
+    return search(dataset, cfg, _Subspaces)
 
 
 def brute_force(dataset: DataSet, l, n):
@@ -361,26 +359,39 @@ def brute_force(dataset: DataSet, l, n):
     return best
 
 
+def _split(kept, l):
+    """The partition of report ``kept`` with its worst-fit point, the lowest
+    on ties, moved to cell l - 1.  Plain alternation never repopulates an
+    empty cell, so growing l needs explicit candidates such as this."""
+    moved = kept.partition.assignment.copy()
+    moved[int(np.argmax(kept.residuals_sq))] = l - 1
+    return moved
+
+
 def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     """Sweep (l, n) pairs; each row reports the achieved error epsilon.
 
-    Each row runs ``search`` (twice after the first n), so its winners are
-    refitted and certificate-checked as a fit's are.  For each n, l is
-    visited in increasing order, and each row after the first is seeded
-    with the previous row's certificate partition, its worst-fit point
-    moved to the new cell: the chain of certificates that the floor along l
-    keeps from this n's own searches, so these searches are those of a
-    sweep over this one n.  Certificates kept from elsewhere warm-start a
-    second search of the row, with one cold restart: the partition of the
-    certificate kept for the same l at the previous n, and the split of the
-    previous row's certificate when that is not its own n's.  Two floors
-    keep the kept certificates: a row whose searches end above the previous
-    row's epsilon keeps the previous certificate, and a row that ends above
-    the (l, previous n) epsilon keeps that one, since a model of dimension
-    <= n - 1 is also one of dimension <= n.  So the epsilon column never
-    increases along l or along n, and no row ends above the same row of a
-    sweep over its one n.  Rows are ordered by (n, l).  Non-integer sizes
-    raise ``InvalidSpec``.
+    The data are divided by 2^e once (``_prescaled``), and every row's
+    searches run on the result, which each leaves as it is; each epsilon is
+    the kept objective brought back by 4^e (``_unscaled``).  Each row runs
+    ``search`` (twice after the first n), so its winners are refitted and
+    certificate-checked as a fit's are.  For each n, l is visited in
+    increasing order, and each row after the first is seeded with the
+    previous row's certificate partition, its worst-fit point (read off the
+    report's ``residuals_sq``) moved to the new cell: the chain of
+    certificates that the floor along l keeps from this n's own searches,
+    so these searches are those of a sweep over this one n.  Certificates
+    kept from elsewhere warm-start a second search of the row, with one
+    cold restart: the partition of the certificate kept for the same l at
+    the previous n, and the split of the previous row's certificate when
+    that is not its own n's.  Two floors keep the kept certificates: a row
+    whose searches end above the previous row's objective keeps the
+    previous certificate, and a row that ends above the (l, previous n)
+    objective keeps that one, since a model of dimension <= n - 1 is also
+    one of dimension <= n.  So the epsilon column never increases along l
+    or along n, and no row ends above the same row of a sweep over its one
+    n.  Rows are ordered by (n, l).  Non-integer sizes raise
+    ``InvalidSpec``.
     """
     l_values, n_values = sorted(set(l_values)), sorted(set(n_values))
     if not l_values or not n_values:
@@ -388,6 +399,7 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
 
     # Each row's config checks its l and n, before any search runs.
     grid = [[replace(cfg, l=l, n=n) for l in l_values] for n in n_values]
+    scaled, e = _prescaled(dataset)
     m = dataset.m
     rows = []
     below = [None] * len(l_values)  # per l, the certificate kept at the previous n
@@ -396,37 +408,17 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
         # alone kept from this n's own searches.
         prev = chain = None
         for i, row in enumerate(configs):
-
-            def family_of(data):
-                return _Subspaces(data, row.l, row.n)
-
-            def split(family, kept):
-                # Plain alternation never repopulates an empty cell, so
-                # growing l needs explicit candidates: the kept partition
-                # with its worst-fit point, the lowest on ties, moved to
-                # cell l - 1.
-                moved = kept.partition.assignment.copy()
-                dmat = family.bundle_distances(kept.bundle)
-                moved[int(np.argmax(dmat[np.arange(m), moved]))] = row.l - 1
-                return moved
-
-            def seeds(family):
-                # Once l >= m, one cell per point comes first.
-                if row.l >= m:
-                    yield np.arange(m, dtype=np.intp)
-                if chain is not None:
-                    yield split(family, chain)
-
-            def warm(family):
-                if prev is not chain:
-                    yield split(family, prev)
-                yield below[i].partition.assignment
-
-            reports = [search(dataset, row, family_of, seeds)]
+            # Once l >= m, one cell per point comes first.
+            seeds = [np.arange(m, dtype=np.intp)] if row.l >= m else []
+            if chain is not None:
+                seeds.append(_split(chain, row.l))
+            reports = [search(scaled, row, _Subspaces, seeds)]
             # The warm search runs the one cold restart a search must have;
             # the row's own search has already run it.
             if below[i] is not None:
-                reports += [search(dataset, replace(row, restarts=1), family_of, warm), below[i]]
+                warm = [] if prev is chain else [_split(prev, row.l)]
+                warm.append(below[i].partition.assignment)
+                reports += [search(scaled, replace(row, restarts=1), _Subspaces, warm), below[i]]
             if chain is None or reports[0].objective < chain.objective:
                 chain = reports[0]
             # Floors: the epsilon column must never increase along l or n,
@@ -435,5 +427,5 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
                 if prev is None or report.objective < prev.objective:
                     prev = report
             below[i] = prev
-            rows.append(SweepRow(l=row.l, n=row.n, epsilon=prev.objective))
+            rows.append(SweepRow(l=row.l, n=row.n, epsilon=_unscaled(prev.objective, e)))
     return rows

@@ -19,18 +19,28 @@ from uosfit import (
     objective_e,
     sis_distance_matrix,
     solve,
+    solve_sis_bundle,
     sparsity_curve,
 )
-from uosfit.bundles import nearest
+from uosfit.bundles import distance_matrix, fit_partition, nearest
 from uosfit.spectral import STOP_TOL
 from uosfit.sis import _ShiftInvariantCells
 from uosfit.solver import (
     _farthest_point_starts,
     _lockstep,
+    _prescaled,
     _Subspaces,
     search,
 )
 from helpers import lines_dataset, planted_union, random_dataset, sis_signals_from_generator
+
+
+def _stub_report(objective, m):
+    """What a stub search reports: ``objective``, every point in cell 0 at
+    residual 0."""
+    return SimpleNamespace(objective=objective,
+                           partition=SimpleNamespace(assignment=np.zeros(m, dtype=np.intp)),
+                           residuals_sq=(0.0,) * m)
 
 
 class TestSolve:
@@ -177,10 +187,12 @@ class TestSparsityCurve:
         # A row whose search ends above the previous epsilon keeps that epsilon.
         objectives = {1: 5.0, 2: 7.0, 3: 3.0}
         monkeypatch.setattr("uosfit.solver.search",
-                            lambda data, cfg, family_of, seeds: SimpleNamespace(objective=objectives[cfg.l]))
-        rows = sparsity_curve(random_dataset(np.random.default_rng(0), 5, 2), [1, 2, 3], [1],
-                              SolveConfig(l=1, n=1))
-        assert [r.epsilon.hex() for r in rows] == [(5.0).hex(), (5.0).hex(), (3.0).hex()]
+                            lambda data, cfg, family_of, seeds: _stub_report(objectives[cfg.l], data.m))
+        data = random_dataset(np.random.default_rng(0), 5, 2)
+        rows = sparsity_curve(data, [1, 2, 3], [1], SolveConfig(l=1, n=1))
+        # the searches see the data divided by 2^e: their objectives come back times 4^e
+        scale = 4.0 ** _prescaled(data)[1]
+        assert [r.epsilon.hex() for r in rows] == [(scale * v).hex() for v in (5.0, 5.0, 3.0)]
 
     def test_the_floor_along_n_alone_keeps_epsilon_non_increasing(self, monkeypatch):
         # A row whose search ends above the (l, previous n) epsilon keeps that
@@ -188,11 +200,13 @@ class TestSparsityCurve:
         objectives = {(1, 0): 9.0, (2, 0): 6.0, (1, 2): 8.0, (2, 2): 7.0, (1, 3): 2.0, (2, 3): 4.0}
         monkeypatch.setattr(
             "uosfit.solver.search",
-            lambda data, cfg, family_of, seeds: SimpleNamespace(objective=objectives[cfg.l, cfg.n]))
-        rows = sparsity_curve(random_dataset(np.random.default_rng(0), 5, 4), [1, 2], [0, 2, 3],
-                              SolveConfig(l=1, n=1))
+            lambda data, cfg, family_of, seeds: _stub_report(objectives[cfg.l, cfg.n], data.m))
+        data = random_dataset(np.random.default_rng(0), 5, 4)
+        rows = sparsity_curve(data, [1, 2], [0, 2, 3], SolveConfig(l=1, n=1))
         assert [(r.l, r.n) for r in rows] == [(1, 0), (2, 0), (1, 2), (2, 2), (1, 3), (2, 3)]
-        assert [r.epsilon.hex() for r in rows] == [v.hex() for v in (9.0, 6.0, 8.0, 6.0, 2.0, 2.0)]
+        scale = 4.0 ** _prescaled(data)[1]
+        assert [r.epsilon.hex() for r in rows] == [(scale * v).hex()
+                                                   for v in (9.0, 6.0, 8.0, 6.0, 2.0, 2.0)]
 
     @pytest.mark.parametrize("seed", [*range(2001, 2011), 2110])
     def test_epsilon_never_rises_along_l_or_n(self, seed):
@@ -212,6 +226,28 @@ class TestSparsityCurve:
             for row in sparsity_curve(x, range(1, 7), [n], cfg):
                 assert eps[row.l, n] <= row.epsilon
 
+    def test_the_sweep_scales_once_and_takes_no_distances_of_its_own(self, monkeypatch):
+        # One distance_matrix call per search, the winner's refit: the splits
+        # read the kept reports' residuals.  Every search gets the data the
+        # sweep divided by a power of two, whose largest entry lies in [1, 2).
+        calls, peaks = [], []
+
+        def counted(dataset, bundle):
+            calls.append(len(bundle))
+            return distance_matrix(dataset, bundle)
+
+        def peeking(data, cfg, family_of, seeds):
+            peaks.append(float(np.abs(data.vectors).max()))
+            return search(data, cfg, family_of, seeds)
+
+        monkeypatch.setattr("uosfit.solver.distance_matrix", counted)
+        monkeypatch.setattr("uosfit.solver.search", peeking)
+        x = 100.0 * planted_union(2001, l=4, n=3, dim=16, points=64, sigma=0.05)
+        assert not 1.0 <= np.abs(x).max() < 2.0
+        sparsity_curve(DataSet(x), range(1, 5), [3], SolveConfig(l=1, n=0, restarts=4))
+        assert calls == [1, 2, 3, 4]
+        assert len(peaks) == 4 and all(1.0 <= peak < 2.0 for peak in peaks)
+
     def test_every_size_is_checked_before_any_search(self, monkeypatch):
         monkeypatch.setattr("uosfit.solver.search", None)  # a search would raise TypeError
         with pytest.raises(InvalidSpec, match="^n must be an integer$"):
@@ -224,13 +260,8 @@ class TestSparsityCurve:
         calls = []
 
         def recording(data, cfg, family_of, seeds):
-            row = {"l": cfg.l}
-
-            def recorded(family):
-                row["seeds"] = [s.copy() for s in seeds(family)]
-                return row["seeds"]
-
-            row["report"] = search(data, cfg, family_of, recorded)
+            row = {"l": cfg.l, "seeds": [s.copy() for s in seeds]}
+            row["report"] = search(data, cfg, family_of, seeds)
             calls.append(row)
             return row["report"]
 
@@ -263,13 +294,9 @@ class TestSparsityCurve:
         calls = []
 
         def recording(data, cfg, family_of, seeds):
-            call = {"key": (cfg.l, cfg.n), "restarts": cfg.restarts}
-
-            def recorded(family):
-                call["seeds"] = [s.copy() for s in seeds(family)]
-                return call["seeds"]
-
-            call["report"] = search(data, cfg, family_of, recorded)
+            call = {"key": (cfg.l, cfg.n), "restarts": cfg.restarts,
+                    "seeds": [s.copy() for s in seeds]}
+            call["report"] = search(data, cfg, family_of, seeds)
             calls.append(call)
             return call["report"]
 
@@ -306,7 +333,9 @@ class TestSparsityCurve:
                     best = report
             kept[l, n] = best
         assert elsewhere
-        assert [r.epsilon for r in rows] == [kept[c["key"]].objective for c in swept]
+        # the searches ran on the data divided by 2^e, once for the whole sweep
+        scale = 4.0 ** _prescaled(DataSet(data))[1]
+        assert [r.epsilon for r in rows] == [scale * kept[c["key"]].objective for c in swept]
 
 
 def test_descend_raises_on_revisited_partition():
@@ -441,8 +470,8 @@ def test_farthest_point_seeding_makes_l_calls_for_all_restarts(restarts):
     cfg = SolveConfig(l=4, n=1, restarts=restarts, seed=3, init_strategy="farthest_point")
     families = []
 
-    def family_of(data):
-        families.append(_CountingSubspaces(data, cfg.l, cfg.n))
+    def family_of(data, l, n):
+        families.append(_CountingSubspaces(data, l, n))
         return families[-1]
 
     rep = search(f, cfg, family_of)
@@ -451,41 +480,72 @@ def test_farthest_point_seeding_makes_l_calls_for_all_restarts(restarts):
 
 
 class _ConstantMaps:
-    """Stub family for two points in one cell: the step's gamma and the
-    refit's gamma are ``refit_gammas``, and the distances sum to
-    ``nearest_sum``."""
+    """Stub family for two points in one cell: the step's gamma is 1, the
+    step's distances sum to 1 and the refit's distances to ``nearest_sum``."""
 
     l = 1
 
-    def __init__(self, refit_gammas, nearest_sum):
-        self.gammas = refit_gammas
+    def __init__(self, nearest_sum):
         self.nearest_sum = nearest_sum
 
     def fit(self, cells):
-        return [None] * len(cells), np.full(len(cells), self.gammas[0])
+        return [None] * len(cells), np.ones(len(cells))
 
     def distances(self, models):
-        return np.full((len(models), 2), self.nearest_sum / 2.0)
+        return np.full((len(models), 2), 0.5)
 
     def refit(self, assignment):
-        return ("model",), self.gammas[1], (False,)
-
-    def bundle_distances(self, bundle):
-        return np.full((2, 1), self.nearest_sum / 2.0)
+        return ("model",), (False,), np.full((2, 1), self.nearest_sum / 2.0)
 
 
-@pytest.mark.parametrize("refit_gammas, nearest_sum, converged", [
-    ((1.0, 1.0), 1.0, True),    # a true fixed point
-    ((1.0, 0.5), 1.0, False),   # re-fitting the cells goes below the objective
-    ((1.0, 1.0), 2.0, False),   # the nearest-model error does not match gamma
+@pytest.mark.parametrize("nearest_sum, converged", [
+    (1.0, True),    # a true fixed point
+    (2.0, False),   # the nearest-model error does not match gamma
 ])
-def test_search_reverifies_the_winning_pair(refit_gammas, nearest_sum, converged):
+def test_search_reverifies_the_winning_pair(nearest_sum, converged):
     cfg = SolveConfig(l=1, n=0, restarts=1)
-    rep = search(DataSet(np.ones((2, 1))), cfg,
-                 lambda data: _ConstantMaps(refit_gammas, nearest_sum))
+    rep = search(DataSet(np.ones((2, 1))), cfg, lambda data, l, n: _ConstantMaps(nearest_sum))
     assert rep.objective == 1.0
     assert rep.converged is converged
     assert rep.per_restart_objectives == (1.0,)
+
+
+@st.composite
+def unit_scale_searches(draw):
+    """Random data whose largest entry lies in [1, 2), a search config, and a
+    shift structure for a shift-invariant search or None for a Euclidean
+    one."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 24))
+    cfg = SolveConfig(l=draw(st.integers(1, 4)), n=draw(st.integers(0, 3)),
+                      restarts=draw(st.integers(1, 4)), seed=draw(st.integers(0, 99)),
+                      init_strategy=draw(st.sampled_from(["random_partition", "farthest_point"])))
+    structure = draw(st.none() | st.sampled_from([2, 4, 8]).map(lambda step: ShiftStructure(8, step)))
+    x = rng.standard_normal((m, draw(st.integers(1, 6)) if structure is None else 8))
+    if structure is not None and draw(st.booleans()):
+        x = x + 1j * rng.standard_normal(x.shape)
+    parts = x.view(np.float64) if np.iscomplexobj(x) else x
+    x = np.ldexp(parts, 1 - np.frexp(np.abs(parts).max())[1]).view(x.dtype)
+    return DataSet(x), cfg, structure
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(unit_scale_searches())
+def test_the_winners_refit_errors_sum_to_its_objective(case):
+    # The refit fits the winner's cells through the same block-independent
+    # stacked fit as the chain's last step, so it cannot go below the
+    # objective: its errors, summed as the family's refit summed them, give
+    # the objective bit for bit.
+    data, cfg, structure = case
+    assert 1.0 <= np.abs(data.vectors.view(np.float64)).max() < 2.0
+    if structure is None:
+        rep = solve(data, cfg)
+        refit_sum = float(fit_partition(data, rep.partition, cfg.n)[1].sum())
+    else:
+        rep = solve_sis_bundle(data, structure, cfg)
+        fits = [best_sis(data.subset(idx), structure, cfg.n) for idx in rep.partition.cells()]
+        refit_sum = float(np.sum([f.error for f in fits]))
+    assert refit_sum.hex() == rep.objective.hex()
 
 
 class _CellMaps:
@@ -508,17 +568,14 @@ class _CellMaps:
         return dist
 
     def refit(self, assignment):
-        models, errors = self.fit([np.flatnonzero(assignment == i) for i in range(self.l)])
-        return models, float(errors.sum()), [False] * self.l
-
-    def bundle_distances(self, bundle):
-        return self.distances(bundle).T
+        models, _ = self.fit([np.flatnonzero(assignment == i) for i in range(self.l)])
+        return models, [False] * self.l, self.distances(models).T
 
 
 def _seeded_search(m, per_point, warm):
     cfg = SolveConfig(l=2, n=0, restarts=3, seed=5)
-    return search(DataSet(np.ones((m, 1))), cfg, lambda data: _CellMaps(m, per_point),
-                  lambda family: [warm])
+    return search(DataSet(np.ones((m, 1))), cfg, lambda data, l, n: _CellMaps(m, per_point),
+                  [warm])
 
 
 def test_best_descent_prefers_cold_restart_on_ties():
