@@ -171,8 +171,8 @@ def cmd_fit(args):
         points, atoms = np.nonzero(code.columns.T)
         sizes = list(code.support_sizes)
         doc["codes"] = {
-            "support": Ragged(atoms.tolist(), sizes),
-            "coefficients": Ragged(code.columns[atoms, points].tolist(), sizes),
+            "support": Ragged(atoms, sizes),
+            "coefficients": Ragged(code.columns[atoms, points], sizes),
             "support_sizes": sizes,
         }
     else:
@@ -182,7 +182,7 @@ def cmd_fit(args):
 
     doc["objective"] = report.objective
     doc["converged"] = report.converged
-    doc["assignment"] = report.partition.assignment.tolist()
+    doc["assignment"] = report.partition.assignment
     doc["residuals_sq"] = report.residuals_sq
     doc["labels"] = list(dataset.labels) if dataset.labels is not None else None
     doc["restarts"] = _restart_stats(report)
@@ -285,7 +285,7 @@ def _rebuild_sis(doc):
 
 # The report members score and its _rebuild_* helpers read.  The others (the
 # codes, assignment and residuals among them) are parsed as JSON only, their
-# floats never converted.
+# numbers never converted.
 _SCORED_MEMBERS = frozenset({"mode", "config", "ambient_dim", "components", "objective"})
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 from pathlib import Path
@@ -40,19 +41,19 @@ def ingest(path, complex_pairs=False) -> DataSet:
     through the unitary inverse DFT.
 
     A plain numeric file is converted by numpy's C parser in one call.  Any
-    file it rejects (a header, labels, ``float()``-only spellings such as
-    ``1_000``, blank cells, ragged rows) is read again by the checked
-    walker, which yields the same values and the first fault in file order.
+    file it rejects (a header, labels, quoted cells, ``float()``-only
+    spellings such as ``1_000``, blank cells, ragged rows) is read again by
+    the checked walker, which yields the same values and the first fault in
+    file order.  A leading byte-order mark is encoding, not content.
     """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"no such input file: {path}")
     labels = None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            arr = _parse_plain(fh)
-            if arr is None:
-                fh.seek(0)
+        arr = _parse_plain(path)
+        if arr is None:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 arr, labels = _walk(list(csv.reader(fh)))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -69,29 +70,31 @@ def ingest(path, complex_pairs=False) -> DataSet:
 
 # Separators that numpy's parser strips from a cell as whitespace and Python's
 # float() does not: "1\x1c" is a number to numpy only.
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# A byte-order mark and the ASCII whitespace after it.
+_LEAD = re.compile(rb"(?:\xef\xbb\xbf)?[ \t\n\r\x0b\x0c]*").match
 
 
-def _parse_plain(fh):
+def _parse_plain(path):
     """The file as one float64 array, or None when it needs the checked walker.
 
     Apart from those separators, every cell numpy's parser accepts,
     ``float()`` reads to the same double, so an accepted file holds no
-    header and no labels.  A file of blank lines never reaches the parser:
-    ``loadtxt`` warns on one.
+    header, no labels and no quotes.  A blank file (``loadtxt`` warns on one)
+    and one whose first non-blank character is not ASCII never reach the
+    parser: the walker tells whether that one is blank.  The parser gets a
+    text handle, never the path, which numpy would decompress by its suffix.
     """
-    blank = True
-    for chunk in iter(lambda: fh.read(1 << 16), ""):
-        if any(c in chunk for c in _NUMPY_ONLY_SPACE):
+    raw = path.read_bytes()
+    lead = _LEAD(raw).end()
+    if lead == len(raw) or raw[lead] >= 0x80 or any(c in raw for c in _NUMPY_ONLY_SPACE):
+        return None
+    del raw  # not held while numpy parses
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
             return None
-        blank = blank and chunk.isspace()
-    if blank:
-        return None
-    fh.seek(0)
-    try:
-        return np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
-    except ValueError:
-        return None
 
 
 def _walk(rows):
@@ -202,16 +205,18 @@ _NUMBER_CODES = {int: "%d", float: "%.17g"}
 
 @dataclass(frozen=True)
 class Ragged:
-    """Rows of numbers held flat: ``values`` in row order, ``lengths[i]`` of
-    them in row i.  Serialized as the list of its rows would be."""
+    """Rows of numbers held flat: ``values`` in row order (a list or a 1-D
+    array), ``lengths[i]`` of them in row i.  Serialized as the list of its
+    rows would be."""
 
     values: list
     lengths: list
 
     def rows(self):
         """The nested list of rows."""
+        values = self.values.tolist() if isinstance(self.values, np.ndarray) else self.values
         bounds = accumulate(self.lengths, initial=0)
-        return [self.values[a:b] for a, b in pairwise(bounds)]
+        return [values[a:b] for a, b in pairwise(bounds)]
 
 
 def _format_rows(values, lengths, sep):
@@ -219,11 +224,15 @@ def _format_rows(values, lengths, sep):
     and joined by ``sep``, in one format call.
 
     Returns None unless every value is an exact int or every value an exact
-    float (bool and numpy scalars take the general path).  A non-finite
-    float raises as format_float does, the first one in order.
+    float, or ``values`` is a non-empty integer or float64 array.  A
+    non-finite float raises as format_float does, the first one in order.
     """
-    types = set(map(type, values))
-    code = _NUMBER_CODES.get(types.pop()) if len(types) == 1 else None
+    if isinstance(values, np.ndarray) and values.size:
+        code = "%.17g" if values.dtype == np.float64 else "%d" if values.dtype.kind in "iu" else None
+        values = values.tolist()
+    else:
+        types = set(map(type, values))
+        code = _NUMBER_CODES.get(types.pop()) if len(types) == 1 else None
     if code is None:
         return None
     # A row's format depends only on its length.
@@ -266,29 +275,34 @@ def _serialize(obj, indent, out):
             _serialize(obj.rows(), indent, out)
         else:
             out.append("[\n" + pad + "  " + rows + "\n" + pad + "]")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+    elif isinstance(obj, np.ndarray):
+        row = _format_rows(obj, [obj.size], "") if obj.ndim == 1 else None
+        if row is None:
+            _serialize(obj.tolist(), indent, out)
+        else:
+            out.append(row)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
             out.append("[]")
             return
-        row = _format_rows(seq, [len(seq)], "")
+        row = _format_rows(obj, [len(obj)], "")
         if row is not None:
             out.append(row)
             return
-        scalar = all(isinstance(v, (int, float, str, bool, np.integer, np.floating)) for v in seq)
+        scalar = all(isinstance(v, (int, float, str, bool, np.integer, np.floating)) for v in obj)
         if scalar:
             parts = []
-            for v in seq:
+            for v in obj:
                 sub = []
                 _serialize(v, 0, sub)
                 parts.append("".join(sub))
             out.append("[" + ", ".join(parts) + "]")
         else:
             out.append("[\n")
-            for i, val in enumerate(seq):
+            for i, val in enumerate(obj):
                 out.append(pad + "  ")
                 _serialize(val, indent + 2, out)
-                out.append(",\n" if i + 1 < len(seq) else "\n")
+                out.append(",\n" if i + 1 < len(obj) else "\n")
             out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -308,10 +322,11 @@ def write_json(path, obj):
     return text
 
 
-# load_members parses a skipped member's floats with bool: a C callable that
-# returns a shared object, so such a float is neither converted nor kept.
+# load_members parses a skipped member's numbers with bool: a C callable that
+# returns a shared object, so such a number is neither converted nor kept, nor
+# held to int()'s digit limit.
 _FULL = json.JSONDecoder()
-_SYNTAX_ONLY = json.JSONDecoder(parse_float=bool)
+_SYNTAX_ONLY = json.JSONDecoder(parse_float=bool, parse_int=bool)
 _SPACE = json.decoder.WHITESPACE.match
 
 
@@ -327,7 +342,7 @@ def load_members(fh, names):
     ``json.load`` gives them.
 
     The other members are parsed for syntax alone and dropped as soon as they
-    end, their floats never converted.  A repeated member keeps its last
+    end, their numbers never converted.  A repeated member keeps its last
     value, as in ``json.load``.  A document that is not an object is returned
     whole.  Malformed JSON raises ``json.JSONDecodeError``.
     """

@@ -1,6 +1,9 @@
+import bz2
 import contextlib
+import gzip
 import io
 import json
+import lzma
 import math
 import os
 import subprocess
@@ -712,6 +715,62 @@ def test_score_reads_the_numbers_a_default_json_load_gives(tmp_path, monkeypatch
             assert scored[key].hex() == wanted[key].hex()
         if where == OBJECTIVE:
             assert scored["stored_objective"].hex() == float(literal).hex()
+
+
+# An integer past CPython's 4300-digit limit on int() of a string.
+LONG_INT = "9" * 5000
+
+
+def test_score_converts_only_the_numbers_it_reads(tmp_path, monkeypatch, capsys):
+    # A skipped member is parsed for syntax alone, so an integer int() would
+    # refuse passes there; in objective it fails as json.load fails on it.
+    report, edited = tmp_path / "r.json", tmp_path / "edited.json"
+    assert main(["fit", "--input", str(FIXTURE), "--l", "2", "--n", "1", "--seed", "0",
+                 "--report", str(report), "--no-timings"]) == 0
+    scored = _score_outcome(capsys, FIXTURE, report)
+    assert scored[0] == 0
+    edited.write_text(_report_edit(report, ("assignment", 0), LONG_INT))
+    assert _score_outcome(capsys, FIXTURE, edited) == scored
+    edited.write_text(_report_edit(report, OBJECTIVE, LONG_INT))
+    got = _score_outcome(capsys, FIXTURE, edited)
+    assert got[0] == 2 and got[2].startswith("error: malformed report") and "digits" in got[2]
+    monkeypatch.setattr(cli, "load_members", lambda fh, names: json.load(fh))
+    assert _score_outcome(capsys, FIXTURE, edited) == got
+
+
+COMPRESSORS = {"gz": gzip.compress, "bz2": bz2.compress, "xz": lzma.compress}
+
+
+@pytest.mark.parametrize("suffix", sorted(COMPRESSORS))
+def test_compressed_input_is_not_utf8_text(tmp_path, capsys, suffix):
+    # numpy's loadtxt decompresses a path by its suffix; ingest must not.
+    # These rows compress under bz2 to bytes that start with ASCII and hold
+    # no \x1c-\x1f, so they reach numpy's parser.
+    packed = tmp_path / f"in.csv.{suffix}"
+    packed.write_bytes(COMPRESSORS[suffix](b"13,2\n3,4\n5,6\n"))
+    if suffix == "bz2":
+        raw = packed.read_bytes()
+        assert raw[:1].isascii() and not any(c in raw for c in b"\x1c\x1d\x1e\x1f")
+    capsys.readouterr()
+    assert main(["fit", "--input", str(packed), "--l", "1", "--n", "1",
+                 "--report", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {packed} is not UTF-8 text: ") and err.count("\n") == 1
+
+
+def test_fit_reads_a_csv_with_a_byte_order_mark_as_without(tmp_path):
+    # Spreadsheets export "CSV UTF-8" with a leading byte-order mark.
+    docs = []
+    for name, head in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        data = tmp_path / f"{name}.csv"
+        data.write_bytes(head + FIXTURE.read_bytes())
+        report = tmp_path / f"{name}.json"
+        assert main(["fit", "--input", str(data), "--l", "2", "--n", "1", "--seed", "0",
+                     "--report", str(report), "--no-timings"]) == 0
+        doc = json.loads(report.read_text())
+        doc["config"].pop("input")
+        docs.append(doc)
+    assert docs[0] == docs[1] and docs[0]["labels"]
 
 
 # The bytes a mutation inserts: JSON and CSV syntax, digits, and a byte that

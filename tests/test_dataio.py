@@ -180,6 +180,58 @@ class TestRagged:
         assert to_json({"v": _ragged(rows)}) == to_json({"v": rows})
 
 
+# Doubles whose spelling is easy to get wrong: signed zeros, subnormals, the
+# largest double, and values that need all 17 digits.
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                               1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1 / 3])
+array_rows = st.one_of(
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False) | edge_floats,
+                      max_size=5), max_size=6).map(lambda rows: (rows, np.float64)),
+    st.lists(st.lists(st.integers(np.iinfo(np.intp).min, np.iinfo(np.intp).max), max_size=5),
+             max_size=6).map(lambda rows: (rows, np.intp)),
+    st.lists(st.lists(st.booleans(), max_size=5), max_size=6).map(lambda rows: (rows, np.bool_)),
+)
+
+
+class TestArrays:
+    """An array, flat or as the values of a Ragged block, is written as the
+    list its ``tolist()`` gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=array_rows, depth=st.integers(0, 3))
+    @example(drawn=([[-0.0, 5e-324], [], [1.7976931348623157e308]], np.float64), depth=1)
+    @example(drawn=([[np.iinfo(np.intp).min, -0], [7]], np.intp), depth=0)
+    @example(drawn=([[True], [False, True]], np.bool_), depth=2)
+    @example(drawn=([], np.float64), depth=0)
+    @example(drawn=([[], []], np.intp), depth=1)
+    def test_an_array_is_written_as_its_list(self, drawn, depth):
+        rows, dtype = drawn
+        flat = np.array(list(chain.from_iterable(rows)), dtype=dtype)
+        lengths = list(map(len, rows))
+        pairs = [(flat, flat.tolist()), (Ragged(flat, lengths), Ragged(flat.tolist(), lengths))]
+        if len(set(lengths)) == 1 and rows[0]:
+            square = flat.reshape(len(rows), -1)
+            pairs.append((square, square.tolist()))
+        for array, listed in pairs:
+            assert to_json(_nested(array, depth)) == to_json(_nested(listed, depth))
+        assert Ragged(flat, lengths).rows() == Ragged(flat.tolist(), lengths).rows()
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False) | edge_floats,
+                           min_size=2, max_size=12),
+           bad=st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), min_size=1, max_size=2),
+           data=st.data())
+    def test_a_non_finite_value_is_refused_as_in_its_list(self, values, bad, data):
+        for value in bad:
+            values[data.draw(st.integers(0, len(values) - 1))] = value
+        flat = np.array(values)
+        lengths = [1, len(values) - 1]
+        for array, listed in ((flat, values), (Ragged(flat, lengths), Ragged(values, lengths))):
+            got = _written(to_json, {"v": array})
+            assert got == _written(to_json, {"v": listed})
+            assert got[0] is NonFinite
+
+
 # Keys and strings hold quotes, backslashes, control characters and non-ASCII.
 awkward_text = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f a\u00e9\u2028\U0001f600')
                        | st.characters(), max_size=4)
@@ -291,6 +343,16 @@ class TestLoadMembers:
 
     def test_a_document_that_is_not_an_object_is_returned_whole(self):
         assert _loaded(" [1, 2.5] ", {"mode"}) == [1, 2.5]
+
+    def test_a_skipped_integer_is_not_held_to_the_int_digit_limit(self):
+        # int() refuses a string of more than 4300 digits, and json.loads with
+        # it; a skipped member's numbers are never converted.
+        text = '{"codes": [' + "9" * 5000 + '], "mode": "x"}'
+        with pytest.raises(ValueError, match="digits"):
+            json.loads(text)
+        assert _loaded(text, {"mode"}) == {"mode": "x"}
+        with pytest.raises(ValueError, match="digits"):
+            _loaded(text, {"codes"})
 
 
 def _reference_csv(path, dataset, with_labels=True):
@@ -524,3 +586,42 @@ class TestIngestExact:
         data = ingest(p)
         assert data.vectors.shape == (1, 0)
         assert data.labels == ("b",)
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet exports write it, is
+    encoding; anywhere else U+FEFF is content."""
+
+    @pytest.mark.parametrize("text, want, want_labels", [
+        ("1,2\n3,4\n", [[1, 2], [3, 4]], None),
+        ("a,1,2\nb,3,4\n", [[1, 2], [3, 4]], ("a", "b")),
+        ("x,y\n1,2\n3,4\n", [[1, 2], [3, 4]], None),
+        (" \n1,2\n3,4\n", [[1, 2], [3, 4]], None),
+    ])
+    def test_a_leading_mark_is_not_read(self, tmp_path, text, want, want_labels):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        data = ingest(p)
+        assert data.vectors.tobytes() == np.array(want, dtype=np.float64).tobytes()
+        assert data.labels == want_labels
+
+    @pytest.mark.parametrize("text", ["", "\n \r\n"])
+    def test_a_mark_before_blank_lines_reads_empty(self, tmp_path, text):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ingest(p).vectors.shape == (0, 0)
+
+    def test_a_mark_inside_the_file_is_a_fault(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes("1,2\n\ufeff3,4\n".encode("utf-8"))
+        with pytest.raises(ParseError, match=r"^row 2, column 1: not a number: '\\ufeff3'$"):
+            ingest(p)
+
+    def test_a_second_leading_mark_is_content(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes("\ufeff\ufeff1,2\n\ufeff3,4\n".encode("utf-8"))
+        data = ingest(p)
+        assert data.labels == ("\ufeff1", "\ufeff3")
+        assert data.vectors.tolist() == [[2.0], [4.0]]
