@@ -143,7 +143,8 @@ def _restart_stats(report):
     return {name: getattr(report, name) for name in names}
 
 
-def cmd_fit(args):
+def cmd_fit(argv):
+    args = _parse_command("fit", argv)
     t0 = time.perf_counter()
     mode = args.mode
     dataset = _load_dataset(args, mode)
@@ -197,7 +198,8 @@ def cmd_fit(args):
     return 0
 
 
-def cmd_sweep(args):
+def cmd_sweep(argv):
+    args = _parse_command("sweep", argv)
     t0 = time.perf_counter()
     dataset = _load_dataset(args, "euclidean")
     l_values = _parse_range(args.l)
@@ -225,7 +227,8 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_generate(args):
+def cmd_generate(argv):
+    args = _parse_command("generate", argv)
     dataset, _truth = generate(
         l=args.l,
         n=args.n,
@@ -289,7 +292,8 @@ def _rebuild_sis(doc):
 _SCORED_MEMBERS = frozenset({"mode", "config", "ambient_dim", "components", "objective"})
 
 
-def cmd_score(args):
+def cmd_score(argv):
+    args = _parse_command("score", argv)
     # Everything read from the report is checked here: a document that is
     # not UTF-8 JSON of the fit schema is a ParseError, never a traceback.
     # A report of another mode, such as a sweep's, is not malformed.
@@ -387,19 +391,27 @@ def build_parser():
 _PARSER, _COMMANDS = build_parser()
 
 
+def _parse_command(command, argv):
+    """The full parser's namespace for ``command`` followed by ``argv``, from
+    the command's own parser: one argparse pass instead of two, about half
+    the parse time."""
+    args = _COMMANDS[command].parse_args(argv)
+    args.command = command
+    return args
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    # A line that opens with a command goes straight to that command's
-    # parser: one argparse pass instead of two, about half the parse time.
-    if argv and argv[0] in _COMMANDS:
-        args = _COMMANDS[argv[0]].parse_args(argv[1:])
-        args.command = argv[0]
-    else:
-        args = _PARSER.parse_args(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        # Help, the version and usage errors: the full parser prints them and
+        # exits, since every line it accepts opens with a command.
+        _PARSER.parse_args(argv)
     # Resolved per call, so a rebound cmd_* (a tracing wrapper, say) is used.
-    handler = globals()[f"cmd_{args.command}"]
+    # Each command parses the words after its name, so a wrapper's span holds
+    # the parse.
+    handler = globals()[f"cmd_{argv[0]}"]
     try:
-        return handler(args)
+        return handler(argv[1:])
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -311,10 +311,13 @@ class TestCliCommands:
         ["score", "--input", "x.csv", "--report", "r.json"],
     ])
     def test_command_parser_gives_the_full_parsers_namespace(self, monkeypatch, argv):
+        # main hands the command the words after its name, and the command's
+        # parse of them is the full parser's parse of the line
         seen = []
-        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: seen.append(args) or 0)
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda words: seen.append(words) or 0)
         assert main(argv) == 0
-        assert seen == [cli._PARSER.parse_args(argv)]
+        assert seen == [argv[1:]]
+        assert cli._parse_command(argv[0], argv[1:]) == cli._PARSER.parse_args(argv)
 
     def test_lines_without_a_command_first_use_the_full_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
