@@ -109,31 +109,33 @@ def distance_matrix(dataset: DataSet, bundle: Bundle) -> np.ndarray:
 
 def nearest(dmat) -> np.ndarray:
     """Row-wise argmin of an (m, l) distance matrix (see ``nearest_with_min``)."""
-    return nearest_with_min(dmat)[0]
+    return nearest_with_min(dmat.T)[0]
 
 
-def nearest_with_min(dmat):
-    """Row-wise argmin and min of an (m, l) distance matrix, one column at a
-    time; returns ``(labels, minima)``.
+def nearest_with_min(columns):
+    """Argmin and min across l >= 1 equal-length distance columns, taken one
+    column at a time; returns ``(labels, minima)``.
 
-    Equals ``(dmat.argmin(axis=1), dmat.min(axis=1))``: the strict ``<``
-    sends ties to the lowest index.  Columns of ``distance_matrix`` are
-    contiguous, so each pass reads memory in order.
+    For an (m, l) matrix ``dmat``, ``nearest_with_min(dmat.T)`` equals
+    ``(dmat.argmin(axis=1), dmat.min(axis=1))``: the strict ``<`` sends ties
+    to the lowest index.  Columns of ``distance_matrix`` are contiguous, so
+    each pass reads memory in order.  ``columns`` may be any iterable, so a
+    caller can build each column only when the pass reaches it.
     """
-    m, l = dmat.shape
-    best = dmat[:, 0].copy()
-    # Labels in the smallest type holding l - 1 until the end: less memory
+    columns = iter(columns)
+    best = np.array(next(columns))
+    # Labels in one byte until a column index needs more: less memory
     # traffic per column than the index type.
-    label = np.min_scalar_type(l - 1)
-    out = np.zeros(m, dtype=label)
-    closer = np.empty(m, dtype=bool)
-    mark = np.empty(m, dtype=label)
-    for j in range(1, l):
-        col = dmat[:, j]
+    out = np.zeros(best.size, dtype=np.uint8)
+    closer, mark = np.empty(best.size, dtype=bool), np.empty_like(out)
+    for j, col in enumerate(columns, 1):
+        if j > np.iinfo(out.dtype).max:
+            out = out.astype(np.min_scalar_type(j))
+            mark = np.empty_like(out)
         np.less(col, best, out=closer)
         # Columns come in increasing order, so a closer column's index is
         # the largest label yet: a maximum writes it without a masked store.
-        np.maximum(out, np.multiply(closer, j, out=mark, dtype=label), out=out)
+        np.maximum(out, np.multiply(closer, j, out=mark, dtype=out.dtype), out=out)
         np.minimum(best, col, out=best)
     return out.astype(np.intp), best
 

@@ -11,8 +11,11 @@ for its bundle and a best bundle for its partition.
 One driver, ``search``, runs every search: the Euclidean ``solve``, the
 shift-invariant ``sis.solve_sis_bundle`` and each row of ``sparsity_curve``.
 All cold restarts and warm seeds of a search advance in lockstep: each step
-fits every live chain's cells with one stacked eigensolve and takes the
-distances of every live model from one call, and chains that stop drop out.
+fits the live chains' cells with one stacked eigensolve and measures their
+models with one distances call, and chains that stop drop out.  A cell's
+error and distance row depend on its points alone, so a step fits and
+measures each distinct cell once and reuses what it or the previous step
+found for a repeated one; reports keep their bits.
 The search works on the data divided by a power of two (exact), so its
 arithmetic stays inside the float range for any finite data.
 ``brute_force`` enumerates all assignments and is the ground-truth oracle
@@ -118,17 +121,41 @@ class _Chain:
         return self.trace[-1]
 
 
-def _step(live, family, tol, key_type):
+def _match(entries, cell):
+    """The entry of ``entries``, whose cells have ``cell``'s size and dtype,
+    that holds the points of ``cell``, or None."""
+    for entry in entries:
+        if entry[0].tobytes() == cell.tobytes():
+            return entry
+    return None
+
+
+def _step(live, family, tol, key_type, memo):
     """One alternation step of every live chain; returns those that go on.
 
     One stable sort of the stacked labels gives every chain's cells, each
-    listing its points in index order.  They go to ``fit`` cell-major (cell
-    0 of every chain, then cell 1, ...), so the distance rows of one cell
-    number are one contiguous run and every chain is reassigned by one
-    ``nearest_with_min`` pass.  Each chain's gamma sums its own l cell
-    errors in cell order and its nearest error sums its own minima from
-    that pass, so no chain's arithmetic depends on which chains share the
-    step.  The labels are sorted as ``key_type``, which holds every one.
+    listing its points in index order, so two cells hold the same points
+    exactly when their index arrays are equal.  A cell's error and distance
+    row depend on its points alone, bit for bit: each block of ``fit`` and
+    each row of ``distances`` has the bits it has alone.  So a step fits and
+    measures each distinct cell once.  ``memo`` maps a size to the entries
+    ``[cell, error, row]`` of the previous step's cells of that size (a
+    lookup compares index arrays only of equal size, so no tall cell is
+    hashed).  A cell met earlier in this step or in the previous one takes
+    that entry's error and row; only the others go to ``fit`` and
+    ``distances``, one call each and none when no cell is new.  The memo is
+    emptied before the fit.  At the end of the step it takes copies of the
+    entries whose size a cell of the next step has (read off each going
+    chain's label counts), so the step's (G, m) distances and index arrays
+    are released before the next step allocates its own.  The new
+    cells go cell-major (cell 0 of every chain, then cell 1, ...).  When no
+    cell repeats, the rows of one cell number are one contiguous run of the
+    step's distances; otherwise each cell number's column is gathered when
+    the one ``nearest_with_min`` pass that reassigns every chain reaches
+    it.  Each chain's gamma sums its own l cell errors in cell order and its
+    nearest error sums its own minima from that pass, so no chain's
+    arithmetic depends on which chains share the step or which cells
+    repeat.  The labels are sorted as ``key_type``, which holds every one.
     """
     l, count = family.l, len(live)
     labels = np.array([chain.assignment for chain in live])
@@ -136,11 +163,31 @@ def _step(live, family, tol, key_type):
     labels += np.arange(0, count * l, l)[:, None]
     ends = np.bincount(labels.ravel(), minlength=count * l).cumsum().tolist()
     starts = [0] + ends[:-1]
-    models, errors = family.fit([order[starts[c]:ends[c]]
-                                 for i in range(l) for c in range(i, count * l, l)])
-    dist = family.distances(models)
+    known, entries, fresh = {}, [], []
+    for c in [c for i in range(l) for c in range(i, count * l, l)]:
+        cell = order[starts[c]:ends[c]]
+        entry = _match(known.get(cell.size, ()), cell)
+        if entry is None:
+            kept = _match(memo.get(cell.size, ()), cell)
+            entry = [cell, None, None] if kept is None else [cell, *kept[1:]]
+            known.setdefault(cell.size, []).append(entry)
+            if kept is None:
+                fresh.append(entry)
+        entries.append(entry)
+    memo.clear()
+    if fresh:
+        models, errors = family.fit([entry[0] for entry in fresh])
+        dist = family.distances(models)
+        for entry, error, row in zip(fresh, errors, dist):
+            entry[1:] = error, row
+    errors = np.array([entry[1] for entry in entries])
     gammas = np.ascontiguousarray(errors.reshape(l, count).T).sum(axis=1).tolist()
-    moved, minima = nearest_with_min(dist.reshape(l, -1).T)
+    if len(fresh) == len(entries):
+        columns = dist.reshape(l, -1)
+    else:
+        columns = (np.concatenate([entry[2] for entry in entries[i:i + count]])
+                   for i in range(0, l * count, count))
+    moved, minima = nearest_with_min(columns)
     bars = (minima.reshape(count, -1).sum(axis=1) + tol).tolist()
     moved = moved.reshape(count, -1)
     going = []
@@ -156,6 +203,9 @@ def _step(live, family, tol, key_type):
             raise ArithmeticError("gamma did not decrease during descent")
         chain.assignment = assignment
         going.append(chain)
+    sizes = {size for chain in going for size in np.bincount(chain.assignment, minlength=l).tolist()}
+    memo.update((size, [[cell.copy(), error, row.copy()] for cell, error, row in known[size]])
+                for size in sizes & known.keys())
     return going
 
 
@@ -165,16 +215,18 @@ def _lockstep(starts, family, tol, max_iters):
     ``family`` supplies the maps of a model family (see ``search``).  A chain
     stops at a fixed point (gamma within ``tol`` of the nearest-model error)
     or after ``max_iters`` steps.  Returns the chains in the order of
-    ``starts``.
+    ``starts``.  The memo that lets a step reuse the previous step's cells
+    (see ``_step``) lives for this one call and holds errors and distance
+    rows, never models, so it serves every model family unchanged.
     """
     # Labels fit the smallest unsigned type holding l - 1: exact, and small.
     key_type = np.min_scalar_type(family.l - 1)
     chains = [_Chain(a) for a in starts]
-    live = chains
+    live, memo = chains, {}
     for _ in range(max_iters):
         if not live:
             break
-        live = _step(live, family, tol, key_type)
+        live = _step(live, family, tol, key_type, memo)
     return chains
 
 

@@ -3,7 +3,8 @@
 ``distance_matrix`` is checked against the per-subspace loop it replaced,
 both blocked distance kernels (the residual and the complement kernel)
 against their one-pass formulas on each block and against each other on
-the same fits, ``nearest`` against ``argmin``, and both distances and
+the same fits, ``nearest`` against ``argmin`` (on a matrix and on columns
+gathered one at a time), and both distances and
 best-fit errors against rotation, permutation and power-of-two scaling of
 the data.
 """
@@ -334,7 +335,34 @@ def test_nearest_equals_argmin(mat, order):
 def test_nearest_with_min_equals_argmin_and_min(mat, order):
     # Integer-valued entries make ties common; the lowest index must win.
     dmat = np.asarray(mat, order=order)
-    labels, minima = nearest_with_min(dmat)
+    labels, minima = nearest_with_min(dmat.T)
+    want = dmat.argmin(axis=1)
+    assert labels.dtype == want.dtype
+    assert labels.tobytes() == want.tobytes()
+    assert minima.tobytes() == dmat.min(axis=1).tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    rows=arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(0, 8)),
+                elements=st.integers(0, 3).map(float)),
+    count=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearest_with_min_of_gathered_columns_matches_the_matrix_form(rows, count, seed):
+    # Rows (chain c, cell i) held apart in any order, and each cell number's
+    # column gathered from its chains' rows only when the pass reaches it,
+    # as a search step with repeated cells does: the labels and minima have
+    # the bits of the (m, l) form, ties (integer entries) included.
+    l = -(-rows.shape[0] // count)
+    rows = np.resize(rows, (l * count, rows.shape[1]))
+    perm = np.random.default_rng(seed).permutation(l * count)
+    held = [rows[g].copy() for g in perm]
+    where = np.argsort(perm)
+    gathered = (np.concatenate([held[where[g]] for g in range(i, i + count)])
+                for i in range(0, l * count, count))
+    labels, minima = nearest_with_min(gathered)
+    dmat = rows.reshape(l, -1).T
     want = dmat.argmin(axis=1)
     assert labels.dtype == want.dtype
     assert labels.tobytes() == want.tobytes()

@@ -26,9 +26,11 @@ from uosfit.bundles import distance_matrix, fit_partition, nearest
 from uosfit.spectral import STOP_TOL
 from uosfit.sis import _ShiftInvariantCells
 from uosfit.solver import (
+    _Chain,
     _farthest_point_starts,
     _lockstep,
     _prescaled,
+    _step,
     _Subspaces,
     search,
 )
@@ -608,7 +610,10 @@ def engine_cases(draw):
     """A family on random data and k starting partitions, after the name of
     its distance route (a failure names the kernel).  Many points in few
     cells make chains stop at different steps; few points give empty cells
-    and l >= m; a step cap cuts some chains."""
+    and l >= m; a step cap cuts some chains.  Some starts repeat cells:
+    an exact repeat, a copy with its labels permuted, and the partition
+    another start's chain fits second, so that chains meet at different
+    step counts."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     if draw(st.booleans()):
@@ -629,21 +634,127 @@ def engine_cases(draw):
                                       l, n)
     starts = [rng.integers(0, l, size=m).astype(np.intp) for _ in range(draw(st.integers(2, 5)))]
     tol = float((STOP_TOL * data.norms_sq()).sum())
+    for kind in draw(st.lists(st.sampled_from(["repeat", "permuted", "second"]), max_size=3)):
+        start = starts[draw(st.integers(0, len(starts) - 1))]
+        if kind == "permuted":
+            start = rng.permutation(l)[start]
+        elif kind == "second":
+            (chain,) = _lockstep([start], family, tol, 1)
+            start = chain.assignment
+        starts.insert(draw(st.integers(0, len(starts))), start.copy())
     return _route(family), family, tol, starts, draw(st.sampled_from([100, 3, 2, 1]))
+
+
+def _step_by_step(start, family, tol, max_iters):
+    """One chain run as one-step lockstep calls, so no step takes a cell of
+    another: (trace, last fitted partition, converged)."""
+    trace, assignment = [], start
+    for _ in range(max_iters):
+        (chain,) = _lockstep([assignment], family, tol, 1)
+        trace += chain.trace
+        if chain.converged:
+            break
+        assignment = chain.assignment
+    return trace, chain.fitted, chain.converged
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(engine_cases())
 def test_lockstep_chains_match_one_start_searches(case):
-    # each chain's arithmetic must not depend on which chains share its steps
+    # each chain's arithmetic must not depend on which chains share its steps,
+    # nor on which of its cells a step took from an earlier one
     _, family, tol, starts, max_iters = case
     together = _lockstep(starts, family, tol, max_iters)
     for start, chain in zip(starts, together):
         (alone,) = _lockstep([start], family, tol, max_iters)
-        assert [v.hex() for v in chain.trace] == [v.hex() for v in alone.trace]
-        assert np.array_equal(chain.fitted, alone.fitted)
-        assert chain.converged == alone.converged
+        trace, fitted, converged = _step_by_step(start, family, tol, max_iters)
+        for other in (alone, SimpleNamespace(trace=trace, fitted=fitted, converged=converged)):
+            assert [v.hex() for v in chain.trace] == [v.hex() for v in other.trace]
+            assert np.array_equal(chain.fitted, other.fitted)
+            assert chain.converged == other.converged
         assert len(chain.trace) <= max_iters
+
+
+class _Means:
+    """Stub family of l cells of points on a line (one-dimensional k-means):
+    a cell's model is its index array, its error the squared deviations
+    from its mean, and a point's distance to it the squared distance to
+    that mean (0 for an empty cell).  Records the cells of each ``fit``
+    call and the models of each ``distances`` call, as bytes."""
+
+    def __init__(self, x, l):
+        self.x, self.l, self.fitted, self.measured = x, l, [], []
+
+    def _centre(self, cell):
+        return self.x[cell].mean() if cell.size else 0.0
+
+    def fit(self, cells):
+        self.fitted.append([c.tobytes() for c in cells])
+        return list(cells), np.array([((self.x[c] - self._centre(c)) ** 2).sum() for c in cells])
+
+    def distances(self, models):
+        self.measured.append([c.tobytes() for c in models])
+        return np.array([(self.x - self._centre(c)) ** 2 for c in models])
+
+
+def _cells_of(assignment, l):
+    return {np.flatnonzero(assignment == i).tobytes() for i in range(l)}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), l=st.integers(2, 4), m=st.integers(3, 14))
+def test_a_step_fits_and_measures_each_new_cell_once(seed, l, m):
+    # Starts with an exact repeat, a label-permuted copy and another
+    # chain's second partition; each step hands ``fit`` and ``distances``,
+    # in one call each, exactly the cells that neither an earlier chain of
+    # the step nor the previous step had, each once.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(m)
+    a, b = (rng.integers(0, l, size=m).astype(np.intp) for _ in range(2))
+    (first,) = _lockstep([a], _Means(x, l), 1e-9, 1)
+    starts = [a, b, a.copy(), rng.permutation(l)[b], first.assignment.copy()]
+    family = _Means(x, l)
+    live, memo, previous = [_Chain(start) for start in starts], {}, set()
+    while live:
+        cells = set().union(*(_cells_of(chain.assignment, l) for chain in live))
+        calls = len(family.fitted)
+        live = _step(live, family, 1e-9, np.uint8, memo)
+        assert len(family.fitted) - calls == (1 if cells - previous else 0)
+        assert family.measured[calls:] == family.fitted[calls:]
+        fitted = [cell for call in family.fitted[calls:] for cell in call]
+        assert sorted(fitted) == sorted(cells - previous)
+        previous = cells
+
+
+def test_a_step_of_repeated_cells_calls_neither_map():
+    # The first start's second partition is the second start, a fixed point:
+    # the first chain's second step takes both its cells from the first
+    # step, so the one call of each map is the first step's.
+    x = np.array([0.0, 0.1, 0.2, 10.0, 10.1, 10.2])
+    starts = [np.array([0, 0, 1, 1, 1, 1]), np.array([0, 0, 0, 1, 1, 1])]
+    family = _Means(x, 2)
+    moved, fixed = _lockstep(starts, family, 1e-9, 10)
+    assert len(family.fitted) == len(family.measured) == 1
+    assert len(family.fitted[0]) == 4
+    assert np.array_equal(moved.fitted, fixed.fitted)
+    assert moved.converged and fixed.converged
+    assert [v.hex() for v in moved.trace[1:]] == [v.hex() for v in fixed.trace]
+    assert moved.trace[0] > moved.trace[1]
+
+
+def test_one_cell_restarts_make_one_fit_of_one_cell():
+    # at l = 1 every restart's one cell holds every point
+    fits = []
+
+    class Recording(_Subspaces):
+        def fit(self, cells):
+            fits.append(len(cells))
+            return super().fit(cells)
+
+    rep = search(random_dataset(np.random.default_rng(4), 20, 3), SolveConfig(l=1, n=1, restarts=4),
+                 Recording)
+    assert fits == [1]
+    assert rep.iterations_per_restart == (1, 1, 1, 1) and rep.converged
 
 
 @st.composite
