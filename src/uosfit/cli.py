@@ -33,7 +33,7 @@ from .spectral import STOP_TOL
 from .sparsity import encode, extract_dictionary
 from .subspace import Subspace
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _CONFIG_ERRORS = (
     OSError,
@@ -154,7 +154,7 @@ def cmd_fit(argv):
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "mode": mode,
-        "config": _config_echo(args, mode, {"l": cfg.l, "n": cfg.n, "dedup_tol": 0.0}),
+        "config": _config_echo(args, mode, {"l": cfg.l, "n": cfg.n}),
     }
     if mode == "euclidean":
         report = solve(dataset, cfg)

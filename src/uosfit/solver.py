@@ -15,7 +15,8 @@ fits the live chains' cells with one stacked eigensolve and measures their
 models with one distances call, and chains that stop drop out.  A step's
 results for a chain depend on its partition alone, so chains that meet
 share one fit of their partition, as do partitions met again one step
-later; reports keep their bits.
+later; reports keep their bits.  A tall search screens its cold restarts on
+a sample of the points and finishes only the best of them on all the data.
 The search works on the data divided by a power of two (exact), so its
 arithmetic stays inside the float range for any finite data.
 ``brute_force`` enumerates all assignments and is the ground-truth oracle
@@ -41,6 +42,11 @@ BRUTE_FORCE_GUARD = 10**7
 # The safety cap on a chain's alternation steps.
 MAX_ITERS = 1000
 
+# A search over at least TALL_RATIO * SAMPLE_PER_CELL * l points screens its
+# cold restarts on SAMPLE_PER_CELL * l of them (``_sample_size``).
+SAMPLE_PER_CELL = 1000
+TALL_RATIO = 3
+
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -53,7 +59,9 @@ class SolveConfig:
     init_strategy : 'random_partition' (uniform iid cell labels) or
         'farthest_point' (greedy seeding by the family's distances)
 
-    Every chain stops after at most ``MAX_ITERS`` alternation steps.
+    Every chain stops after at most ``MAX_ITERS`` alternation steps.  On
+    tall data the restarts run on a sample of the points (see ``search``);
+    no field selects this.
     """
 
     l: int
@@ -80,12 +88,19 @@ class SolveReport:
 
     ``objective`` is the final gamma of the winning chain (at a fixed point,
     the nearest-subspace error up to ``STOP_TOL`` times the data energy).
-    The winner is a cold restart or a warm seed, so ``objective`` is at most
+    The winner is a cold chain or a warm seed, so ``objective`` is at most
     the minimum of ``per_restart_objectives`` (the cold restarts only), and
     below it when a warm seed wins.  ``objective_trace`` holds the winning
     chain's gamma per iteration, strictly decreasing except possibly its
     final entry.  ``residuals_sq`` holds each point's squared distance to
     its member of ``bundle``.
+
+    When the search screens its restarts (tall data, see ``search``),
+    ``per_restart_objectives`` hold each restart's bundle, fitted on the
+    sample, measured on all the data, and ``iterations_per_restart`` its
+    steps on the sample.  The one cold chain on all the data starts from the
+    nearest partition of the lowest of these bundles, so ``objective`` is
+    at most their minimum plus ``STOP_TOL`` times the data energy.
     """
 
     bundle: Bundle
@@ -121,42 +136,53 @@ class _Chain:
         return self.trace[-1]
 
 
+def _cells(labels, l):
+    """The cells of each partition (row) of ``labels``, cell-major: cell 0
+    of every partition, then cell 1, ...  One stable sort of the stacked
+    labels, in the smallest type holding l - 1, finds them, each listing
+    its points in index order."""
+    count = len(labels)
+    order = np.argsort(labels.astype(np.min_scalar_type(l - 1)), axis=1, kind="stable").ravel()
+    labels = labels + np.arange(0, count * l, l)[:, None]
+    ends = np.bincount(labels.ravel(), minlength=count * l).cumsum().tolist()
+    starts = [0] + ends[:-1]
+    return [order[starts[c]:ends[c]] for i in range(l) for c in range(i, count * l, l)]
+
+
+def _nearest(dist, l, count):
+    """Each of ``count`` bundles' nearest partition and nearest error, from
+    the cell-major distance rows of their models: one ``nearest_with_min``
+    pass, each error the sum of its own bundle's minima."""
+    moved, minima = nearest_with_min(dist.reshape(l, -1))
+    return moved.reshape(count, -1), minima.reshape(count, -1).sum(axis=1)
+
+
 def _step(live, family, tol, key_type, memo):
     """One alternation step of every live chain; returns those that go on.
 
     Everything a step computes for a chain depends on its partition alone,
     so ``memo`` maps a partition (the bytes of its labels as ``key_type``,
     which holds every one) to its ``(gamma, bar, next assignment)``.  Only
-    the distinct partitions not in it are fitted: one stable sort of their
-    stacked labels gives their cells, each listing its points in index
-    order.  They go to ``fit`` cell-major (cell 0 of every partition, then
-    cell 1, ...), so the distance rows of one cell number are one
-    contiguous run and every partition is reassigned by one
-    ``nearest_with_min`` pass.  Each gamma sums its own l cell errors in
-    cell order and each nearest error sums its own minima from that pass,
-    so no chain's arithmetic depends on which partitions share the step.
-    Each chain then reads its own entry and runs its own stop test and
-    descent check.  A chain that meets another, or a partition some chain
-    had in the previous step, calls neither map.  At the end of the step
-    ``memo`` keeps only this step's partitions.
+    the distinct partitions not in it are fitted, in one ``fit`` call of
+    their cells, cell-major (``_cells``), so the distance rows of one cell
+    number are one contiguous run and every partition is reassigned by one
+    ``nearest_with_min`` pass (``_nearest``).  Each gamma sums its own l
+    cell errors in cell order and each nearest error sums its own minima
+    from that pass, so no chain's arithmetic depends on which partitions
+    share the step.  Each chain then reads its own entry and runs its own
+    stop test and descent check.  A chain that meets another, or a
+    partition some chain had in the previous step, calls neither map.  At
+    the end of the step ``memo`` keeps only this step's partitions.
     """
     l = family.l
     keys = [chain.assignment.astype(key_type).tobytes() for chain in live]
     fresh = {key: chain.assignment for key, chain in zip(keys, live) if key not in memo}
     if fresh:
         count = len(fresh)
-        labels = np.array(list(fresh.values()))
-        order = np.argsort(labels.astype(key_type), axis=1, kind="stable").ravel()
-        labels += np.arange(0, count * l, l)[:, None]
-        ends = np.bincount(labels.ravel(), minlength=count * l).cumsum().tolist()
-        starts = [0] + ends[:-1]
-        models, errors = family.fit([order[starts[c]:ends[c]]
-                                     for i in range(l) for c in range(i, count * l, l)])
-        dist = family.distances(models)
+        models, errors = family.fit(_cells(np.array(list(fresh.values())), l))
         gammas = np.ascontiguousarray(errors.reshape(l, count).T).sum(axis=1).tolist()
-        moved, minima = nearest_with_min(dist.reshape(l, -1))
-        bars = (minima.reshape(count, -1).sum(axis=1) + tol).tolist()
-        memo.update(zip(fresh, zip(gammas, bars, moved.reshape(count, -1))))
+        moved, nearest = _nearest(family.distances(models), l, count)
+        memo.update(zip(fresh, zip(gammas, (nearest + tol).tolist(), moved)))
     going = []
     for chain, key in zip(live, keys):
         gam, bar, assignment = memo[key]
@@ -246,13 +272,34 @@ def _unscaled(values, e):
         return np.ldexp(np.asarray(values, dtype=np.float64), 2 * e).tolist()
 
 
+def _sample_size(m, l):
+    """The screen's rule: the number of points a search over m points in l
+    cells screens its cold restarts on, or 0 when they run on all the data.
+
+    A tall search (m at least ``TALL_RATIO`` times the sample) draws
+    ``SAMPLE_PER_CELL`` points per cell.  The rule reads the sizes alone, so
+    it cannot depend on the data's scale.
+    """
+    size = SAMPLE_PER_CELL * l
+    return size if m >= TALL_RATIO * size else 0
+
+
+def _cold_starts(family, m, cfg):
+    """The initial partitions of ``cfg.restarts`` cold restarts on m points;
+    restart r draws from the stream seeded by ``(cfg.seed, r)``."""
+    rngs = [np.random.default_rng((cfg.seed, r)) for r in range(cfg.restarts)]
+    if cfg.init_strategy == "random_partition":
+        return [rng.integers(0, cfg.l, size=m).astype(np.intp) for rng in rngs]
+    return _farthest_point_starts(family, m, [rng.integers(m) for rng in rngs])
+
+
 def search(dataset, cfg: SolveConfig, family_of, seeds=()) -> SolveReport:
     """Multi-start alternating search over any model family.
 
     ``family_of(data, l, n)`` returns the four maps of the family of l
     models of dimension <= n on ``data``, which is ``dataset`` divided by a
     power of two (see ``_prescaled``; data whose largest entry lies in
-    [1, 2) are left as they are):
+    [1, 2) are left as they are), or a sample of its points:
 
     * ``l``, the number of cells;
     * ``fit(cells) -> (models, errors)``: the optimal model of each index
@@ -270,16 +317,27 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=()) -> SolveReport:
     in one ``fit`` call per round and measures them in one ``distances`` call;
     no restart's seeds depend on which restarts share the round.
 
-    ``seeds`` holds warm starting partitions, run after the ``cfg.restarts``
-    cold ones, all in one lockstep (``_lockstep``).  The lowest objective
-    wins, the earliest chain on ties, so a cold restart beats a warm seed;
-    ``per_restart_objectives`` holds the cold restarts only.  Only the
+    ``seeds`` holds warm starting partitions, run after the cold ones, all
+    in one lockstep (``_lockstep``).  The lowest objective wins, the
+    earliest chain on ties, so a cold chain beats a warm seed.  Only the
     winner is refitted into a bundle, and its pair is re-verified post hoc:
     its gamma must match the nearest-model error of that bundle.  This check
     and each chain's stop test allow ``STOP_TOL`` times the energy of the
     data (its total squared norm, the zero model's error).  The refit's
     distances give ``residuals_sq``.  Objectives, trace and residuals are at
     the data's own scale.
+
+    A tall search (``_sample_size``) screens its cold restarts.  They run in
+    one lockstep on a sample of the points, drawn without replacement from
+    the stream seeded by ``(cfg.seed, cfg.restarts)``, with the sample's own
+    stop tolerance.  Each restart's final partition is fitted on the sample
+    (one ``fit`` call) and measured on all the data (one ``distances``
+    call); its bundle error there is its entry of ``per_restart_objectives``
+    and its sample steps its entry of ``iterations_per_restart``.  The
+    nearest partition of the lowest of these bundles, the earliest on ties,
+    is the one cold chain of the full-data lockstep.  Otherwise every cold
+    restart is a chain of it, and ``per_restart_objectives`` holds their
+    final gammas.
     """
     if dataset.m == 0:
         raise EmptyDataSet("a search requires at least one data vector")
@@ -288,20 +346,28 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=()) -> SolveReport:
     # Scaled before the sum: the energy can overflow while every norm is finite.
     tol = float((STOP_TOL * scaled.norms_sq()).sum())
 
-    rngs = [np.random.default_rng((cfg.seed, r)) for r in range(cfg.restarts)]
-    if cfg.init_strategy == "random_partition":
-        cold = [rng.integers(0, cfg.l, size=scaled.m).astype(np.intp) for rng in rngs]
+    size = _sample_size(scaled.m, cfg.l)
+    if size:
+        rng = np.random.default_rng((cfg.seed, cfg.restarts))
+        sample = scaled.subset(np.sort(rng.choice(scaled.m, size, replace=False)))
+        screen = family_of(sample, cfg.l, cfg.n)
+        restarts = _lockstep(_cold_starts(screen, size, cfg), screen,
+                             float((STOP_TOL * sample.norms_sq()).sum()), MAX_ITERS)
+        models, _ = screen.fit(_cells(np.array([r.fitted for r in restarts]), cfg.l))
+        starts, errors = _nearest(family.distances(models), cfg.l, cfg.restarts)
+        chains = _lockstep([starts[int(np.argmin(errors))], *seeds], family, tol, MAX_ITERS)
     else:
-        cold = _farthest_point_starts(family, scaled.m, [rng.integers(scaled.m) for rng in rngs])
-    chains = _lockstep([*cold, *seeds], family, tol, MAX_ITERS)
-    best, restarts = min(chains, key=lambda c: c.objective), chains[:cfg.restarts]
+        chains = _lockstep([*_cold_starts(family, scaled.m, cfg), *seeds], family, tol, MAX_ITERS)
+        restarts = chains[:cfg.restarts]
+        errors = [r.objective for r in restarts]
+    best = min(chains, key=lambda c: c.objective)
     bundle, flags, dmat = family.refit(best.fitted)
     converged = best.converged and abs(best.objective - float(dmat.min(axis=1).sum())) <= tol
     return SolveReport(
         bundle=bundle,
         partition=Partition(best.fitted, cfg.l),
         objective=_unscaled(best.objective, e),
-        per_restart_objectives=tuple(_unscaled([r.objective for r in restarts], e)),
+        per_restart_objectives=tuple(_unscaled(errors, e)),
         iterations_per_restart=tuple(len(r.trace) for r in restarts),
         objective_trace=tuple(_unscaled(best.trace, e)),
         degenerate_flags=tuple(flags),

@@ -22,7 +22,7 @@ from uosfit.cli import main
 from uosfit.dataio import Ragged, write_dataset_csv, write_json
 from uosfit.sparsity import encode, extract_dictionary
 
-from helpers import sis_signals_from_generator
+from helpers import planted_union, sis_signals_from_generator
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE = DATA_DIR / "fixture.csv"
@@ -122,15 +122,23 @@ class TestCliCommands:
         assert abs(doc["objective"] - golden["objective"]) <= 1e-9
         assert doc["converged"] is True
         assert len(doc["assignment"]) == 8
+        assert doc["schema_version"] == 2
+        assert "dedup_tol" not in doc["config"]
         assert len(doc["dictionary"]["atoms"]) <= 2
 
     def test_byte_identical_reports(self, tmp_path):
-        r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
-        argv = ["fit", "--input", str(FIXTURE), "--l", "2", "--n", "1",
-                "--seed", "3", "--no-timings"]
-        assert main(argv + ["--report", str(r1)]) == 0
-        assert main(argv + ["--report", str(r2)]) == 0
-        assert r1.read_bytes() == r2.read_bytes()
+        # The second input, 6000 planted points, is one the search screens
+        # at l = 2.
+        tall = tmp_path / "tall.csv"
+        write_dataset_csv(tall, DataSet(planted_union(29, l=3, n=1, dim=3, points=6000,
+                                                      sigma=0.1)), with_labels=False)
+        for data in (FIXTURE, tall):
+            r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
+            argv = ["fit", "--input", str(data), "--l", "2", "--n", "1",
+                    "--seed", "3", "--no-timings"]
+            assert main(argv + ["--report", str(r1)]) == 0
+            assert main(argv + ["--report", str(r2)]) == 0
+            assert r1.read_bytes() == r2.read_bytes()
 
     def test_timings_live_in_own_section(self, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"

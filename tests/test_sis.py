@@ -381,6 +381,7 @@ REAL_SOLVES = {
     "n-at-least-L": (12, 3, 2, 4, 8),
     "empty-cells": (12, 4, 4, 1, 3),
     "sis-fit-shape": (64, 4, 2, 1, 32),
+    "screened": (8, 2, 2, 1, 6000),  # tall: the search screens its restarts
 }
 
 

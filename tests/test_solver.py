@@ -23,19 +23,22 @@ from uosfit import (
     sparsity_curve,
 )
 from uosfit import solver
-from uosfit.bundles import distance_matrix, fit_partition, nearest
+from uosfit.bundles import Partition, distance_matrix, fit_partition, nearest
 from uosfit.spectral import STOP_TOL
 from uosfit.sis import _ShiftInvariantCells
 from uosfit.solver import (
     _Chain,
+    _cold_starts,
     _farthest_point_starts,
     _lockstep,
     _prescaled,
+    _sample_size,
     _step,
     _Subspaces,
     search,
 )
-from helpers import lines_dataset, planted_union, random_dataset, sis_signals_from_generator
+from helpers import (lines_dataset, planted_union, random_dataset, rel_err,
+                     sis_signals_from_generator)
 
 
 def _stub_report(objective, m):
@@ -877,3 +880,84 @@ def test_sis_seeding_through_fit_is_the_one_signal_best_sis(n, shift_step, is_co
         model = best_sis(data.subset([j]), structure, 1).model
         want = sis_distance_matrix(data, [model], structure)[:, 0]
         assert _seed_dists(family, j).tobytes() == want.tobytes()
+
+
+# The screen of tall searches.  (m, l): the benchmark's shapes (tall-fit
+# 12000 points at l = 4; wide-sweep 64 at l <= 4; sis-fit 32 signals at
+# l = 2; the 80-point tiny input of tall-fit) and the largest searches the
+# rest of tests/ runs (64 points, l <= 8).
+@pytest.mark.parametrize("m, l, screened", [
+    (12000, 4, True),
+    *[(64, l, False) for l in range(1, 9)],
+    (32, 2, False),
+    (80, 4, False),
+])
+def test_the_rule_screens_tall_fit_and_no_smaller_shape(m, l, screened):
+    assert bool(_sample_size(m, l)) is screened
+
+
+@pytest.mark.parametrize("l", [1, 2, 4, 6])
+def test_the_rule_screens_from_three_samples_of_a_thousand_points_per_cell(l):
+    size = 1000 * l
+    assert _sample_size(3 * size - 1, l) == 0
+    assert _sample_size(3 * size, l) == _sample_size(10**6, l) == size
+
+
+# A planted input the rule screens at l = 2: 6000 points in R^3 near three
+# lines, so its restarts end in more than one basin.
+TALL = planted_union(29, l=3, n=1, dim=3, points=6000, sigma=0.1)
+
+
+@pytest.mark.parametrize("init", ["random_partition", "farthest_point"])
+def test_screened_restarts_report_their_bundle_error_on_all_the_data(init):
+    cfg = SolveConfig(l=2, n=1, restarts=3, seed=5, init_strategy=init)
+    report = solve(DataSet(TALL), cfg)
+    # The restarts' chains, rebuilt: the sample is drawn from the stream
+    # seeded by (seed, restarts), without replacement, in index order.
+    scaled, e = _prescaled(DataSet(TALL))
+    size = _sample_size(scaled.m, cfg.l)
+    rng = np.random.default_rng((cfg.seed, cfg.restarts))
+    sample = scaled.subset(np.sort(rng.choice(scaled.m, size, replace=False)))
+    family = _Subspaces(sample, cfg.l, cfg.n)
+    chains = _lockstep(_cold_starts(family, size, cfg), family,
+                       float((STOP_TOL * sample.norms_sq()).sum()), solver.MAX_ITERS)
+    assert report.iterations_per_restart == tuple(len(c.trace) for c in chains)
+    assert len(set(report.per_restart_objectives)) > 1
+    for chain, got in zip(chains, report.per_restart_objectives):
+        bundle, _, _ = fit_partition(sample, Partition(chain.fitted, cfg.l), cfg.n)
+        want = 4.0**e * float(distance_matrix(scaled, bundle).min(axis=1).sum())
+        assert rel_err(got, want) <= 1e-12
+    # The finishing chain starts from the best of these bundles, so it ends
+    # no higher, and at a certificate on all the data.
+    assert report.objective <= min(report.per_restart_objectives) + STOP_TOL * float(np.sum(TALL**2))
+    assert report.converged
+    assert report.objective_trace[-1] == report.objective
+    assert len(report.residuals_sq) == len(TALL)
+
+
+def test_a_tall_sweep_runs_its_split_seeds_with_the_finishing_chain(monkeypatch):
+    # Every row of this sweep is screened.  A row's full-data lockstep runs
+    # the chain finishing its best screened restart first, then its seeds.
+    data = DataSet(planted_union(8, l=4, n=1, dim=3, points=12000, sigma=0.05))
+    assert all(_sample_size(data.m, l) for l in range(1, 5))
+    full, splits = [], []
+
+    def lockstep(starts, family, tol, max_iters):
+        if family.x.shape[0] == data.m:
+            full.append([s.copy() for s in starts])
+        return _lockstep(starts, family, tol, max_iters)
+
+    solver_split = solver._split
+
+    def split(kept, l):
+        splits.append(solver_split(kept, l))
+        return splits[-1]
+
+    monkeypatch.setattr(solver, "_lockstep", lockstep)
+    monkeypatch.setattr(solver, "_split", split)
+    rows = sparsity_curve(data, [1, 2, 3, 4], [1], SolveConfig(l=1, n=1, restarts=2))
+    eps = [r.epsilon for r in rows]
+    assert all(b <= a for a, b in zip(eps, eps[1:]))
+    assert [len(starts) for starts in full] == [1, 2, 2, 2]
+    for starts, seed in zip(full[1:], splits):
+        assert np.array_equal(starts[1], seed)
