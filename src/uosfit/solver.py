@@ -59,9 +59,9 @@ class SolveConfig:
     init_strategy : 'random_partition' (uniform iid cell labels) or
         'farthest_point' (greedy seeding by the family's distances)
 
-    Every chain stops after at most ``MAX_ITERS`` alternation steps.  On
-    tall data the restarts run on a sample of the points (see ``search``);
-    no field selects this.
+    Every chain stops after at most ``MAX_ITERS`` alternation steps.  Tall
+    data and l >= m change a search's starts (see ``search``); no field
+    selects either.
     """
 
     l: int
@@ -318,14 +318,15 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=()) -> SolveReport:
     no restart's seeds depend on which restarts share the round.
 
     ``seeds`` holds warm starting partitions, run after the cold ones, all
-    in one lockstep (``_lockstep``).  The lowest objective wins, the
-    earliest chain on ties, so a cold chain beats a warm seed.  Only the
-    winner is refitted into a bundle, and its pair is re-verified post hoc:
-    its gamma must match the nearest-model error of that bundle.  This check
-    and each chain's stop test allow ``STOP_TOL`` times the energy of the
-    data (its total squared norm, the zero model's error).  The refit's
-    distances give ``residuals_sq``.  Objectives, trace and residuals are at
-    the data's own scale.
+    in one lockstep (``_lockstep``).  When ``cfg.l >= m``, one cell per
+    point (``np.arange(m)``, at error 0 for any n >= 1) comes first among
+    them.  The lowest objective wins, the earliest chain on ties, so a cold
+    chain beats a warm seed.  Only the winner is refitted into a bundle, and
+    its pair is re-verified post hoc: its gamma must match the nearest-model
+    error of that bundle.  This check and each chain's stop test allow
+    ``STOP_TOL`` times the energy of the data (its total squared norm, the
+    zero model's error).  The refit's distances give ``residuals_sq``.
+    Objectives, trace and residuals are at the data's own scale.
 
     A tall search (``_sample_size``) screens its cold restarts.  They run in
     one lockstep on a sample of the points, drawn without replacement from
@@ -343,6 +344,8 @@ def search(dataset, cfg: SolveConfig, family_of, seeds=()) -> SolveReport:
         raise EmptyDataSet("a search requires at least one data vector")
     scaled, e = _prescaled(dataset)
     family = family_of(scaled, cfg.l, cfg.n)
+    if cfg.l >= scaled.m:
+        seeds = [np.arange(scaled.m, dtype=np.intp), *seeds]
     # Scaled before the sum: the energy can overflow while every norm is finite.
     tol = float((STOP_TOL * scaled.norms_sq()).sum())
 
@@ -463,9 +466,10 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     certificate-checked as a fit's are.  For each n, l is visited in
     increasing order, and each row after the first is seeded with the
     previous row's certificate partition, its worst-fit point (read off the
-    report's ``residuals_sq``) moved to the new cell: the chain of
-    certificates that the floor along l keeps from this n's own searches,
-    so these searches are those of a sweep over this one n.  Certificates
+    report's ``residuals_sq``) moved to the new cell (``search`` adds one
+    cell per point once l >= m): the chain of certificates that the floor
+    along l keeps from this n's own searches, so these searches are those
+    of a sweep over this one n.  Certificates
     kept from elsewhere warm-start a second search of the row, with one
     cold restart: the partition of the certificate kept for the same l at
     the previous n, and the split of the previous row's certificate when
@@ -485,7 +489,6 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
     # Each row's config checks its l and n, before any search runs.
     grid = [[replace(cfg, l=l, n=n) for l in l_values] for n in n_values]
     scaled, e = _prescaled(dataset)
-    m = dataset.m
     rows = []
     below = [None] * len(l_values)  # per l, the certificate kept at the previous n
     for configs in grid:
@@ -493,13 +496,10 @@ def sparsity_curve(dataset: DataSet, l_values, n_values, cfg: SolveConfig):
         # alone kept from this n's own searches.
         prev = chain = None
         for i, row in enumerate(configs):
-            # Once l >= m, one cell per point comes first.
-            seeds = [np.arange(m, dtype=np.intp)] if row.l >= m else []
-            if chain is not None:
-                seeds.append(_split(chain, row.l))
+            seeds = [] if chain is None else [_split(chain, row.l)]
             reports = [search(scaled, row, _Subspaces, seeds)]
             # The warm search runs the one cold restart a search must have;
-            # the row's own search has already run it.
+            # below the screen threshold the row's own search already ran it.
             if below[i] is not None:
                 warm = [] if prev is chain else [_split(prev, row.l)]
                 warm.append(below[i].partition.assignment)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,6 +302,20 @@ class TestSolveSisBundle:
         s = ShiftStructure(8, 2)
         rep = solve_sis_bundle(DataSet(x), s, SolveConfig(l=3, n=0, restarts=2, seed=0))
         assert close_rel(rep.objective, float(np.sum(x * x)), 1e-10)
+
+    @pytest.mark.parametrize("init", ["random_partition", "farthest_point"])
+    def test_one_model_per_signal_fits_every_signal_exactly(self, init):
+        # inputs fixed before the first run; at d31fe59, which seeded one cell
+        # per signal only in the Euclidean sweep, the default init ended above
+        # 0 on 11 of the 20
+        s = ShiftStructure(16, 4)
+        for seed in range(20):
+            x = np.random.default_rng((99, seed)).standard_normal((6, 16))
+            cfg = SolveConfig(l=6, n=1, seed=seed, init_strategy=init)
+            rep = solve_sis_bundle(DataSet(x), s, cfg)
+            assert rep.objective == 0.0 and rep.converged
+            zero = solve_sis_bundle(DataSet(x), s, replace(cfg, n=0))
+            assert close_rel(zero.objective, float(np.sum(x * x)), 1e-12) and zero.converged
 
     def test_farthest_point_init(self):
         rng = np.random.default_rng(19)

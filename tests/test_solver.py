@@ -1,8 +1,9 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from uosfit import (
     DataSet,
@@ -37,7 +38,7 @@ from uosfit.solver import (
     _Subspaces,
     search,
 )
-from helpers import (lines_dataset, planted_union, random_dataset, rel_err,
+from helpers import (close_rel, lines_dataset, planted_union, random_dataset, rel_err,
                      sis_signals_from_generator)
 
 
@@ -68,12 +69,34 @@ class TestSolve:
 
     def test_one_subspace_per_point(self):
         # l = m: spanning each point by itself reaches zero error; the
-        # farthest-point seeding lands there directly
+        # farthest-point seeding lands there directly, and every search of
+        # l >= m cells also starts there
         rng = np.random.default_rng(2)
         f = random_dataset(rng, 5, 3)
-        cfg = SolveConfig(l=5, n=1, restarts=8, seed=0, init_strategy="farthest_point")
-        rep = solve(f, cfg)
-        assert rep.objective <= 1e-12
+        for init in ("farthest_point", "random_partition"):
+            cfg = SolveConfig(l=5, n=1, restarts=8, seed=0, init_strategy=init)
+            rep = solve(f, cfg)
+            assert rep.objective <= 1e-12
+
+    # (m, N, l) with l >= m, fixed before the first run; at d31fe59, which
+    # seeded one cell per point only in the sweep, the default init ended
+    # above 0 on 4, 4, 20 and 20 of the 20 inputs of each shape
+    @pytest.mark.parametrize("init", ["random_partition", "farthest_point"])
+    @pytest.mark.parametrize("m, dim, l", [(5, 3, 5), (6, 3, 7), (8, 4, 8), (12, 5, 12)])
+    def test_l_at_least_m_fits_every_point_exactly(self, m, dim, l, init):
+        for seed in range(20):
+            x = np.random.default_rng((m, seed)).standard_normal((m, dim))
+            data, cfg = DataSet(x), SolveConfig(l=l, n=1, seed=seed, init_strategy=init)
+            rep = solve(data, cfg)
+            assert rep.objective == 0.0 and rep.converged
+            rows = sparsity_curve(data, [l], [0, 1], cfg)
+            assert [(r.l, r.n) for r in rows] == [(l, 0), (l, 1)]
+            assert rows[1].epsilon == rep.objective
+            # at n = 0 every model is the zero subspace: the data energy, up
+            # to the order of its sum, which the sweep's row shares
+            zero = solve(data, replace(cfg, n=0))
+            assert close_rel(zero.objective, float(np.sum(x * x)), 1e-12) and zero.converged
+            assert rows[0].epsilon == zero.objective
 
     def test_empty_dataset_raises(self):
         with pytest.raises(EmptyDataSet):
@@ -283,10 +306,8 @@ class TestSparsityCurve:
             split = prev.partition.assignment.copy()
             # argmax: the largest residual, the lowest index on ties
             split[int(np.argmax(prev.residuals_sq))] = l - 1
-            want = [split] if l < m else [np.arange(m), split]
-            assert len(row["seeds"]) == len(want)
-            for got, seed in zip(row["seeds"], want):
-                assert got.tolist() == seed.tolist()
+            # one cell per point (l >= m) is search's own start, not the sweep's
+            assert [got.tolist() for got in row["seeds"]] == [split.tolist()]
             if row["report"].objective < prev.objective:
                 prev = row["report"]
 
@@ -682,6 +703,15 @@ def engine_cases(draw):
     return _route(family), family, tol, starts, draw(st.sampled_from([100, 3, 2, 1]))
 
 
+def _wide_label_case(init):
+    """600 points in 260 cells, started by ``init``: labels past one byte, so
+    the memo keys, ``_cells`` and the nearest pass all run on uint16 labels."""
+    data = DataSet(np.random.default_rng(260).standard_normal((600, 3)))
+    family = _Subspaces(data, 260, 1)
+    starts = _cold_starts(family, data.m, SolveConfig(l=260, n=1, restarts=2, init_strategy=init))
+    return _route(family), family, float((STOP_TOL * data.norms_sq()).sum()), starts, 100
+
+
 def _step_by_step(start, family, tol, max_iters):
     """One chain run as one-step lockstep calls, so no step takes a cell of
     another: (trace, last fitted partition, converged)."""
@@ -697,6 +727,8 @@ def _step_by_step(start, family, tol, max_iters):
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(engine_cases())
+@example(_wide_label_case("random_partition"))
+@example(_wide_label_case("farthest_point"))
 def test_lockstep_chains_match_one_start_searches(case):
     # each chain's arithmetic must not depend on which chains share its steps,
     # nor on which of its cells a step took from an earlier one
